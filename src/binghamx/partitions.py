@@ -16,8 +16,9 @@ from functools import lru_cache
 
 from .errors import OrderRangeError
 
-#: Largest series order supported anywhere in the package.  p(40) = 37338
-#: partitions keep every cache comfortably bounded.
+#: Largest series order supported anywhere in the package.  A policy cap,
+#: not a cost bound: the series are evaluated by an O(m^2) recurrence, and
+#: partitions are enumerated only by the exact and reference evaluators.
 MAX_ORDER = 40
 
 

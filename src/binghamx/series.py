@@ -19,9 +19,11 @@ explicit constant is known for that covariance remainder; callers get
 the symbolic alpha descriptor, and optionally a conservative numeric
 bound assembled from the proved inequalities (clearly labeled derived).
 
-Series terms are computed as (Pochhammer ratio) * (C_k / k!), with k!
-folded into the zonal weights while still rational: the separate factors
-overflow near the maximum order while each combined term is moderate.
+Series terms e_k / (d/2)_k, with e_k = (1/2)_k C_k / k!, and the gradient
+coefficients come from one O(m^2) pass of the generating-function
+recurrence over the power sums (see :mod:`binghamx.zonal`).  The
+Pochhammer division stays inside the recurrence, so (d/2)_k, e_k and k!,
+which grow without bound in k and d, are never formed on their own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .symmat import (
     frobenius_norm,
     materialize,
 )
-from .zonal import power_table, scaled_zonal_gradient, scaled_zonal_value
+from .zonal import _series_pass
 
 
 def pochhammer_ratio(k: int, d: float) -> float:
@@ -77,21 +79,15 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
 def norm_const_truncated(ps: PowerSums, m: int, d: int) -> float:
     """Sum of the first m series terms (orders 0..m-1)."""
     _check_dims(ps, d, m, 1, "m")
-    table = power_table(ps.p, m - 1) if m > 1 else None
-    total = 1.0
-    for k in range(1, m):
-        total += pochhammer_ratio(k, d) * scaled_zonal_value(k, table)
-    return total
+    t, _ = _series_pass(ps.p, m, d / 2.0)
+    return float(t.sum())
 
 
 def inverse_norm_const_truncated(ps: PowerSums, l: int, d: int) -> float:
     """Truncated inverse: 1 - sum of series terms of orders 1..l-1."""
     _check_dims(ps, d, l, 2, "l")
-    table = power_table(ps.p, l - 1)
-    total = 1.0
-    for j in range(1, l):
-        total -= pochhammer_ratio(j, d) * scaled_zonal_value(j, table)
-    return total
+    t, _ = _series_pass(ps.p, l, d / 2.0)
+    return 1.0 - float(t[1:].sum())
 
 
 def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPolynomial:
@@ -101,12 +97,8 @@ def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPoly
     (1/d + tr(Sigma)/(d(d+2))) I + (2/(d(d+2))) Sigma.
     """
     _check_dims(ps, d, m, 2, "m")
-    table = power_table(ps.p, m - 1)
-    coeffs = np.zeros(m - 1)
-    for k in range(1, m):
-        c = scaled_zonal_gradient(k, table, ps.p)
-        coeffs[: k] += pochhammer_ratio(k, d) * c
-    return GradientPolynomial(d=ps.d, coeffs=coeffs)
+    _, g = _series_pass(ps.p, m, d / 2.0)
+    return GradientPolynomial(d=ps.d, coeffs=g.sum(axis=0))
 
 
 def covariance_expansion(

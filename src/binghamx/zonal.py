@@ -6,12 +6,22 @@ power sums p_j = tr(Sigma^j):
     C_k(Sigma) = (k! / (1/2)_k) * sum over partitions (i_1..i_k) of k
                  of  prod_j p_j^i_j / (i_j! (2j)^i_j).
 
-Everything here is evaluated from cached per-order partition data: an
-integer exponent matrix plus the partition weights divided by (1/2)_k,
-kept as exact rationals and converted to float64 once.  The scaled
-quantities C_k/k! and grad C_k/k! are what the series layer consumes;
-keeping k! out of the floating-point path means no intermediate factor
-overflows even at the largest supported order.
+The floating-point path does not sum over partitions.  The generating
+function exp(sum_j p_j t^j / 2j) = det(I - t Sigma)^(-1/2) (Muirhead 1982,
+ch. 7) gives e_k := (1/2)_k C_k / k! by the recurrence
+
+    k e_k = 1/2 sum_{j=1..k} p_j e_{k-j},    d e_k / d p_l = e_{k-l} / (2l),
+
+so the terms e_k / (a)_k of every order below m, and their gradients,
+cost O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
+constant, a = 1/2 gives C_k / k!.  The Pochhammer division stays inside the
+recurrence, through ratios (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor
+k! is ever formed on its own and no intermediate factor overflows even
+at the largest supported order.
+
+The partition sums remain as independent references: exactly in
+``zonal_value_exact``, and in float64 from cached per-order partition
+data in ``scaled_zonal_value`` / ``scaled_zonal_gradient``.
 
 The tail coefficients bound |C_k|: |C_k(Sigma)| <= (k!/(1/2)_k) *
 bound_coefficient(k, d) * ||Sigma||^k for any d x d symmetric Sigma.
@@ -37,6 +47,38 @@ from .partitions import (
     partition_weight,
 )
 from .symmat import GradientPolynomial, PowerSums
+
+
+def _series_pass(p: np.ndarray, m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Terms e_k / (a)_k of orders k < m and their gradient contributions.
+
+    ``p`` follows the :class:`~binghamx.symmat.PowerSums` convention and
+    must hold p_1..p_{m-1}.  Returns ``t`` of length m with
+    t[k] = e_k / (a)_k, and ``g`` of shape (m, m - 1) with
+    g[k, l - 1] = e_{k-l} / (2 (a)_k) for 1 <= l <= k and 0 above: the
+    coefficient of Sigma^(l-1) in grad t[k].  With a = d/2 the t[k] are
+    the series terms of N(Sigma); with a = 1/2 they are C_k / k!.
+
+    Every product goes through ratio[k, j-1] = (a)_{k-j} / (a)_k, a
+    product of j factors 1 / (a + i), so that
+
+        t[k] = 1/(2k) sum_{j=1..k} p_j ratio[k, j-1] t[k-j],
+        g[k, l-1] = 1/2 ratio[k, l-1] t[k-l],
+
+    and no Pochhammer symbol, e_k or factorial is formed on its own.
+    """
+    shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
+    below = shift >= 0
+    shift = np.maximum(shift, 0)
+    inv = 1.0 / (a + np.arange(m - 1))
+    ratio = np.cumprod(np.where(below, inv[shift], 1.0), axis=1)
+    weights = p[1:m] * ratio
+    t = np.empty(m)
+    t[0] = 1.0
+    for k in range(1, m):
+        t[k] = weights[k, :k] @ t[k - 1::-1] / (2 * k)
+    g = np.where(below, 0.5 * ratio * t[shift], 0.0)
+    return t, g
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +154,9 @@ def zonal_value(k: int, ps: PowerSums) -> float:
     C_0 = 1, C_1 = tr(Sigma), C_2 = ((tr Sigma)^2 + 2 tr(Sigma^2)) / 3.
     """
     _check_order(k, 0)
-    if k == 0:
-        return 1.0
     ps.require(k)
-    table = power_table(ps.p, k)
-    return float(math.factorial(k)) * scaled_zonal_value(k, table)
+    t, _ = _series_pass(ps.p, k + 1, 0.5)
+    return float(math.factorial(k) * t[k])
 
 
 def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
@@ -127,9 +167,8 @@ def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
     """
     _check_order(k, 1)
     ps.require(k)
-    table = power_table(ps.p, k)
-    coeffs = float(math.factorial(k)) * scaled_zonal_gradient(k, table, ps.p)
-    return GradientPolynomial(d=ps.d, coeffs=coeffs)
+    _, g = _series_pass(ps.p, k + 1, 0.5)
+    return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * g[k])
 
 
 def zonal_value_exact(k: int, powers: Sequence) -> Fraction:

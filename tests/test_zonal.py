@@ -3,7 +3,7 @@
 Oracles:
 
 * exact-rational evaluation (``zonal_value_exact``) cross-checks the
-  cached floating-point path;
+  floating-point recurrence path;
 * closed forms for the first three orders;
 * orthogonal invariance and the rank-one specialization, where the
   polynomial collapses to a known scalar sequence;
@@ -198,8 +198,7 @@ class TestZonalGradient:
                     )
 
     def test_trace_zero_second_order(self):
-        # With p1 = 0 the leading coefficient vanishes; exercises the
-        # zero-power branch inside the scaled gradient.
+        # With p1 = 0 the leading coefficient vanishes.
         s = np.diag([1.0, -1.0])
         ps = power_sums(s, 2)
         g = zonal_gradient(2, ps)
@@ -215,9 +214,7 @@ class TestZonalGradient:
         table = power_table(ps.p, 4)
         coeffs = scaled_zonal_gradient(4, table, ps.p)
         h = 1e-6
-        grad = materialize(
-            zonal_gradient(4, ps), s
-        )  # uses the same coeffs; verify numerically
+        grad = materialize(zonal_gradient(4, ps), s)
         for i in range(2):
             bump = np.zeros((4, 4))
             bump[i, i] = h

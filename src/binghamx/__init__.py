@@ -50,6 +50,7 @@ from .oracle import (
     kummer_partial_sum,
     kummer_series,
     mc_covariance,
+    mc_moments,
     mc_norm_const,
 )
 from .partitions import (

@@ -63,8 +63,9 @@ def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
 
 def _emit_matrix(a: np.ndarray, fmt: str, out) -> None:
     if fmt == "csv":
-        for row in a:
-            out.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        row = ",".join(["%.17g"] * a.shape[1]) + "\n"
+        for r in a:
+            out.write(row % tuple(r.tolist()))
     elif fmt == "md":
         d = a.shape[0]
         out.write("|" + "---|" * d + "\n")
@@ -219,7 +220,8 @@ def _cmd_cov(args, out) -> int:
     regime = _regime_from(args)
     k_max = max(args.l, args.m) - 1
     ps = symmat.power_sums(sigma, max(k_max, 1))
-    cov = series.covariance_expansion(ps, sigma, args.l, args.m, d)
+    # One materialized gradient feeds both the product and the derived bound.
+    scalar, grad = series._covariance_factors(ps, sigma, args.l, args.m, d)
     rows: list[tuple[str, object]] = [
         ("l", args.l),
         ("m", args.m),
@@ -228,14 +230,14 @@ def _cmd_cov(args, out) -> int:
     ]
     if regime is not None:
         _require_regime_fit(sigma, regime, d)
-        derived = series.covariance_derived_bound(ps, sigma, args.l, args.m, d, regime)
+        derived = series._derived_bound(scalar, grad, args.l, args.m, d, regime)
         rows += [
             ("derived_bound", derived),
             ("gamma0", regime.scale),
             ("r", regime.exponent),
         ]
     _emit_record(rows, args.format, out)
-    _emit_matrix(cov, args.format, out)
+    _emit_matrix(scalar * grad, args.format, out)
     return 0
 
 
@@ -305,7 +307,7 @@ def _cmd_verify(args, out) -> int:
     checks: list[tuple[str, float, float, object, float, bool]] = []
 
     psi_series = series.norm_const_truncated(ps, args.m, d)
-    psi_mc = oracle.mc_norm_const(sigma, args.samples, args.seed)
+    psi_mc, cov_mc = oracle.mc_moments(sigma, args.samples, args.seed)
     # When x' Sigma x is constant on the sphere (e.g. Sigma = theta * I) the
     # sampling variance is exactly zero, so the statistical tolerance alone
     # would reject the series over pure float roundoff.  Keep an absolute
@@ -318,7 +320,6 @@ def _cmd_verify(args, out) -> int:
     )
 
     cov_series = series.covariance_expansion(ps, sigma, args.l, args.m, d)
-    cov_mc = oracle.mc_covariance(sigma, args.samples, args.seed)
     gap = np.abs(cov_mc.value - cov_series) - 4.0 * cov_mc.std_error
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
     i, j = int(worst[0]), int(worst[1])

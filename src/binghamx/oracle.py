@@ -10,12 +10,18 @@ PCG64(SeedSequence([seed, b])), Gaussians come from numpy's ziggurat
 standard_normal, and blocks are reduced in index order, so identical
 (seed, n, Sigma) yield bit-identical estimates on any machine.  The 50
 blocks double as the jackknife resampling groups.
+
+All three estimators read one block stream: :func:`mc_moments` draws each
+block and computes its weights once and feeds both the normalizing-constant
+and the covariance reductions, which is what ``verify`` uses.  Its two
+results equal those of :func:`mc_norm_const` and :func:`mc_covariance`
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,25 +82,77 @@ def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return w
 
 
+def _sample_blocks(
+    sigma: np.ndarray, n: int, seed: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (b, x, w) for every sampling block b, in index order."""
+    d = sigma.shape[0]
+    for b, size in enumerate(_block_sizes(n)):
+        x = _sphere_block(d, size, seed, b)
+        yield b, x, _weights(x, sigma)
+
+
+class _NormConstSums:
+    """Running sums of w and w^2 over the blocks, in block order."""
+
+    def __init__(self, d: int) -> None:
+        self.total = 0.0
+        self.total_sq = 0.0
+
+    def add(self, b: int, x: np.ndarray, w: np.ndarray) -> None:
+        self.total += float(w.sum())
+        self.total_sq += float((w * w).sum())
+
+    def estimate(self, n: int, seed: int) -> McEstimate:
+        mean = self.total / n
+        var = max(self.total_sq - n * mean * mean, 0.0) / (n - 1)
+        return McEstimate(
+            value=mean, std_error=float(np.sqrt(var / n)), n_samples=n, seed=seed
+        )
+
+
+class _CovarianceSums:
+    """Per-block numerators sum(w x x') and denominators sum(w)."""
+
+    def __init__(self, d: int) -> None:
+        self.nums = np.empty((BLOCKS, d, d))
+        self.dens = np.empty(BLOCKS)
+
+    def add(self, b: int, x: np.ndarray, w: np.ndarray) -> None:
+        self.nums[b] = x.T @ (x * w[:, None])
+        self.dens[b] = float(w.sum())
+
+    def estimate(self, n: int, seed: int) -> McEstimate:
+        nums, dens = self.nums, self.dens
+        num_tot = nums.sum(axis=0)
+        den_tot = float(dens.sum())
+        value = num_tot / den_tot
+        leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
+        centered = leave_out - leave_out.mean(axis=0)
+        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+        return McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
+
+
+def _estimate(sigma: np.ndarray, n: int, seed: int, *reductions) -> tuple[McEstimate, ...]:
+    """One pass over the sample blocks, feeding each block to every reduction.
+
+    ``reductions`` are the reduction classes, each built from the dimension.
+    """
+    _check_sampling_args(n, seed)
+    sums = [r(sigma.shape[0]) for r in reductions]
+    for b, x, w in _sample_blocks(sigma, n, seed):
+        for s in sums:
+            s.add(b, x, w)
+    return tuple(s.estimate(n, seed) for s in sums)
+
+
 def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     """Sample mean of exp(x' Sigma x) over the uniform sphere.
 
     Returns the estimate of the normalizing constant and the standard
     error of the mean.
     """
-    _check_sampling_args(n, seed)
-    d = sigma.shape[0]
-    total = 0.0
-    total_sq = 0.0
-    for b, size in enumerate(_block_sizes(n)):
-        w = _weights(_sphere_block(d, size, seed, b), sigma)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(
-        value=mean, std_error=float(np.sqrt(var / n)), n_samples=n, seed=seed
-    )
+    return _estimate(sigma, n, seed, _NormConstSums)[0]
 
 
 def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -104,22 +162,17 @@ def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     over the 50 sampling blocks, which respects the ratio form of the
     estimator.  The estimate has unit trace up to float roundoff.
     """
-    _check_sampling_args(n, seed)
-    d = sigma.shape[0]
-    nums = np.empty((BLOCKS, d, d))
-    dens = np.empty(BLOCKS)
-    for b, size in enumerate(_block_sizes(n)):
-        x = _sphere_block(d, size, seed, b)
-        w = _weights(x, sigma)
-        nums[b] = x.T @ (x * w[:, None])
-        dens[b] = float(w.sum())
-    num_tot = nums.sum(axis=0)
-    den_tot = float(dens.sum())
-    value = num_tot / den_tot
-    leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
-    centered = leave_out - leave_out.mean(axis=0)
-    se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
-    return McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
+    return _estimate(sigma, n, seed, _CovarianceSums)[0]
+
+
+def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEstimate]:
+    """Both Monte-Carlo estimates from a single pass over the sample blocks.
+
+    Returns ``(mc_norm_const(sigma, n, seed), mc_covariance(sigma, n,
+    seed))``, equal to the separate calls bit for bit, while drawing each
+    block and computing its weights only once.
+    """
+    return _estimate(sigma, n, seed, _NormConstSums, _CovarianceSums)
 
 
 def kummer_series(

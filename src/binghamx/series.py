@@ -109,9 +109,18 @@ def covariance_expansion(
         raise DimensionMismatchError(
             f"matrix has dimension {sigma.shape[0]}, call asked for d = {d}"
         )
+    scalar, grad = _covariance_factors(ps, sigma, l, m, d)
+    return scalar * grad
+
+
+def _covariance_factors(
+    ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int
+) -> tuple[float, np.ndarray]:
+    """T, the truncated inverse at order l, and G, the materialized
+    truncated gradient at order m: the covariance product is T G."""
     scalar = inverse_norm_const_truncated(ps, l, d)
-    grad = norm_const_gradient_truncated(ps, m, d)
-    return scalar * materialize(grad, sigma)
+    grad = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
+    return scalar, grad
 
 
 def covariance_second_order(sigma: np.ndarray, d: int) -> np.ndarray:
@@ -167,8 +176,14 @@ def covariance_derived_bound(
     Derived, not sharp; requires d above the inverse-expansion
     threshold.  The tight statement remains the alpha descriptor.
     """
-    scalar = inverse_norm_const_truncated(ps, l, d)
-    grad = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
+    scalar, grad = _covariance_factors(ps, sigma, l, m, d)
+    return _derived_bound(scalar, grad, l, m, d, regime)
+
+
+def _derived_bound(
+    scalar: float, grad: np.ndarray, l: int, m: int, d: int, regime: GrowthRegime
+) -> float:
+    """|T| B_g + B_i (||G||_F + B_g) from the factors T, G of the product."""
     b_grad = gradient_tail_bound(m, d, regime)
     b_inv = inverse_tail_bound(l, d, regime)
     return abs(scalar) * b_grad + b_inv * (frobenius_norm(grad) + b_grad)

@@ -107,10 +107,8 @@ def format_matrix(a: np.ndarray) -> str:
     Entries are written with 17 significant digits so a round trip is
     value-preserving.
     """
-    d = a.shape[0]
-    lines = [str(d)]
-    for row in a:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    row = " ".join(["%.17g"] * a.shape[1])
+    lines = [str(a.shape[0])] + [row % tuple(r.tolist()) for r in a]
     return "\n".join(lines) + "\n"
 
 
@@ -149,6 +147,13 @@ class PowerSums:
             )
 
 
+def _diagonal(sigma: np.ndarray) -> np.ndarray | None:
+    """The diagonal of Sigma if every off-diagonal entry is zero, else None."""
+    diag = np.diagonal(sigma)
+    # Equal nonzero counts mean a zero off-diagonal, with no d x d temporary.
+    return diag if np.count_nonzero(sigma) == np.count_nonzero(diag) else None
+
+
 def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
     """Compute tr(Sigma^j) for j = 1..K from the eigenvalues of Sigma.
 
@@ -176,8 +181,8 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
         raise InsufficientPowersError(f"K must be >= 1, got {K}")
     if not np.isfinite(sigma).all():
         raise MatrixValidationError("matrix has non-finite entries")
-    diag = np.diagonal(sigma)
-    if np.count_nonzero(sigma - np.diag(diag)) == 0:
+    diag = _diagonal(sigma)
+    if diag is not None:
         eig = diag.astype(np.float64, copy=True)
     else:
         if d > DENSE_EIGEN_LIMIT:
@@ -220,13 +225,24 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     """Evaluate a :class:`GradientPolynomial` at Sigma by Horner's rule.
 
     The result is symmetrized to remove accumulation asymmetry from the
-    repeated products.
+    repeated products.  Diagonal Sigma runs the same recurrence on its
+    diagonal in O(d m), which rounds exactly like the dense products.
     """
     if sigma.shape[0] != g.d:
         raise DimensionMismatchError(
             f"polynomial is for d = {g.d}, matrix has d = {sigma.shape[0]}"
         )
     c = g.coeffs
+    # Degree 0 takes no product, and c_0 I below keeps the sign of its zeros.
+    diag = _diagonal(sigma) if len(c) > 1 else None
+    if diag is not None:
+        out = np.full(g.d, c[-1])
+        for l in range(len(c) - 2, -1, -1):
+            out = out * diag + c[l]
+        # On overflow the dense products below spread inf/nan into the
+        # off-diagonal entries; keep that output rather than zeros.
+        if np.isfinite(out).all():
+            return symmetrize(np.diag(out))
     eye = np.eye(g.d)
     out = c[-1] * eye
     for l in range(len(c) - 2, -1, -1):

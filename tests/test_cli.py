@@ -10,6 +10,7 @@ from conftest import random_trace_zero
 
 from binghamx import (
     GrowthRegime,
+    covariance_derived_bound,
     covariance_expansion,
     format_matrix,
     gradient_tail_bound,
@@ -20,7 +21,7 @@ from binghamx import (
     norm_const_truncated,
     power_sums,
 )
-from binghamx.cli import run
+from binghamx.cli import _emit_matrix, run
 
 
 def invoke(argv):
@@ -154,6 +155,13 @@ class TestCov:
         assert code == 0
         assert float(record_value(text, "derived_bound")) > 0.0
         assert "O(d^-1.5)" in text
+        ps = power_sums(sigma, 3)
+        regime = GrowthRegime(0.9, 0.0)
+        assert float(record_value(text, "derived_bound")) == covariance_derived_bound(
+            ps, sigma, 3, 4, d, regime
+        )
+        got = trailing_matrix(text, d)
+        assert np.array_equal(got, covariance_expansion(ps, sigma, 3, 4, d))
 
     def test_csv_layout(self, tmp_path):
         sigma = np.diag([0.2, -0.2, 0.0])
@@ -167,6 +175,31 @@ class TestCov:
         assert len(lines) == 2 + 3  # header, values, then 3 matrix rows
         row = [float(x) for x in lines[2].split(",")]
         assert len(row) == 3
+
+
+class TestSeventeenDigitMatrixOutput:
+    """Row templates must print exactly what a per-entry f-string printed."""
+
+    @staticmethod
+    def matrices():
+        edge = np.array([[0.0, -0.0, np.nan],
+                         [np.inf, -np.inf, 5e-324],
+                         [1e308, 0.1, 1.0 / 3.0]])
+        dense = np.random.default_rng(47).standard_normal((50, 50))
+        return edge, dense, edge.T.copy(), np.eye(4)
+
+    def test_text_matches_per_entry_format(self):
+        for a in self.matrices():
+            lines = [str(a.shape[0])]
+            lines += [" ".join(f"{x:.17g}" for x in row) for row in a]
+            assert format_matrix(a) == "\n".join(lines) + "\n"
+
+    def test_csv_matches_per_entry_format(self):
+        for a in self.matrices():
+            buf = io.StringIO()
+            _emit_matrix(a, "csv", buf)
+            expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in a)
+            assert buf.getvalue() == expected
 
 
 class TestZonal:

@@ -23,9 +23,10 @@ from binghamx import (
     kummer_partial_sum,
     kummer_series,
     mc_covariance,
+    mc_moments,
     mc_norm_const,
 )
-from binghamx.oracle import BLOCKS, _block_sizes
+from binghamx.oracle import BLOCKS, _block_sizes, _sphere_block, _weights
 
 
 class TestKummerSeries:
@@ -178,6 +179,74 @@ class TestMcCovariance:
         s[0, 0] = 2.0
         est = mc_covariance(s, 100_000, seed=21)
         assert est.value[0, 0] > 1.0 / d + 10.0 * est.std_error[0, 0]
+
+
+class TestMcMoments:
+    """The single pass must reproduce both separate estimators bit for bit."""
+
+    @staticmethod
+    def separate_loops(sigma, n, seed):
+        """Reference: each estimator with its own block loop, drawing every block."""
+        d = sigma.shape[0]
+        total = total_sq = 0.0
+        for b, size in enumerate(_block_sizes(n)):
+            w = _weights(_sphere_block(d, size, seed, b), sigma)
+            total += float(w.sum())
+            total_sq += float((w * w).sum())
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        psi = (mean, float(np.sqrt(var / n)))
+
+        nums = np.empty((BLOCKS, d, d))
+        dens = np.empty(BLOCKS)
+        for b, size in enumerate(_block_sizes(n)):
+            x = _sphere_block(d, size, seed, b)
+            w = _weights(x, sigma)
+            nums[b] = x.T @ (x * w[:, None])
+            dens[b] = float(w.sum())
+        num_tot = nums.sum(axis=0)
+        den_tot = float(dens.sum())
+        leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
+        centered = leave_out - leave_out.mean(axis=0)
+        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+        return psi, (num_tot / den_tot, se)
+
+    def assert_same(self, sigma, n, seed):
+        psi, cov = mc_moments(sigma, n, seed)
+        ref_psi = mc_norm_const(sigma, n, seed)
+        ref_cov = mc_covariance(sigma, n, seed)
+        assert psi == ref_psi
+        assert psi.value == ref_psi.value and psi.std_error == ref_psi.std_error
+        assert np.array_equal(cov.value, ref_cov.value)
+        assert np.array_equal(cov.std_error, ref_cov.std_error)
+        assert (cov.n_samples, cov.seed) == (n, seed)
+        (value, se), (cov_value, cov_se) = self.separate_loops(sigma, n, seed)
+        assert psi.value == value and psi.std_error == se
+        assert np.array_equal(cov.value, cov_value)
+        assert np.array_equal(cov.std_error, cov_se)
+
+    def test_bit_identical_to_separate_estimators(self):
+        rng = np.random.default_rng(41)
+        for d in (2, 7, 30):
+            sigma = random_trace_zero(rng, d, norm=0.9)
+            for n in (1000, 1009, 123457):
+                for seed in (0, 2026):
+                    self.assert_same(sigma, n, seed)
+
+    def test_zero_matrix(self):
+        self.assert_same(np.zeros((4, 4)), 3000, seed=5)
+        psi, cov = mc_moments(np.zeros((4, 4)), 3000, seed=5)
+        assert psi.value == 1.0 and psi.std_error == 0.0
+
+    def test_overflow(self):
+        with pytest.raises(SamplingOverflowError):
+            mc_moments(800.0 * np.eye(4), 1000, seed=0)
+
+    def test_validation(self):
+        with pytest.raises(OrderRangeError):
+            mc_moments(np.zeros((3, 3)), 999, seed=0)
+        with pytest.raises(OrderRangeError):
+            mc_moments(np.zeros((3, 3)), 1000, seed=-1)
 
 
 class TestFdGradient:

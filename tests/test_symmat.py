@@ -170,6 +170,48 @@ class TestMaterialize:
         with pytest.raises(DimensionMismatchError):
             materialize(g, np.eye(4))
 
+    @staticmethod
+    def dense_horner(g, s):
+        eye = np.eye(g.d)
+        out = g.coeffs[-1] * eye
+        for c in g.coeffs[-2::-1]:
+            out = out @ s + c * eye
+        return (out + out.T) / 2.0
+
+    def test_diagonal_input_matches_dense_horner_bitwise(self):
+        rng = np.random.default_rng(11)
+        for k in range(40):
+            d = int(rng.integers(2, 40))
+            x = rng.uniform(-3.0, 3.0, d)
+            x[rng.random(d) < 0.2] = 0.0
+            x[rng.random(d) < 0.1] = -0.0
+            s = np.diag(x)
+            degree = k % 3 if k < 12 else int(rng.integers(0, 40))
+            coeffs = rng.standard_normal(degree + 1)
+            if k % 2:
+                # A negative c * I has -0.0 off the diagonal.
+                coeffs = -np.abs(coeffs)
+            g = GradientPolynomial(d=d, coeffs=coeffs)
+            got, ref = materialize(g, s), self.dense_horner(g, s)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_diagonal_overflow_matches_dense(self):
+        # The dense product turns an overflowed diagonal entry into nan
+        # across its row and column; the diagonal path must not print 0.
+        s = np.diag([1e200, 2.0, -1.0])
+        g = GradientPolynomial(d=3, coeffs=np.array([1.0, 1.0, 1.0, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = materialize(g, s), self.dense_horner(g, s)
+        assert np.isnan(got[0, 1])
+        assert np.array_equal(got, ref, equal_nan=True)
+        # Symmetrizing doubles first, so an entry above max/2 becomes inf.
+        s = np.diag([1e308, 2.0, -1.0])
+        g = GradientPolynomial(d=3, coeffs=np.array([0.0, 1.0]))
+        with np.errstate(over="ignore"):
+            got, ref = materialize(g, s), self.dense_horner(g, s)
+        assert np.array_equal(got, ref)
+
     def test_output_symmetric(self):
         rng = np.random.default_rng(9)
         s = random_symmetric(rng, 6)

@@ -9,7 +9,10 @@ Randomness is fully pinned: block b of a run draws from
 PCG64(SeedSequence([seed, b])), Gaussians come from numpy's ziggurat
 standard_normal, and blocks are reduced in index order, so identical
 (seed, n, Sigma) yield bit-identical estimates on any machine.  The 50
-blocks double as the jackknife resampling groups.
+blocks double as the jackknife resampling groups.  While the caller
+weights and reduces block b, one helper thread draws block b + 1; each
+block has its own generator and the reductions stay in index order, so
+the results do not depend on that overlap.
 
 All three estimators read one block stream: :func:`mc_moments` draws each
 block and computes its weights once and feeds both the normalizing-constant
@@ -20,6 +23,7 @@ bit for bit.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -85,11 +89,24 @@ def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def _sample_blocks(
     sigma: np.ndarray, n: int, seed: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (b, x, w) for every sampling block b, in index order."""
+    """Yield (b, x, w) for every sampling block b, in index order.
+
+    The draw of block b + 1 runs on one helper thread while the caller
+    consumes block b; exactly one draw is in flight.  Closing the
+    generator early waits for that draw and stops the thread.
+    """
+    # Imported here so that importing the package starts no thread machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
     d = sigma.shape[0]
-    for b, size in enumerate(_block_sizes(n)):
-        x = _sphere_block(d, size, seed, b)
-        yield b, x, _weights(x, sigma)
+    sizes = _block_sizes(n)
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(_sphere_block, d, sizes[0], seed, 0)
+        for b in range(BLOCKS):
+            x = ahead.result()
+            if b + 1 < BLOCKS:
+                ahead = pool.submit(_sphere_block, d, sizes[b + 1], seed, b + 1)
+            yield b, x, _weights(x, sigma)
 
 
 class _NormConstSums:
@@ -123,13 +140,20 @@ class _CovarianceSums:
         self.dens[b] = float(w.sum())
 
     def estimate(self, n: int, seed: int) -> McEstimate:
+        """The ratio estimate and its jackknife errors; overwrites ``nums``.
+
+        The delete-one-block ratios are built in place in ``nums``, so
+        only one (BLOCKS, d, d) array is alive.
+        """
         nums, dens = self.nums, self.dens
         num_tot = nums.sum(axis=0)
         den_tot = float(dens.sum())
         value = num_tot / den_tot
-        leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
-        centered = leave_out - leave_out.mean(axis=0)
-        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+        np.subtract(num_tot[None], nums, out=nums)
+        nums /= (den_tot - dens)[:, None, None]
+        nums -= nums.mean(axis=0)
+        nums *= nums
+        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(nums, axis=0))
         return McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
 
 
@@ -140,9 +164,12 @@ def _estimate(sigma: np.ndarray, n: int, seed: int, *reductions) -> tuple[McEsti
     """
     _check_sampling_args(n, seed)
     sums = [r(sigma.shape[0]) for r in reductions]
-    for b, x, w in _sample_blocks(sigma, n, seed):
-        for s in sums:
-            s.add(b, x, w)
+    # closing: a reduction that raises stops the helper thread without
+    # waiting for the generator to be garbage-collected.
+    with closing(_sample_blocks(sigma, n, seed)) as blocks:
+        for b, x, w in blocks:
+            for s in sums:
+                s.add(b, x, w)
     return tuple(s.estimate(n, seed) for s in sums)
 
 

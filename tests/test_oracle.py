@@ -10,11 +10,18 @@
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_trace_zero
 
+import binghamx
 from binghamx import (
     ConvergenceError,
     OrderRangeError,
@@ -26,7 +33,15 @@ from binghamx import (
     mc_moments,
     mc_norm_const,
 )
-from binghamx.oracle import BLOCKS, _block_sizes, _sphere_block, _weights
+from binghamx.oracle import (
+    BLOCKS,
+    _block_sizes,
+    _CovarianceSums,
+    _estimate,
+    _sample_blocks,
+    _sphere_block,
+    _weights,
+)
 
 
 class TestKummerSeries:
@@ -247,6 +262,92 @@ class TestMcMoments:
             mc_moments(np.zeros((3, 3)), 999, seed=0)
         with pytest.raises(OrderRangeError):
             mc_moments(np.zeros((3, 3)), 1000, seed=-1)
+
+
+class TestBlockStream:
+    """The pipelined block stream and the in-place jackknife against serial code."""
+
+    @staticmethod
+    def serial_blocks(sigma, n, seed):
+        """Reference: every block drawn and weighted on the calling thread."""
+        d = sigma.shape[0]
+        for b, size in enumerate(_block_sizes(n)):
+            x = _sphere_block(d, size, seed, b)
+            yield b, x, _weights(x, sigma)
+
+    @pytest.mark.parametrize("d", (2, 30))
+    @pytest.mark.parametrize("n", (1000, 123457))
+    def test_stream_matches_serial_loop(self, d, n):
+        sigma = random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9)
+        pairs = zip_longest(_sample_blocks(sigma, n, 2026), self.serial_blocks(sigma, n, 2026))
+        count = 0
+        for got, ref in pairs:
+            assert got is not None and ref is not None
+            assert got[0] == ref[0] == count
+            assert np.array_equal(got[1], ref[1])
+            assert np.array_equal(got[2], ref[2])
+            count += 1
+        assert count == BLOCKS
+
+    def test_in_place_jackknife_matches_out_of_place(self):
+        rng = np.random.default_rng(47)
+        for d in (1, 5, 40):
+            sums = _CovarianceSums(d)
+            scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS, 1, 1)))
+            sums.nums[:] = rng.standard_normal((BLOCKS, d, d)) * scale
+            sums.dens[:] = rng.uniform(1.0, 5.0, BLOCKS)
+            nums, dens = sums.nums.copy(), sums.dens.copy()
+            est = sums.estimate(1000, 3)
+
+            num_tot = nums.sum(axis=0)
+            den_tot = float(dens.sum())
+            leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
+            centered = leave_out - leave_out.mean(axis=0)
+            se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+            assert np.array_equal(est.value, num_tot / den_tot)
+            assert np.array_equal(est.std_error, se)
+
+
+class TestHelperThread:
+    """The draw-ahead thread never outlives the sampling call."""
+
+    def test_no_thread_left_after_overflow(self):
+        start = threading.active_count()
+        with pytest.raises(SamplingOverflowError):
+            mc_moments(800.0 * np.eye(4), 1000, seed=0)
+        assert threading.active_count() == start
+
+    def test_no_thread_left_after_reduction_raises(self):
+        start = threading.active_count()
+        seen = []
+
+        class FailingSums:
+            def __init__(self, d):
+                pass
+
+            def add(self, b, x, w):
+                seen.append(threading.active_count())
+                if b == 3:
+                    raise RuntimeError("reduction failed")
+
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            _estimate(np.zeros((3, 3)), 5000, 1, FailingSums)
+        assert seen == [start + 1] * 4
+        assert threading.active_count() == start
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = str(Path(binghamx.__file__).resolve().parents[1])
+        paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, binghamx.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestFdGradient:

@@ -43,6 +43,7 @@ from .errors import (
     OrderSelectionError,
     RegimeViolationError,
     SamplingOverflowError,
+    SeriesOverflowError,
 )
 from .oracle import (
     McEstimate,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     OrderRangeError,
     OrderSelectionError,
 )
-from .partitions import MAX_ORDER
+from .partitions import MAX_ORDER, check_order
 from .symmat import frobenius_norm
 
 
@@ -122,8 +122,7 @@ def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     Valid for m >= 1 and d >= admissible_dimension(regime); raises
     InadmissibleDimensionError otherwise.
     """
-    if not 1 <= m <= MAX_ORDER:
-        raise OrderRangeError(f"m must be in 1..{MAX_ORDER}, got {m}")
+    check_order("m", m, 1)
     _require_admissible(d, admissible_dimension(regime), "the value tail bound", False)
     c = bound_constants(regime)
     return (
@@ -139,8 +138,7 @@ def gradient_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
 
     Valid for m >= 2 and d >= admissible_dimension(regime).
     """
-    if not 2 <= m <= MAX_ORDER:
-        raise OrderRangeError(f"m must be in 2..{MAX_ORDER}, got {m}")
+    check_order("m", m, 2)
     _require_admissible(d, admissible_dimension(regime), "the gradient tail bound", False)
     c = bound_constants(regime)
     return (
@@ -174,8 +172,7 @@ def inverse_tail_bound(l: int, d: float, regime: GrowthRegime) -> float:
     bound is norm_const_tail_bound(l) + b1^2 / (1 - b1).  Requires
     d strictly above admissible_dimension_inverse(regime).
     """
-    if not 2 <= l <= MAX_ORDER:
-        raise OrderRangeError(f"l must be in 2..{MAX_ORDER}, got {l}")
+    check_order("l", l, 2)
     _require_admissible(
         d, admissible_dimension_inverse(regime), "the inverse expansion", True
     )
@@ -198,8 +195,7 @@ def compare_bounds(m: int, d: float, regime: GrowthRegime) -> str:
     Uses the exact algebraic criterion 4 scale^2 d^exp vs m (m + 1)
     obtained by dividing the two bound formulas (see module docstring).
     """
-    if not 2 <= m <= MAX_ORDER:
-        raise OrderRangeError(f"m must be in 2..{MAX_ORDER}, got {m}")
+    check_order("m", m, 2)
     lhs = 4.0 * regime.scale * regime.scale * d**regime.exponent
     rhs = float(m * (m + 1))
     if lhs < rhs:
@@ -272,8 +268,12 @@ def tail_bound_table(
 
 def round_half_up(x: float, places: int = 5) -> str:
     """Decimal string with ``places`` digits, ties rounded away from zero."""
-    q = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP))
+    value = Decimal(repr(float(x)))
+    if value.is_infinite():  # "Infinity" / "-Infinity"; nan gives "NaN" below
+        return str(value)
+    # A float64 has up to 309 integer digits; the precision keeps them all.
+    wide = Context(prec=309 + max(places, 0))
+    return str(value.quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP, wide))
 
 
 def _grid(table: TailBoundTable, kind: str) -> np.ndarray:

@@ -12,7 +12,9 @@ verify    Monte-Carlo cross-check of the series values
 
 Exit codes: 0 success, 1 inadmissible dimension / regime violation /
 failed verification (the computed threshold or margin is printed),
-2 usage or input errors with a one-line diagnosis.
+2 usage or input errors with a one-line diagnosis, among them results
+that overflow float64 (the error names the quantity, the order and
+||Sigma||_F).  Every check that needs no spectral work runs first.
 
 Output formats: ``text`` (key = value lines, matrices in the ingestion
 text format, 17 significant digits), ``md`` (tables, 5 decimals rounded
@@ -36,7 +38,9 @@ from .errors import (
     InadmissibleDimensionError,
     OrderSelectionError,
     RegimeViolationError,
+    SeriesOverflowError,
 )
+from .partitions import check_order
 
 USAGE_ERROR = 2
 ADMISSIBILITY_ERROR = 1
@@ -49,6 +53,9 @@ def _fmt(x, fmt: str) -> str:
 
 
 def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
+    """Scalar rows as one record, then array rows as matrices."""
+    matrices = [v for _, v in rows if isinstance(v, np.ndarray)]
+    rows = [(key, v) for key, v in rows if not isinstance(v, np.ndarray)]
     if fmt == "csv":
         out.write(",".join(key for key, _ in rows) + "\n")
         out.write(",".join(_fmt(v, fmt) for _, v in rows) + "\n")
@@ -59,6 +66,8 @@ def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
     else:
         for key, v in rows:
             out.write(f"{key} = {_fmt(v, fmt)}\n")
+    for a in matrices:
+        _emit_matrix(a, fmt, out)
 
 
 def _emit_matrix(a: np.ndarray, fmt: str, out) -> None:
@@ -73,33 +82,6 @@ def _emit_matrix(a: np.ndarray, fmt: str, out) -> None:
             out.write("| " + " | ".join(bounds_mod.round_half_up(x) for x in row) + " |\n")
     else:
         out.write(symmat.format_matrix(a))
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return symmat.load_matrix(fh.read())
-
-
-def _regime_from(args) -> GrowthRegime | None:
-    has_scale = args.gamma0 is not None
-    has_exp = args.r is not None
-    if has_scale != has_exp:
-        raise argparse.ArgumentTypeError("--gamma0 and --r must be given together")
-    if not has_scale:
-        return None
-    return GrowthRegime(scale=args.gamma0, exponent=args.r)
-
-
-def _require_regime_fit(sigma: np.ndarray, regime: GrowthRegime, d: int) -> None:
-    norm = symmat.frobenius_norm(sigma)
-    cap = regime.cap(d)
-    if norm > cap:
-        raise RegimeViolationError(
-            f"||Sigma||_F = {norm:.17g} exceeds the regime cap "
-            f"{cap:.17g} = {regime.scale:g} * d^({regime.exponent:g}/2)",
-            norm=norm,
-            cap=cap,
-        )
 
 
 def _int_list(text: str) -> list[int]:
@@ -130,24 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("psi", help="truncated normalizing constant")
-    p.add_argument("--matrix", required=True, help="matrix file")
-    p.add_argument("--m", type=int, required=True, help="number of series terms, 1..40")
-    _add_regime_flags(p)
-    _add_format_flag(p)
-
-    p = sub.add_parser("grad", help="materialized truncated gradient")
-    p.add_argument("--matrix", required=True, help="matrix file")
-    p.add_argument("--m", type=int, required=True, help="number of series terms, 2..40")
-    _add_regime_flags(p)
-    _add_format_flag(p)
-
-    p = sub.add_parser("cov", help="covariance product")
-    p.add_argument("--matrix", required=True, help="matrix file")
-    p.add_argument("--l", type=int, required=True, help="inverse truncation order, 2..40")
-    p.add_argument("--m", type=int, required=True, help="gradient truncation order, 2..40")
-    _add_regime_flags(p)
-    _add_format_flag(p)
+    for name, what, orders in (
+        ("psi", "truncated normalizing constant", [("--m", "number of series terms, 1..40")]),
+        ("grad", "materialized truncated gradient", [("--m", "number of series terms, 2..40")]),
+        ("cov", "covariance product", [("--l", "inverse truncation order, 2..40"),
+                                        ("--m", "gradient truncation order, 2..40")]),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--matrix", required=True, help="matrix file")
+        for flag, text in orders:
+            p.add_argument(flag, type=int, required=True, help=text)
+        _add_regime_flags(p)
+        _add_format_flag(p)
 
     p = sub.add_parser("zonal", help="zonal polynomial value and gradient")
     p.add_argument("--matrix", required=True, help="matrix file")
@@ -183,73 +159,106 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _regime_rows(name: str, bound: float, regime: GrowthRegime) -> list[tuple[str, object]]:
+    return [(name, bound), ("gamma0", regime.scale), ("r", regime.exponent)]
+
+
+def _checked_series(args, orders, powers, compute, tails=()):
+    """Sigma and the rows ``compute`` returns, after every check it needs.
+
+    In order: load the matrix, check each ``(flag, low)`` of ``orders``,
+    and with a regime check the fit and evaluate each ``(flag, bound)``
+    of ``tails``.  Only then form the power sums up to ``powers`` and
+    call ``compute(ps, sigma, regime, bound values)`` for ``(name,
+    value)`` rows with every number to print.  Numpy warnings are off:
+    a row that is not finite raises SeriesOverflowError instead.
+    """
+    with np.errstate(all="ignore"):
+        with open(args.matrix, "r", encoding="utf-8") as fh:
+            sigma = symmat.load_matrix(fh.read())
+        d = sigma.shape[0]
+        scale, exponent = getattr(args, "gamma0", None), getattr(args, "r", None)
+        if (scale is None) != (exponent is None):
+            raise argparse.ArgumentTypeError("--gamma0 and --r must be given together")
+        regime = None if scale is None else GrowthRegime(scale=scale, exponent=exponent)
+        for flag, low in orders:
+            check_order(flag, getattr(args, flag), low)
+        tail = []
+        if regime is not None:
+            norm, cap = symmat.frobenius_norm(sigma), regime.cap(d)
+            if norm > cap:
+                raise RegimeViolationError(
+                    f"||Sigma||_F = {norm:.17g} exceeds the regime cap "
+                    f"{cap:.17g} = {regime.scale:g} * d^({regime.exponent:g}/2)",
+                    norm=norm, cap=cap,
+                )
+            tail = [bound(getattr(args, flag), float(d), regime) for flag, bound in tails]
+        ps = symmat.power_sums(sigma, max(powers, 1))
+        rows = compute(ps, sigma, regime, tail)
+        for key, value in rows:
+            if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+                at = ", ".join(f"{flag} = {getattr(args, flag)}" for flag, _ in orders)
+                raise SeriesOverflowError(
+                    f"{key} at {at} is not finite in float64 "
+                    f"(||Sigma||_F = {symmat.frobenius_norm(sigma):.17g})"
+                )
+    return sigma, rows
+
+
 def _cmd_psi(args, out) -> int:
-    sigma = _load_matrix(args.matrix)
-    d = sigma.shape[0]
-    regime = _regime_from(args)
-    ps = symmat.power_sums(sigma, max(args.m - 1, 1))
-    value = series.norm_const_truncated(ps, args.m, d)
-    rows: list[tuple[str, object]] = [("psi", value), ("m", args.m), ("d", d)]
-    if regime is not None:
-        _require_regime_fit(sigma, regime, d)
-        bound = bounds_mod.norm_const_tail_bound(args.m, float(d), regime)
-        rows += [("bound", bound), ("gamma0", regime.scale), ("r", regime.exponent)]
+    def compute(ps, sigma, regime, tail):
+        rows = [("psi", series.norm_const_truncated(ps, args.m, ps.d)), ("m", args.m), ("d", ps.d)]
+        if regime is not None:
+            rows += _regime_rows("bound", tail[0], regime)
+        return rows
+
+    _, rows = _checked_series(args, [("m", 1)], args.m - 1, compute,
+                              [("m", bounds_mod.norm_const_tail_bound)])
     _emit_record(rows, args.format, out)
     return 0
 
 
 def _cmd_grad(args, out) -> int:
-    sigma = _load_matrix(args.matrix)
-    d = sigma.shape[0]
-    regime = _regime_from(args)
-    ps = symmat.power_sums(sigma, max(args.m - 1, 1))
-    grad = series.norm_const_gradient_truncated(ps, args.m, d)
-    rows: list[tuple[str, object]] = [("m", args.m), ("d", d)]
-    if regime is not None:
-        _require_regime_fit(sigma, regime, d)
-        bound = bounds_mod.gradient_tail_bound(args.m, float(d), regime)
-        rows += [("bound", bound), ("gamma0", regime.scale), ("r", regime.exponent)]
+    def compute(ps, sigma, regime, tail):
+        grad = series.norm_const_gradient_truncated(ps, args.m, ps.d)
+        rows = [("m", args.m), ("d", ps.d)]
+        if regime is not None:
+            rows += _regime_rows("bound", tail[0], regime)
+        return rows + [("grad", symmat.materialize(grad, sigma))]
+
+    _, rows = _checked_series(args, [("m", 2)], args.m - 1, compute,
+                              [("m", bounds_mod.gradient_tail_bound)])
     _emit_record(rows, args.format, out)
-    _emit_matrix(symmat.materialize(grad, sigma), args.format, out)
     return 0
 
 
 def _cmd_cov(args, out) -> int:
-    sigma = _load_matrix(args.matrix)
-    d = sigma.shape[0]
-    regime = _regime_from(args)
-    k_max = max(args.l, args.m) - 1
-    ps = symmat.power_sums(sigma, max(k_max, 1))
-    # One materialized gradient feeds both the product and the derived bound.
-    scalar, grad = series._covariance_factors(ps, sigma, args.l, args.m, d)
-    rows: list[tuple[str, object]] = [
-        ("l", args.l),
-        ("m", args.m),
-        ("d", d),
-        ("alpha", series.alpha_descriptor(args.m, regime)),
-    ]
-    if regime is not None:
-        _require_regime_fit(sigma, regime, d)
-        derived = series._derived_bound(scalar, grad, args.l, args.m, d, regime)
-        rows += [
-            ("derived_bound", derived),
-            ("gamma0", regime.scale),
-            ("r", regime.exponent),
-        ]
+    def compute(ps, sigma, regime, tail):
+        # One materialized gradient feeds both the product and the derived bound.
+        scalar, grad = series._covariance_factors(ps, sigma, args.l, args.m, ps.d)
+        rows = [("l", args.l), ("m", args.m), ("d", ps.d),
+                ("alpha", series.alpha_descriptor(args.m, regime))]
+        if regime is not None:
+            derived = series._derived_bound(scalar, grad, *tail)
+            rows += _regime_rows("derived_bound", derived, regime)
+        return rows + [("cov", scalar * grad)]
+
+    _, rows = _checked_series(args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute,
+                              [("m", bounds_mod.gradient_tail_bound),
+                               ("l", bounds_mod.inverse_tail_bound)])
     _emit_record(rows, args.format, out)
-    _emit_matrix(scalar * grad, args.format, out)
     return 0
 
 
 def _cmd_zonal(args, out) -> int:
-    sigma = _load_matrix(args.matrix)
-    d = sigma.shape[0]
-    ps = symmat.power_sums(sigma, max(args.k, 1))
-    value = zonal.zonal_value(args.k, ps)
-    rows: list[tuple[str, object]] = [("k", args.k), ("d", d), ("zonal", value)]
-    if args.k >= 1:
-        coeffs = zonal.zonal_gradient(args.k, ps).coeffs
-        rows += [(f"grad_coeff_{l}", float(c)) for l, c in enumerate(coeffs)]
+    def compute(ps, sigma, regime, tail):
+        rows = [("k", args.k), ("d", ps.d), ("zonal", zonal.zonal_value(args.k, ps))]
+        if args.k >= 1:
+            coeffs = zonal.zonal_gradient(args.k, ps).coeffs
+            rows += [(f"grad_coeff_{l}", float(c)) for l, c in enumerate(coeffs)]
+        return rows
+
+    _, rows = _checked_series(args, [("k", 0)], args.k, compute)
     _emit_record(rows, args.format, out)
     return 0
 
@@ -293,20 +302,15 @@ def _cmd_choose_m(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    sigma = _load_matrix(args.matrix)
-    d = sigma.shape[0]
-    if args.samples < 1000:
-        raise argparse.ArgumentTypeError(
-            f"--samples must be >= 1000, got {args.samples}"
-        )
-    if args.seed < 0:
-        raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {args.seed}")
-    k_max = max(args.l, args.m) - 1
-    ps = symmat.power_sums(sigma, max(k_max, 1))
+    oracle._check_sampling_args(args.samples, args.seed)
 
-    checks: list[tuple[str, float, float, object, float, bool]] = []
+    def compute(ps, sigma, regime, tail):
+        return [("psi", series.norm_const_truncated(ps, args.m, ps.d)),
+                ("cov", series.covariance_expansion(ps, sigma, args.l, args.m, ps.d))]
 
-    psi_series = series.norm_const_truncated(ps, args.m, d)
+    sigma, [(_, psi_series), (_, cov_series)] = _checked_series(
+        args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute)
+
     psi_mc, cov_mc = oracle.mc_moments(sigma, args.samples, args.seed)
     # When x' Sigma x is constant on the sphere (e.g. Sigma = theta * I) the
     # sampling variance is exactly zero, so the statistical tolerance alone
@@ -314,23 +318,18 @@ def _cmd_verify(args, out) -> int:
     # floor of a few dozen ulps so a float-converged series can still pass.
     float_noise = 64.0 * np.finfo(float).eps * max(1.0, abs(psi_series))
     tol = 4.0 * psi_mc.std_error + float_noise
-    checks.append(
-        ("psi", psi_series, psi_mc.value, psi_mc.std_error, tol,
-         abs(psi_mc.value - psi_series) <= tol)
-    )
-
-    cov_series = series.covariance_expansion(ps, sigma, args.l, args.m, d)
     gap = np.abs(cov_mc.value - cov_series) - 4.0 * cov_mc.std_error
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
     i, j = int(worst[0]), int(worst[1])
-    checks.append(
-        (f"cov[{i},{j}]", float(cov_series[i, j]), float(cov_mc.value[i, j]),
-         float(cov_mc.std_error[i, j]), 4.0 * float(cov_mc.std_error[i, j]),
-         bool(gap[i, j] <= 0.0))
-    )
-
+    cov_se = float(cov_mc.std_error[i, j])
     trace = float(np.trace(cov_mc.value))
-    checks.append(("cov_trace", 1.0, trace, 0.0, 1e-12, abs(trace - 1.0) <= 1e-12))
+    checks = [  # (check, series, estimate, std_error, bound, passed)
+        ("psi", psi_series, psi_mc.value, psi_mc.std_error, tol,
+         abs(psi_mc.value - psi_series) <= tol),
+        (f"cov[{i},{j}]", float(cov_series[i, j]), float(cov_mc.value[i, j]), cov_se,
+         4.0 * cov_se, bool(gap[i, j] <= 0.0)),
+        ("cov_trace", 1.0, trace, 0.0, 1e-12, abs(trace - 1.0) <= 1e-12),
+    ]
 
     header = ("check", "series", "estimate", "std_error", "bound", "status")
     if args.format == "csv":

@@ -88,3 +88,7 @@ class ConvergenceError(BinghamxError):
 
 class SamplingOverflowError(BinghamxError):
     """Monte-Carlo weights overflowed (exponents too large for float64)."""
+
+
+class SeriesOverflowError(BinghamxError):
+    """A truncated series value is not finite in float64."""

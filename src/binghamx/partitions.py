@@ -22,6 +22,12 @@ from .errors import OrderRangeError
 MAX_ORDER = 40
 
 
+def check_order(name: str, value: int, low: int) -> None:
+    """Raise OrderRangeError unless ``low <= value <= MAX_ORDER``."""
+    if not low <= value <= MAX_ORDER:
+        raise OrderRangeError(f"{name} must be in {low}..{MAX_ORDER}, got {value}")
+
+
 @dataclass(frozen=True)
 class PartitionMultiplicity:
     """A partition of ``k`` as its multiplicity vector ``i``.
@@ -47,8 +53,7 @@ def enumerate_partitions(k: int) -> list[PartitionMultiplicity]:
     k : int
         1 <= k <= ``MAX_ORDER``.
     """
-    if not 1 <= k <= MAX_ORDER:
-        raise OrderRangeError(f"k must be in 1..{MAX_ORDER}, got {k}")
+    check_order("k", k, 1)
     return list(_enumerate_cached(k))
 
 

@@ -39,7 +39,7 @@ from .bounds import (
     norm_const_tail_bound,
 )
 from .errors import DimensionMismatchError, OrderRangeError
-from .partitions import MAX_ORDER
+from .partitions import check_order
 from .symmat import (
     GradientPolynomial,
     PowerSums,
@@ -70,8 +70,7 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
         raise DimensionMismatchError(
             f"power sums are for d = {ps.d}, call asked for d = {d}"
         )
-    if not low <= order <= MAX_ORDER:
-        raise OrderRangeError(f"{name} must be in {low}..{MAX_ORDER}, got {order}")
+    check_order(name, order, low)
     if order > 1:
         ps.require(order - 1)
 
@@ -177,15 +176,13 @@ def covariance_derived_bound(
     threshold.  The tight statement remains the alpha descriptor.
     """
     scalar, grad = _covariance_factors(ps, sigma, l, m, d)
-    return _derived_bound(scalar, grad, l, m, d, regime)
+    return _derived_bound(
+        scalar, grad, gradient_tail_bound(m, d, regime), inverse_tail_bound(l, d, regime)
+    )
 
 
-def _derived_bound(
-    scalar: float, grad: np.ndarray, l: int, m: int, d: int, regime: GrowthRegime
-) -> float:
+def _derived_bound(scalar: float, grad: np.ndarray, b_grad: float, b_inv: float) -> float:
     """|T| B_g + B_i (||G||_F + B_g) from the factors T, G of the product."""
-    b_grad = gradient_tail_bound(m, d, regime)
-    b_inv = inverse_tail_bound(l, d, regime)
     return abs(scalar) * b_grad + b_inv * (frobenius_norm(grad) + b_grad)
 
 

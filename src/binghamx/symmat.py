@@ -226,7 +226,9 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
 
     The result is symmetrized to remove accumulation asymmetry from the
     repeated products.  Diagonal Sigma runs the same recurrence on its
-    diagonal in O(d m), which rounds exactly like the dense products.
+    diagonal in O(d m), which rounds exactly like the dense products as
+    long as they stay finite; past overflow its off-diagonal entries stay
+    exact zeros where the dense products would turn to nan.
     """
     if sigma.shape[0] != g.d:
         raise DimensionMismatchError(
@@ -239,10 +241,7 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
         out = np.full(g.d, c[-1])
         for l in range(len(c) - 2, -1, -1):
             out = out * diag + c[l]
-        # On overflow the dense products below spread inf/nan into the
-        # off-diagonal entries; keep that output rather than zeros.
-        if np.isfinite(out).all():
-            return symmetrize(np.diag(out))
+        return symmetrize(np.diag(out))
     eye = np.eye(g.d)
     out = c[-1] * eye
     for l in range(len(c) - 2, -1, -1):

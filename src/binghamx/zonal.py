@@ -39,9 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OrderRangeError
 from .partitions import (
-    MAX_ORDER,
+    check_order,
     enumerate_partitions,
     half_pochhammer,
     partition_weight,
@@ -143,17 +142,12 @@ def scaled_zonal_gradient(k: int, table: np.ndarray, p: np.ndarray) -> np.ndarra
     return c
 
 
-def _check_order(k: int, low: int) -> None:
-    if not low <= k <= MAX_ORDER:
-        raise OrderRangeError(f"k must be in {low}..{MAX_ORDER}, got {k}")
-
-
 def zonal_value(k: int, ps: PowerSums) -> float:
     """The order-k zonal polynomial C_k(Sigma) from power sums.
 
     C_0 = 1, C_1 = tr(Sigma), C_2 = ((tr Sigma)^2 + 2 tr(Sigma^2)) / 3.
     """
-    _check_order(k, 0)
+    check_order("k", k, 0)
     ps.require(k)
     t, _ = _series_pass(ps.p, k + 1, 0.5)
     return float(math.factorial(k) * t[k])
@@ -165,7 +159,7 @@ def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
     The gradient convention is G_ab = (1 + delta_ab)/2 * d/dsigma_ab, so
     grad C_1 = I and grad C_2 = (2/3)((tr Sigma) I + 2 Sigma).
     """
-    _check_order(k, 1)
+    check_order("k", k, 1)
     ps.require(k)
     _, g = _series_pass(ps.p, k + 1, 0.5)
     return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * g[k])
@@ -178,7 +172,7 @@ def zonal_value_exact(k: int, powers: Sequence) -> Fraction:
     powers[j] = tr(Sigma^j) for j = 1..k (index 0 is ignored), entries
     Fraction or int.  Brute-force partition sum, no floating point.
     """
-    _check_order(k, 0)
+    check_order("k", k, 0)
     if k == 0:
         return Fraction(1)
     total = Fraction(0)
@@ -197,7 +191,7 @@ def bound_coefficient_poly(k: int) -> tuple[Fraction, ...]:
     Coefficient t collects the weights of all partitions with i_1 = t:
     sum over partitions of d^(i_1 / 2) * weight = sum_t c[t] s^t.
     """
-    _check_order(k, 0)
+    check_order("k", k, 0)
     coeffs = [Fraction(0)] * (k + 1)
     if k == 0:
         return (Fraction(1),)
@@ -213,7 +207,7 @@ def bound_coefficient_closed_poly(k: int) -> tuple[Fraction, ...]:
     binomially in s.  Equal, coefficient by coefficient, to
     :func:`bound_coefficient_poly`.
     """
-    _check_order(k, 0)
+    check_order("k", k, 0)
     coeffs = [Fraction(0)] * (k + 1)
     for l in range(k + 1):
         tail = half_pochhammer(k - l) / math.factorial(k - l)

@@ -21,6 +21,7 @@ from binghamx import (
     norm_const_truncated,
     power_sums,
 )
+from binghamx import symmat
 from binghamx.cli import _emit_matrix, run
 
 
@@ -417,6 +418,111 @@ class TestErrorPaths:
         code, _ = invoke(["psi", "--matrix", path, "--m", "0"])
         assert code == 2
         assert "m must be" in capsys.readouterr().err
+
+
+# One row per fault or pair of faults: (faults, matrix, order, regime flags,
+# exit code).  The exit codes are those of the series-first CLI, except the
+# lone overflow row, which printed nan and exited 0 there.
+MODERATE = ["--gamma0", "1", "--r", "0.5"]  # cap 20^0.25 ~ 2.11; needs d >= 13.92
+LOOSE = ["--gamma0", "1e21", "--r", "0"]  # fits OVERFLOW, but needs d > 1e42
+OVERFLOW = np.diag([1e20, -1e20, 0.0])
+FAULT_MATRICES = {
+    "fit": 0.04 * np.eye(200),  # above the inverse-expansion threshold ~125
+    "wide": np.eye(20),  # ||Sigma||_F ~ 4.47
+    "small_d": 0.1 * np.eye(3),
+    "wide_small_d": np.eye(3),  # ||Sigma||_F ~ 1.73 > 3^0.25
+    "overflow": OVERFLOW,
+}
+EXIT_TABLE = [
+    ((), "fit", 3, MODERATE, 0),
+    (("order",), "fit", 41, MODERATE, 2),
+    (("regime",), "wide", 3, MODERATE, 1),
+    (("inadmissible",), "small_d", 3, MODERATE, 1),
+    (("overflow",), "overflow", 40, [], 2),
+    (("order", "regime"), "wide", 41, MODERATE, 2),
+    (("order", "inadmissible"), "small_d", 41, MODERATE, 2),
+    (("order", "overflow"), "overflow", 41, [], 2),
+    (("regime", "inadmissible"), "wide_small_d", 3, MODERATE, 1),
+    (("regime", "overflow"), "overflow", 40, MODERATE, 1),
+    (("inadmissible", "overflow"), "overflow", 40, LOOSE, 1),
+]
+REJECTED = [row for row in EXIT_TABLE if row[0] not in ((), ("overflow",))]
+
+
+def fault_argv(tmp_path, command, matrix, order, regime):
+    orders = ["--m", str(order)] if command != "cov" else ["--l", "3", "--m", str(order)]
+    path = write_matrix(tmp_path, FAULT_MATRICES[matrix])
+    return [command, "--matrix", path, *orders, *regime]
+
+
+def row_id(row):
+    return "+".join(row[0]) or "none"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("row", EXIT_TABLE, ids=row_id)
+    @pytest.mark.parametrize("command", ["psi", "grad", "cov"])
+    def test_fault_table(self, tmp_path, capsys, command, row):
+        _, matrix, order, regime, expected = row
+        code, text = invoke(fault_argv(tmp_path, command, matrix, order, regime))
+        assert code == expected
+        if code:
+            assert text == ""
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("row", REJECTED, ids=row_id)
+    @pytest.mark.parametrize("command", ["psi", "grad", "cov"])
+    def test_rejected_before_power_sums(self, tmp_path, capsys, monkeypatch, command, row):
+        faults, matrix, order, regime, expected = row
+
+        def no_spectral_work(*args, **kwargs):
+            raise AssertionError("power_sums ran on a rejected input")
+
+        monkeypatch.setattr(symmat, "power_sums", no_spectral_work)
+        code, text = invoke(fault_argv(tmp_path, command, matrix, order, regime))
+        assert (code, text) == (expected, "")
+        if "regime" in faults and "order" not in faults:
+            assert "exceeds the regime cap" in capsys.readouterr().err
+
+
+class TestSeriesOverflow:
+    @pytest.mark.parametrize("orders", [
+        ["psi", "--m", "40"],
+        ["grad", "--m", "40"],
+        ["cov", "--l", "3", "--m", "40"],
+        ["zonal", "--k", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_one_error_line_and_no_output(self, tmp_path, orders):
+        path = write_matrix(tmp_path, OVERFLOW)
+        proc = subprocess.run(
+            [sys.executable, "-m", "binghamx", *orders, "--matrix", path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {orders[0]} at ")
+        assert "= 40 is not finite" in lines[0]
+        assert "||Sigma||_F = 1.4142135623730951e+20" in lines[0]
+
+
+class TestMarkdownLargeValues:
+    def test_values_above_1e23_print_rounded(self, tmp_path):
+        # psi = 1.4e27 here: 28-digit decimal rounding raised on it.
+        path = write_matrix(tmp_path, np.diag([80.0, 0.0]))
+        code, text = invoke(["psi", "--matrix", path, "--m", "40"])
+        assert code == 0
+        psi = float(record_value(text, "psi"))
+        assert psi > 1e27
+        code, text = invoke(["psi", "--matrix", path, "--m", "40", "--format", "md"])
+        assert code == 0
+        line = text.splitlines()[2]
+        assert line.startswith("| psi | ") and line.endswith(".00000 |")
+        assert float(line[8:-2]) == psi
+        code, text = invoke(["grad", "--matrix", path, "--m", "40", "--format", "md"])
+        assert code == 0
+        assert float(text.splitlines()[-2].split(" | ")[0][2:]) > 1e23
 
 
 class TestEntryPoint:

@@ -209,26 +209,25 @@ def select_order(regime: GrowthRegime, d: float, eps: float) -> int:
     """Smallest m >= 2 with max of both tail bounds <= eps.
 
     Searches m = 2..MAX_ORDER; raises OrderSelectionError carrying the
-    best achievable bound when even MAX_ORDER misses eps.
+    bound at MAX_ORDER when even that order misses eps.  For admissible d,
+    g2 d^(-(1-exp)/2) <= 1/sqrt(2), so from m to m + 1 the value bound falls
+    by sqrt(2 (m + 2)) or more and the gradient bound by sqrt(2 m) or more:
+    the bound at MAX_ORDER is the best achievable.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise OrderRangeError(f"eps must be positive, got {eps}")
     _require_admissible(d, admissible_dimension(regime), "order selection", False)
-    best = math.inf
-    best_m = 2
     for m in range(2, MAX_ORDER + 1):
         worst = max(
             norm_const_tail_bound(m, d, regime), gradient_tail_bound(m, d, regime)
         )
         if worst <= eps:
             return m
-        if worst < best:
-            best, best_m = worst, m
     raise OrderSelectionError(
         f"no order up to {MAX_ORDER} reaches eps = {eps:g}; "
-        f"best achievable bound is {best:.6e} at m = {best_m}",
-        best_bound=best,
-        best_order=best_m,
+        f"best achievable bound is {worst:.6e} at m = {m}",
+        best_bound=worst,
+        best_order=m,
     )
 
 
@@ -246,11 +245,13 @@ class TailBoundTable:
 def tail_bound_table(
     regime: GrowthRegime, d_values: Sequence[float], m_values: Sequence[int]
 ) -> TailBoundTable:
-    """Evaluate both tail bounds on the full (d, m) grid."""
+    """Evaluate both tail bounds on the full (d, m) grid, checking every m first."""
     ds = tuple(float(d) for d in d_values)
     ms = tuple(int(m) for m in m_values)
     if not ds or not ms:
         raise OrderRangeError("d and m grids must be non-empty")
+    for m in ms:
+        check_order("m", m, 2)
     nb = np.empty((len(ds), len(ms)))
     gb = np.empty((len(ds), len(ms)))
     for a, d in enumerate(ds):

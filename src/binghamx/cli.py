@@ -19,7 +19,7 @@ that overflow float64 (the error names the quantity, the order and
 Output formats: ``text`` (key = value lines, matrices in the ingestion
 text format, 17 significant digits), ``md`` (tables, 5 decimals rounded
 half-up), ``csv`` (comma-separated, 17 significant digits).  Output is
-byte-stable across runs for identical inputs.
+byte-stable for identical inputs on one numpy/BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -52,17 +52,25 @@ def _fmt(x, fmt: str) -> str:
     return str(x)
 
 
+def _emit_table(header: Sequence[str], rows: list[Sequence], fmt: str, out) -> None:
+    """A csv or md table: the header, then one line of cells per row."""
+    cells = [[_fmt(v, fmt) for v in row] for row in [header, *rows]]
+    if fmt == "csv":
+        lines = [",".join(row) for row in cells]
+    else:
+        lines = ["| " + " | ".join(row) + " |" for row in cells]
+        lines.insert(1, "|---" * len(header) + "|")
+    out.write("\n".join(lines) + "\n")
+
+
 def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
     """Scalar rows as one record, then array rows as matrices."""
     matrices = [v for _, v in rows if isinstance(v, np.ndarray)]
     rows = [(key, v) for key, v in rows if not isinstance(v, np.ndarray)]
     if fmt == "csv":
-        out.write(",".join(key for key, _ in rows) + "\n")
-        out.write(",".join(_fmt(v, fmt) for _, v in rows) + "\n")
+        _emit_table([key for key, _ in rows], [[v for _, v in rows]], fmt, out)
     elif fmt == "md":
-        out.write("| quantity | value |\n|---|---|\n")
-        for key, v in rows:
-            out.write(f"| {key} | {_fmt(v, fmt)} |\n")
+        _emit_table(("quantity", "value"), rows, fmt, out)
     else:
         for key, v in rows:
             out.write(f"{key} = {_fmt(v, fmt)}\n")
@@ -331,21 +339,10 @@ def _cmd_verify(args, out) -> int:
         ("cov_trace", 1.0, trace, 0.0, 1e-12, abs(trace - 1.0) <= 1e-12),
     ]
 
-    header = ("check", "series", "estimate", "std_error", "bound", "status")
-    if args.format == "csv":
-        out.write(",".join(header) + "\n")
-        for name, s, e, se, b, ok in checks:
-            out.write(
-                f"{name},{s:.17g},{e:.17g},{se:.17g},{b:.17g},"
-                f"{'pass' if ok else 'FAIL'}\n"
-            )
-    elif args.format == "md":
-        out.write("| " + " | ".join(header) + " |\n")
-        out.write("|---" * len(header) + "|\n")
-        for name, s, e, se, b, ok in checks:
-            cells = [name] + [bounds_mod.round_half_up(v) for v in (s, e, se, b)]
-            cells.append("pass" if ok else "FAIL")
-            out.write("| " + " | ".join(cells) + " |\n")
+    if args.format != "text":
+        header = ("check", "series", "estimate", "std_error", "bound", "status")
+        rows = [(*row, "pass" if ok else "FAIL") for *row, ok in checks]
+        _emit_table(header, rows, args.format, out)
     else:
         out.write(f"{'check':<12} {'series':>24} {'estimate':>24} "
                   f"{'std_error':>12} {'bound':>12} status\n")

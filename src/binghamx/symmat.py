@@ -118,8 +118,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm sqrt(sum of squared entries)."""
-    return float(np.sqrt(np.sum(a * a)))
+    """Frobenius norm, rescaled by s = max |a_ij| only if the squares overflow."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(a * a)))
+    if norm == np.inf and np.isfinite(a).all():
+        s = float(np.abs(a).max())
+        norm = s * float(np.sqrt(np.sum((a / s) ** 2)))
+    return norm
 
 
 @dataclass(frozen=True)
@@ -224,11 +229,13 @@ class GradientPolynomial:
 def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     """Evaluate a :class:`GradientPolynomial` at Sigma by Horner's rule.
 
-    The result is symmetrized to remove accumulation asymmetry from the
-    repeated products.  Diagonal Sigma runs the same recurrence on its
-    diagonal in O(d m), which rounds exactly like the dense products as
-    long as they stay finite; past overflow its off-diagonal entries stay
-    exact zeros where the dense products would turn to nan.
+    Each step multiplies by Sigma and adds c_l to the diagonal in place,
+    rounding as ``out @ Sigma + c_l I`` does: exact zeros of a product are
+    +0.0.  The result is symmetrized to remove accumulation asymmetry.
+    Diagonal Sigma runs the same recurrence on its diagonal in O(d m),
+    which rounds exactly like the dense products as long as they stay
+    finite; past overflow its off-diagonal entries stay exact zeros where
+    the dense products would turn to nan.
     """
     if sigma.shape[0] != g.d:
         raise DimensionMismatchError(
@@ -237,13 +244,11 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     c = g.coeffs
     # Degree 0 takes no product, and c_0 I below keeps the sign of its zeros.
     diag = _diagonal(sigma) if len(c) > 1 else None
-    if diag is not None:
-        out = np.full(g.d, c[-1])
-        for l in range(len(c) - 2, -1, -1):
-            out = out * diag + c[l]
-        return symmetrize(np.diag(out))
-    eye = np.eye(g.d)
-    out = c[-1] * eye
+    if diag is None:
+        out, diag_step = c[-1] * np.eye(g.d), g.d + 1
+    else:
+        out, diag_step = np.full(g.d, c[-1]), 1
     for l in range(len(c) - 2, -1, -1):
-        out = out @ sigma + c[l] * eye
-    return symmetrize(out)
+        out = out @ sigma if diag is None else out * diag
+        out.flat[::diag_step] += c[l]
+    return symmetrize(out if diag is None else np.diag(out))

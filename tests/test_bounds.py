@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import binghamx.bounds as bounds
 from binghamx import (
     BASE_GROWTH,
     GrowthRegime,
@@ -88,6 +89,8 @@ class TestGrowthRegime:
         big = np.eye(d)  # Frobenius norm exactly 3
         assert not regime_check(big, GrowthRegime(1.0, 0.0), d)
         assert regime_check(big, GrowthRegime(3.0, 0.0), d)  # boundary: norm == cap
+        # Squaring 1e160 overflows; the norm stays finite and fits the cap.
+        assert regime_check(np.diag([1e160, 0.0]), GrowthRegime(2e160, 0.0), 2)
         with pytest.raises(OrderRangeError):
             regime_check(big, GrowthRegime(1.0, 0.0), 8)
 
@@ -269,6 +272,26 @@ class TestSelectOrder:
             select_order(R_HALF, 14.0, 1e-30)
         assert err.value.best_bound > 1e-30
         assert 2 <= err.value.best_order <= 40
+        assert str(err.value) == (
+            "no order up to 40 reaches eps = 1e-30; "
+            "best achievable bound is 5.596926e-30 at m = 40"
+        )
+
+    def test_worst_bound_strictly_decreasing(self):
+        # Why the last order searched carries the best achievable bound.
+        for exponent in (0.0, 0.5, 0.9):
+            for scale in (0.5, 1.0, 2.0):
+                regime = GrowthRegime(scale, exponent)
+                low = max(admissible_dimension(regime), 2.0)
+                for d in (low, 1.5 * low, 10.0 * low, 1e3 * low):
+                    value = [norm_const_tail_bound(m, d, regime) for m in range(2, 41)]
+                    grad = [gradient_tail_bound(m, d, regime) for m in range(2, 41)]
+                    assert all(a > b for a, b in zip(value, value[1:])), (regime, d)
+                    assert all(a > b for a, b in zip(grad, grad[1:])), (regime, d)
+                    with pytest.raises(OrderSelectionError) as err:
+                        select_order(regime, d, min(value[-1], grad[-1]) / 2.0)
+                    assert err.value.best_order == 40
+                    assert err.value.best_bound == max(value[-1], grad[-1])
 
     def test_validation(self):
         with pytest.raises(OrderRangeError):
@@ -346,3 +369,13 @@ class TestTables:
     def test_empty_grid_rejected(self):
         with pytest.raises(OrderRangeError):
             tail_bound_table(R_HALF, [], [3])
+
+    def test_orders_checked_before_any_bound(self, monkeypatch):
+        def no_bound(*args):
+            raise AssertionError("a bound was evaluated before the orders were checked")
+
+        monkeypatch.setattr(bounds, "norm_const_tail_bound", no_bound)
+        monkeypatch.setattr(bounds, "gradient_tail_bound", no_bound)
+        for m_values in ([3, 50], [0], [1, 3]):
+            with pytest.raises(OrderRangeError, match=r"m must be in 2\.\.40"):
+                tail_bound_table(R_HALF, [20.0], m_values)

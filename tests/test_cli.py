@@ -21,8 +21,9 @@ from binghamx import (
     norm_const_truncated,
     power_sums,
 )
-from binghamx import symmat
+from binghamx import oracle, symmat
 from binghamx.cli import _emit_matrix, run
+from binghamx.oracle import McEstimate
 
 
 def invoke(argv):
@@ -96,10 +97,30 @@ class TestPsi:
         cells = lines[1].split(",")
         assert float(cells[0]) > 1.0 and cells[1] == "3" and cells[2] == "20"
 
-    def test_byte_stable(self, sigma20):
+    def test_byte_stable(self, sigma20, tmp_path):
+        _, path = sigma20
+        regime = ["--gamma0", "1", "--r", "0.5"]
+        dense = write_matrix(tmp_path, random_trace_zero(np.random.default_rng(49), 100, 2.8),
+                             "dense.txt")
+        # At d = 100 the inverse expansion of cov is not admissible in this regime.
+        for args in (["psi", "--matrix", path, "--m", "6", *regime],
+                     ["grad", "--matrix", dense, "--m", "12", *regime],
+                     ["cov", "--matrix", dense, "--l", "3", "--m", "12"]):
+            first = invoke(args)
+            assert first[0] == 0
+            assert invoke(args) == first
+
+    def test_golden_md_and_csv(self, sigma20):
         _, path = sigma20
         args = ["psi", "--matrix", path, "--m", "6", "--gamma0", "1", "--r", "0.5"]
-        assert invoke(args) == invoke(args)
+        assert invoke(args + ["--format", "md"]) == (0, (
+            "| quantity | value |\n|---|---|\n| psi | 1.04081 |\n| m | 6 |\n| d | 20 |\n"
+            "| bound | 0.00349 |\n| gamma0 | 1.00000 |\n| r | 0.50000 |\n"
+        ))
+        assert invoke(args + ["--format", "csv"]) == (0, (
+            "psi,m,d,bound,gamma0,r\n"
+            "1.0408107741866666,6,20,0.0034932193115566972,1,0.5\n"
+        ))
 
 
 class TestGrad:
@@ -274,6 +295,14 @@ class TestBounds:
         assert code == 1
         assert "admissible" in capsys.readouterr().err
 
+    def test_order_range_checked_first(self, capsys):
+        # d = 5 is inadmissible, but the order range is checked before any bound.
+        for dims, orders, bad in (("20", "3,50", "50"), ("20", "0", "0"), ("5", "3,50", "50")):
+            code, text = invoke(["bounds", "--gamma0", "1", "--r", "0.5", "--d", dims,
+                                 "--m", orders])
+            assert (code, text) == (2, "")
+            assert capsys.readouterr().err == f"error: m must be in 2..40, got {bad}\n"
+
     def test_bad_dimension_list(self):
         code, _ = invoke(["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,1",
                           "--m", "3"])
@@ -354,6 +383,32 @@ class TestVerify:
         path = write_matrix(tmp_path, sigma)
         args = ["verify", "--matrix", path, "--samples", "2000", "--seed", "5"]
         assert invoke(args) == invoke(args)
+
+    def test_golden_md_and_csv(self, tmp_path, monkeypatch):
+        # Fixed Monte-Carlo estimates, exact in binary, keep the bytes
+        # independent of the BLAS kernel; the psi check fails on purpose.
+        def fixed_moments(sigma, n, seed):
+            cov = np.array([[0.5390625, 0.001953125], [0.001953125, 0.4609375]])
+            cov_se = np.array([[0.0048828125, 0.0009765625], [0.0009765625, 0.0048828125]])
+            return (McEstimate(1.03125, 0.0009765625, n, seed),
+                    McEstimate(cov, cov_se, n, seed))
+
+        monkeypatch.setattr(oracle, "mc_moments", fixed_moments)
+        path = write_matrix(tmp_path, np.diag([0.2, -0.2]))
+        args = ["verify", "--matrix", path, "--samples", "2000", "--seed", "5"]
+        assert invoke(args + ["--format", "md"]) == (1, (
+            "| check | series | estimate | std_error | bound | status |\n"
+            "|---|---|---|---|---|---|\n"
+            "| psi | 1.01003 | 1.03125 | 0.00098 | 0.00391 | FAIL |\n"
+            "| cov[0,1] | 0.00000 | 0.00195 | 0.00098 | 0.00391 | pass |\n"
+            "| cov_trace | 1.00000 | 1.00000 | 0.00000 | 0.00000 | pass |\n"
+        ))
+        assert invoke(args + ["--format", "csv"]) == (1, (
+            "check,series,estimate,std_error,bound,status\n"
+            "psi,1.0100250277951457,1.03125,0.0009765625,0.0039062500000143531,FAIL\n"
+            "cov[0,1],0,0.001953125,0.0009765625,0.00390625,pass\n"
+            "cov_trace,1,1,0,9.9999999999999998e-13,pass\n"
+        ))
 
     def test_csv_report(self, tmp_path):
         sigma = np.diag([0.2, -0.2])
@@ -505,6 +560,14 @@ class TestSeriesOverflow:
         assert lines[0].startswith(f"error: {orders[0]} at ")
         assert "= 40 is not finite" in lines[0]
         assert "||Sigma||_F = 1.4142135623730951e+20" in lines[0]
+
+
+    def test_error_names_finite_norm_of_huge_entries(self, tmp_path, capsys):
+        # 1e160 squared overflows, yet ||Sigma||_F = 1e160 is finite.
+        path = write_matrix(tmp_path, np.diag([1e160, 0.0]))
+        code, text = invoke(["psi", "--matrix", path, "--m", "3"])
+        assert (code, text) == (2, "")
+        assert f"(||Sigma||_F = {1e160:.17g})" in capsys.readouterr().err
 
 
 class TestMarkdownLargeValues:

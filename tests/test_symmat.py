@@ -4,6 +4,8 @@ The power-sum oracle is repeated matrix multiplication, independent of
 the eigenvalue path used by the implementation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_symmetric
@@ -116,6 +118,17 @@ class TestPowerSums:
             ps = power_sums(s, 2)
             assert frobenius_norm(s) == pytest.approx(np.sqrt(ps.p[2]), rel=1e-12)
 
+    def test_frobenius_norm_past_square_overflow(self):
+        # Squares above 1.3e154 overflow; the scaled sum gives the finite norm.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(np.diag([1e160, 0.0])) == 1e160
+            assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf
+        rng = np.random.default_rng(29)
+        for scale in (1.0, 1e150):
+            s = scale * random_symmetric(rng, 5)
+            assert frobenius_norm(s) == float(np.sqrt(np.sum(s * s)))
+
     def test_require(self):
         ps = power_sums(np.eye(3), 4)
         ps.require(4)
@@ -178,20 +191,35 @@ class TestMaterialize:
             out = out @ s + c * eye
         return (out + out.T) / 2.0
 
-    def test_diagonal_input_matches_dense_horner_bitwise(self):
-        rng = np.random.default_rng(11)
+    @staticmethod
+    def horner_cases(rng):
+        """(Sigma, coefficients): diagonal, then dense and block-diagonal Sigma."""
         for k in range(40):
             d = int(rng.integers(2, 40))
             x = rng.uniform(-3.0, 3.0, d)
             x[rng.random(d) < 0.2] = 0.0
             x[rng.random(d) < 0.1] = -0.0
-            s = np.diag(x)
             degree = k % 3 if k < 12 else int(rng.integers(0, 40))
-            coeffs = rng.standard_normal(degree + 1)
+            yield np.diag(x), rng.standard_normal(degree + 1)
+        for d in (2, 7, 30):
+            for degree in range(40):
+                s = random_symmetric(rng, d, norm=2.0)
+                if degree % 4 >= 2:
+                    # Block-diagonal: structural zeros, some of them -0.0.
+                    block = np.sort(rng.integers(0, 3, d))
+                    zero = block[:, None] != block[None, :]
+                    s[zero] = 0.0
+                    neg = np.triu(zero & (rng.random((d, d)) < 0.5))
+                    s[neg | neg.T] = -0.0
+                yield s, rng.standard_normal(degree + 1)
+
+    def test_matches_dense_horner_bitwise(self):
+        rng = np.random.default_rng(11)
+        for k, (s, coeffs) in enumerate(self.horner_cases(rng)):
             if k % 2:
                 # A negative c * I has -0.0 off the diagonal.
                 coeffs = -np.abs(coeffs)
-            g = GradientPolynomial(d=d, coeffs=coeffs)
+            g = GradientPolynomial(d=s.shape[0], coeffs=coeffs)
             got, ref = materialize(g, s), self.dense_horner(g, s)
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))

@@ -51,6 +51,7 @@ from .oracle import (
     kummer_partial_sum,
     kummer_series,
     mc_covariance,
+    mc_eigen_moments,
     mc_moments,
     mc_norm_const,
 )

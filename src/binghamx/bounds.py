@@ -116,6 +116,16 @@ def _require_admissible(d: float, threshold: float, what: str, strict: bool) -> 
         )
 
 
+def _decayed_growth(c: BoundConstants, d: float, regime: GrowthRegime) -> float:
+    """g2 * d^(-(1-exp)/2), the per-order factor of both tail bounds.
+
+    The bounds raise it to the m-th power only when g2^m alone overflows
+    float64; for admissible d it is at most 1/sqrt(2), so that power
+    cannot overflow.
+    """
+    return c.scaled_growth * d ** (-(1.0 - regime.exponent) / 2.0)
+
+
 def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     """Certified bound on the series remainder after m terms.
 
@@ -125,9 +135,17 @@ def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     check_order("m", m, 1)
     _require_admissible(d, admissible_dimension(regime), "the value tail bound", False)
     c = bound_constants(regime)
+    try:
+        growth = c.scaled_growth**m
+    except OverflowError:
+        return (
+            c.tail_prefactor
+            * _decayed_growth(c, d, regime) ** m
+            / math.sqrt(float(math.factorial(m + 1)))
+        )
     return (
         c.tail_prefactor
-        * c.scaled_growth**m
+        * growth
         / math.sqrt(float(math.factorial(m + 1)))
         * d ** (-m * (1.0 - regime.exponent) / 2.0)
     )
@@ -141,9 +159,18 @@ def gradient_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     check_order("m", m, 2)
     _require_admissible(d, admissible_dimension(regime), "the gradient tail bound", False)
     c = bound_constants(regime)
+    try:
+        growth = c.scaled_growth ** (m - 1)
+    except OverflowError:
+        return (
+            math.sqrt(2.0 * math.e)
+            * _decayed_growth(c, d, regime) ** (m - 1)
+            / math.sqrt(float(math.factorial(m - 1)))
+            / math.sqrt(d)
+        )
     return (
         math.sqrt(2.0 * math.e)
-        * c.scaled_growth ** (m - 1)
+        * growth
         / math.sqrt(float(math.factorial(m - 1)))
         * d ** (-(1.0 + (m - 1) * (1.0 - regime.exponent)) / 2.0)
     )

@@ -10,19 +10,29 @@ ziggurat standard_normal, and blocks are reduced in index order, so
 identical (seed, n, Sigma) draw the same samples on any machine and give
 bit-identical estimates on one numpy/BLAS build and BLAS thread count.
 The 50 blocks double as the jackknife resampling groups.  While the
-caller weights and reduces block b, one helper thread draws block b + 1;
-each block has its own generator and the reductions stay in index order,
-so the results do not depend on that overlap.
+caller weights and reduces block b, two pool workers draw blocks b + 1
+and b + 2; each block has its own generator and the reductions stay in
+index order, so the results do not depend on that overlap.
 
-All three estimators read one block stream: :func:`mc_moments` draws each
+All estimators read one block stream.  :func:`mc_moments` draws each
 block and computes its weights once and feeds both the normalizing-constant
-and the covariance reductions, which is what ``verify`` uses.  Its two
-results equal those of :func:`mc_norm_const` and :func:`mc_covariance`
-bit for bit.
+and the covariance reductions; its two results equal those of
+:func:`mc_norm_const` and :func:`mc_covariance` bit for bit.
+
+``verify`` uses :func:`mc_eigen_moments` instead.  The uniform measure on
+the sphere is rotation-invariant, so for Sigma = V diag(lambda) V' the
+coordinates y = V'x of a uniform x are uniform too and x' Sigma x =
+sum_i lambda_i y_i^2.  Each uniform block is read directly as y: the
+weights are exp(q @ lambda) with q = y*y, and Cov(X) = V diag(E_w[q]) V',
+so a block costs O(size * d) instead of two O(size * d^2) products.
+
+Every compared check of ``verify`` is tested at the family-wise
+false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -34,13 +44,19 @@ from .errors import ConvergenceError, OrderRangeError, SamplingOverflowError
 #: Number of sampling blocks; also the jackknife group count.
 BLOCKS = 50
 
+#: Sampling blocks drawn ahead of the one being reduced, one pool worker each.
+DRAWS_IN_FLIGHT = 2
+
+#: Family-wise false-alarm rate of the ``verify`` checks.
+FAMILY_ALPHA = 1e-3
+
 
 @dataclass(frozen=True)
 class McEstimate:
     """A Monte-Carlo estimate with its standard error.
 
-    ``value`` and ``std_error`` are floats for scalar targets and
-    (d, d) arrays (entrywise standard errors) for matrix targets.
+    ``value`` and ``std_error`` are floats for scalar targets and arrays
+    of the target's shape (entrywise standard errors) otherwise.
     """
 
     value: object
@@ -69,10 +85,8 @@ def _sphere_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
     return z / norms[:, None]
 
 
-def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """exp(x' Sigma x) per row of x; overflow, or nan from inf - inf, raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(np.sum((x @ sigma) * x, axis=1))
+def _finite(w: np.ndarray) -> np.ndarray:
+    """The weights w, unless one of them overflowed or is nan."""
     if not np.isfinite(w).all():
         raise SamplingOverflowError(
             "exp(x' Sigma x) produced non-finite weights; the matrix is far "
@@ -81,27 +95,58 @@ def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sample_blocks(
-    sigma: np.ndarray, n: int, seed: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (b, x, w) for every sampling block b, in index order.
+def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """exp(x' Sigma x) per row of x; overflow, or nan from inf - inf, raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.exp(np.sum((x @ sigma) * x, axis=1)))
 
-    The draw of block b + 1 runs on one helper thread while the caller
-    consumes block b; exactly one draw is in flight.  Closing the
-    generator early waits for that draw and stops the thread.
+
+def _dense_form(x: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block and its weights exp(x' Sigma x), for a (d, d) Sigma."""
+    return x, _weights(x, sigma)
+
+
+def _eigen_form(y: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = y*y and the weights exp(q @ lambda), for y in the eigenbasis of Sigma.
+
+    The eigenbasis products run through einsum, not BLAS: with more than
+    one BLAS thread a multithreaded matrix-vector product of a block is
+    several times slower than a single-threaded loop, and its threads
+    compete with the pool workers for the cores.
+    """
+    q = y * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        return q, _finite(np.exp(np.einsum("ij,j->i", q, eigenvalues)))
+
+
+def _sample_blocks(
+    sigma: np.ndarray, n: int, seed: int, form=_dense_form
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (b, *form(x, sigma)) for every sampling block b, in index order.
+
+    ``form`` turns a uniform block x into the array the reductions read
+    and the weights: :func:`_dense_form` takes the (d, d) Sigma,
+    :func:`_eigen_form` its d eigenvalues.  Two pool workers draw blocks
+    b + 1 and b + 2 while the caller consumes block b; exactly
+    DRAWS_IN_FLIGHT draws are in flight.  Closing the generator early
+    waits for those draws and stops the workers.
     """
     # Imported here so that importing the package starts no thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
     d = sigma.shape[0]
     sizes = _block_sizes(n)
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(_sphere_block, d, sizes[0], seed, 0)
+    with ThreadPoolExecutor(DRAWS_IN_FLIGHT) as pool:
+
+        def draw(b: int):
+            return pool.submit(_sphere_block, d, sizes[b], seed, b)
+
+        ahead = [draw(b) for b in range(DRAWS_IN_FLIGHT)]
         for b in range(BLOCKS):
-            x = ahead.result()
-            if b + 1 < BLOCKS:
-                ahead = pool.submit(_sphere_block, d, sizes[b + 1], seed, b + 1)
-            yield b, x, _weights(x, sigma)
+            x = ahead.pop(0).result()
+            if b + DRAWS_IN_FLIGHT < BLOCKS:
+                ahead.append(draw(b + DRAWS_IN_FLIGHT))
+            yield (b, *form(x, sigma))
 
 
 class _NormConstSums:
@@ -138,30 +183,46 @@ class _CovarianceSums:
         """The ratio estimate and its jackknife errors; overwrites ``nums``.
 
         The delete-one-block ratios are built in place in ``nums``, so
-        only one (BLOCKS, d, d) array is alive.
+        only one array of that shape is alive, whatever the shape of the
+        per-block numerators.
         """
         nums, dens = self.nums, self.dens
         num_tot = nums.sum(axis=0)
         den_tot = float(dens.sum())
         value = num_tot / den_tot
         np.subtract(num_tot[None], nums, out=nums)
-        nums /= (den_tot - dens)[:, None, None]
+        nums /= (den_tot - dens).reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
         nums -= nums.mean(axis=0)
         nums *= nums
         se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(nums, axis=0))
         return McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
 
 
-def _estimate(sigma: np.ndarray, n: int, seed: int, *reductions) -> tuple[McEstimate, ...]:
+class _EigenCovarianceSums(_CovarianceSums):
+    """Per-block numerators sum(w q), q = y*y in the eigenbasis, and sum(w)."""
+
+    def __init__(self, d: int) -> None:
+        self.nums = np.empty((BLOCKS, d))
+        self.dens = np.empty(BLOCKS)
+
+    def add(self, b: int, q: np.ndarray, w: np.ndarray) -> None:
+        self.nums[b] = np.einsum("i,ij->j", w, q)
+        self.dens[b] = float(w.sum())
+
+
+def _estimate(
+    sigma: np.ndarray, n: int, seed: int, *reductions, form=_dense_form
+) -> tuple[McEstimate, ...]:
     """One pass over the sample blocks, feeding each block to every reduction.
 
-    ``reductions`` are the reduction classes, each built from the dimension.
+    ``reductions`` are the reduction classes, each built from the
+    dimension; ``form`` is the block form of :func:`_sample_blocks`.
     """
     _check_sampling_args(n, seed)
     sums = [r(sigma.shape[0]) for r in reductions]
-    # closing: a reduction that raises stops the helper thread without
+    # closing: a reduction that raises stops the pool workers without
     # waiting for the generator to be garbage-collected.
-    with closing(_sample_blocks(sigma, n, seed)) as blocks:
+    with closing(_sample_blocks(sigma, n, seed, form)) as blocks:
         for b, x, w in blocks:
             for s in sums:
                 s.add(b, x, w)
@@ -195,6 +256,83 @@ def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEsti
     block and computing its weights only once.
     """
     return _estimate(sigma, n, seed, _NormConstSums, _CovarianceSums)
+
+
+def mc_eigen_moments(
+    eigenvalues: np.ndarray, n: int, seed: int
+) -> tuple[McEstimate, McEstimate]:
+    """The normalizing constant and Cov(X) in the eigenbasis, in one pass.
+
+    ``eigenvalues`` are those of Sigma = V diag(lambda) V'.  Each uniform
+    block is read as the eigen-coordinates y, which is exact in law by
+    rotation invariance, and weighted by exp(q @ lambda), q = y*y.
+    Returns the estimate of Psi (as :func:`mc_norm_const` computes it
+    from the weights) and the d-vector E_w[q] with jackknife errors:
+    Cov(X) = V diag(E_w[q]) V', so entry k estimates v_k' Cov(X) v_k.
+    The entries sum to 1 up to float roundoff.
+    """
+    return _estimate(np.asarray(eigenvalues, dtype=float), n, seed, _NormConstSums,
+                     _EigenCovarianceSums, form=_eigen_form)
+
+
+def _t_tail(t: float, nu: int) -> float:
+    """P(T > t) for Student's t with an odd number nu of degrees of freedom, t >= 1.
+
+    With theta = atan(t / sqrt(nu)) and c = cos(theta), the closed form
+    P(|T| <= t) = (2/pi) (theta + sin(theta) sum_{k < (nu-1)/2} a_k
+    c^(2k+1)), a_k = (2 4 ... 2k) / (3 5 ... (2k+1)) (Abramowitz & Stegun
+    26.7.3), is a partial sum of a series whose full sum is pi/2, since
+    sum_k a_k c^(2k+1) = arcsin(c) / sin(theta) = (pi/2 - theta) /
+    sin(theta).  The tail is therefore the series' remainder, a sum of
+    positive terms with no cancellation even where it is tiny.
+    """
+    if nu < 1 or nu % 2 == 0 or not t >= 1.0:
+        raise OrderRangeError(f"need an odd nu >= 1 and t >= 1, got nu = {nu}, t = {t}")
+    c2 = nu / (nu + t * t)
+    k = (nu - 1) // 2
+    term = math.sqrt(c2)
+    for j in range(1, k + 1):
+        term *= 2.0 * j / (2.0 * j + 1.0) * c2
+    total = 0.0
+    while term > 1e-17 * total:
+        total += term
+        k += 1
+        term *= 2.0 * k / (2.0 * k + 1.0) * c2
+    return math.sqrt(1.0 - c2) * total / math.pi
+
+
+def t_upper_quantile(q: float, nu: int) -> float:
+    """The t with P(T > t) = q for Student's t with odd nu, by bisection.
+
+    Needs 0 < q < P(T > 1), which holds for every q below 0.158 (the
+    normal tail at 1) whatever nu.
+    """
+    if not 0.0 < q < _t_tail(1.0, nu):
+        raise OrderRangeError(f"tail probability must lie in (0, P(T > 1)), got {q}")
+    lo, hi = 1.0, 2.0
+    while _t_tail(hi, nu) > q:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _t_tail(mid, nu) > q:
+            lo = mid
+        else:
+            hi = mid
+
+
+def family_threshold(checks: int) -> float:
+    """Per-check multiple of the standard error for ``checks`` compared checks.
+
+    Bonferroni over the checks at the family-wise rate FAMILY_ALPHA, two
+    sided, with the t law of a BLOCKS-group jackknife: the t_(BLOCKS-1)
+    quantile at 1 - FAMILY_ALPHA / (2 checks).  That is 3.86 for 3
+    checks, 5.13 for 201 and 5.59 for 1001.
+    """
+    if checks < 1:
+        raise OrderRangeError(f"need at least one check, got {checks}")
+    return t_upper_quantile(FAMILY_ALPHA / (2.0 * checks), BLOCKS - 1)
 
 
 def kummer_series(

@@ -185,6 +185,45 @@ class TestGradientBound:
             gradient_tail_bound(3, 10.0, R_HALF)
 
 
+class TestPowerOverflow:
+    """g2^m alone overflows float64 while the bound itself is tiny."""
+
+    REGIME = GrowthRegime(scale=1e10, exponent=0.9)
+    D = float(10**206)
+
+    @staticmethod
+    def log_reference(m, d, scale, r, gradient):
+        """Both bounds recomputed in logarithms, which cannot overflow."""
+        g2 = scale * (1.0 + math.sqrt(3.0)) / 2.0
+        if gradient:
+            return math.exp(0.5 * math.log(2.0 * math.e) + (m - 1) * math.log(g2)
+                            - 0.5 * math.lgamma(m)
+                            - (1.0 + (m - 1) * (1.0 - r)) / 2.0 * math.log(d))
+        g3 = 2.0 ** 1.5 * math.sqrt(math.e) * 2.0 / (1.0 + math.sqrt(3.0))
+        return math.exp(math.log(g3) + m * math.log(g2) - 0.5 * math.lgamma(m + 2)
+                        - m * (1.0 - r) / 2.0 * math.log(d))
+
+    def test_bounds_finite_where_the_power_overflows(self):
+        with pytest.raises(OverflowError):
+            (1e10 * BASE_GROWTH) ** 40
+        for m in (32, 33, 40):
+            got = norm_const_tail_bound(m, self.D, self.REGIME)
+            ref = self.log_reference(m, self.D, 1e10, 0.9, gradient=False)
+            assert got == pytest.approx(ref, rel=1e-9), m
+            got = gradient_tail_bound(m, self.D, self.REGIME)
+            ref = self.log_reference(m, self.D, 1e10, 0.9, gradient=True)
+            assert got == pytest.approx(ref, rel=1e-9), m
+
+    def test_cli_prints_the_table(self, capsys):
+        from binghamx.cli import run
+
+        code = run(["bounds", "--gamma0", "1e10", "--r", "0.9", "--d", str(10**206),
+                    "--m", "2,40", "--format", "csv"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[2].startswith("1e+206,0.65324393342170883,")
+
+
 class TestInverseBound:
     def test_ratio_at_threshold(self):
         # b1 at the inverse threshold is 2 e^(1/2) / (g1 sqrt(6)) < 1,

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_trace_zero
 
 from binghamx import (
+    GradientPolynomial,
     GrowthRegime,
     covariance_derived_bound,
     covariance_expansion,
@@ -21,7 +22,7 @@ from binghamx import (
     norm_const_truncated,
     power_sums,
 )
-from binghamx import oracle, symmat
+from binghamx import oracle, series, symmat
 from binghamx.cli import _emit_matrix, run
 from binghamx.oracle import McEstimate
 
@@ -387,26 +388,28 @@ class TestVerify:
     def test_golden_md_and_csv(self, tmp_path, monkeypatch):
         # Fixed Monte-Carlo estimates, exact in binary, keep the bytes
         # independent of the BLAS kernel; the psi check fails on purpose.
-        def fixed_moments(sigma, n, seed):
-            cov = np.array([[0.5390625, 0.001953125], [0.001953125, 0.4609375]])
-            cov_se = np.array([[0.0048828125, 0.0009765625], [0.0009765625, 0.0048828125]])
+        # eigh orders the eigenvalues of diag(0.2, -0.2) as (-0.2, 0.2), so
+        # v0 = e2 and the series value of cov[v0] is C[1, 1].
+        def fixed_moments(eigenvalues, n, seed):
+            diag = np.array([0.4609375, 0.5390625])
+            diag_se = np.array([0.0048828125, 0.0048828125])
             return (McEstimate(1.03125, 0.0009765625, n, seed),
-                    McEstimate(cov, cov_se, n, seed))
+                    McEstimate(diag, diag_se, n, seed))
 
-        monkeypatch.setattr(oracle, "mc_moments", fixed_moments)
+        monkeypatch.setattr(oracle, "mc_eigen_moments", fixed_moments)
         path = write_matrix(tmp_path, np.diag([0.2, -0.2]))
         args = ["verify", "--matrix", path, "--samples", "2000", "--seed", "5"]
         assert invoke(args + ["--format", "md"]) == (1, (
             "| check | series | estimate | std_error | bound | status |\n"
             "|---|---|---|---|---|---|\n"
-            "| psi | 1.01003 | 1.03125 | 0.00098 | 0.00391 | FAIL |\n"
-            "| cov[0,1] | 0.00000 | 0.00195 | 0.00098 | 0.00391 | pass |\n"
+            "| psi | 1.01003 | 1.03125 | 0.00098 | 0.00377 | FAIL |\n"
+            "| cov[v0] | 0.45021 | 0.46094 | 0.00488 | 0.01884 | pass |\n"
             "| cov_trace | 1.00000 | 1.00000 | 0.00000 | 0.00000 | pass |\n"
         ))
         assert invoke(args + ["--format", "csv"]) == (1, (
             "check,series,estimate,std_error,bound,status\n"
-            "psi,1.0100250277951457,1.03125,0.0009765625,0.0039062500000143531,FAIL\n"
-            "cov[0,1],0,0.001953125,0.0009765625,0.00390625,pass\n"
+            "psi,1.0100250277951457,1.03125,0.0009765625,0.003768383915172134,FAIL\n"
+            "cov[v0],0.45021447591467534,0.4609375,0.0048828125,0.018841919575788901,pass\n"
             "cov_trace,1,1,0,9.9999999999999998e-13,pass\n"
         ))
 
@@ -421,6 +424,85 @@ class TestVerify:
         lines = text.strip().splitlines()
         assert lines[0] == "check,series,estimate,std_error,bound,status"
         assert len(lines) == 4
+
+    def test_csv_rows_have_six_fields(self, tmp_path):
+        sigma = random_trace_zero(np.random.default_rng(71), 12, norm=0.8)
+        path = write_matrix(tmp_path, sigma)
+        _, text = invoke(
+            ["verify", "--matrix", path, "--samples", "5000", "--seed", "3",
+             "--format", "csv"]
+        )
+        lines = text.splitlines()
+        assert len(lines) == 4
+        assert [len(line.split(",")) for line in lines] == [6] * 4
+        assert lines[2].startswith("cov[v")
+
+
+class TestVerifyDecision:
+    """The family-wise rule keeps its power and stops the false failures."""
+
+    @staticmethod
+    def run_verify(path, n, seed, *extra):
+        return invoke(["verify", "--matrix", path, "--samples", str(n),
+                       "--seed", str(seed), "--format", "csv", *extra])
+
+    @staticmethod
+    def statuses(text):
+        return {line.split(",")[0]: line.split(",")[-1]
+                for line in text.strip().splitlines()[1:]}
+
+    def test_scaled_psi_fails(self, tmp_path, monkeypatch):
+        # A series Psi off by 12 standard errors of the estimate.
+        sigma = random_trace_zero(np.random.default_rng(73), 8, norm=1.0)
+        path = write_matrix(tmp_path, sigma)
+        n, seed = 20_000, 17
+        psi, _ = oracle.mc_eigen_moments(np.linalg.eigvalsh(sigma), n, seed)
+        real = series.norm_const_truncated
+
+        def scaled(ps, m, d):
+            value = real(ps, m, d)
+            return value * (1.0 + 12.0 * psi.std_error / value)
+
+        monkeypatch.setattr(series, "norm_const_truncated", scaled)
+        code, text = self.run_verify(path, n, seed)
+        assert code == 1
+        assert self.statuses(text)["psi"] == "FAIL"
+
+    def test_flipped_sigma_term_fails(self, tmp_path, monkeypatch):
+        # The Sigma coefficient of the gradient polynomial with its sign
+        # flipped: at d = 5 it moves the covariance by many standard errors.
+        sigma = np.diag([1.0, -1.0, 0.5, -0.5, 0.0])
+        path = write_matrix(tmp_path, sigma)
+
+        def flipped(ps, sigma, l, m, d):
+            grad = norm_const_gradient_truncated(ps, m, d)
+            coeffs = grad.coeffs.copy()
+            coeffs[1] = -coeffs[1]
+            scalar = series.inverse_norm_const_truncated(ps, l, d)
+            return scalar * materialize(GradientPolynomial(d=grad.d, coeffs=coeffs), sigma)
+
+        code, text = self.run_verify(path, 20_000, 19)
+        assert code == 0
+        monkeypatch.setattr(series, "covariance_expansion", flipped)
+        code, text = self.run_verify(path, 20_000, 19)
+        assert code == 1
+        status = self.statuses(text)
+        assert status["psi"] == "pass"
+        assert [v for k, v in status.items() if k.startswith("cov[v")] == ["FAIL"]
+
+    @pytest.mark.parametrize("seed", (101, 102, 103))
+    def test_zero_matrix_passes_at_d200(self, tmp_path, seed):
+        path = write_matrix(tmp_path, np.zeros((200, 200)))
+        code, text = self.run_verify(path, 100_000, seed)
+        assert code == 0, text
+
+    @pytest.mark.parametrize("seed", (101, 102, 103))
+    def test_benchmark_like_input_passes_at_d200(self, tmp_path, seed):
+        # Dense trace-zero Sigma at 0.9 of the --gamma0 1 --r 0.5 cap.
+        sigma = random_trace_zero(np.random.default_rng(2026), 200, norm=0.9 * 200**0.25)
+        path = write_matrix(tmp_path, sigma)
+        code, text = self.run_verify(path, 100_000, seed)
+        assert code == 0, text
 
 
 class TestErrorPaths:

@@ -14,7 +14,7 @@ import os
 import subprocess
 import sys
 import threading
-from itertools import zip_longest
+from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +30,25 @@ from binghamx import (
     kummer_partial_sum,
     kummer_series,
     mc_covariance,
+    mc_eigen_moments,
     mc_moments,
     mc_norm_const,
+    oracle,
 )
 from binghamx.oracle import (
     BLOCKS,
+    DRAWS_IN_FLIGHT,
+    FAMILY_ALPHA,
     _block_sizes,
     _CovarianceSums,
+    _eigen_form,
+    _EigenCovarianceSums,
     _estimate,
     _sample_blocks,
     _sphere_block,
     _weights,
+    family_threshold,
+    t_upper_quantile,
 )
 
 
@@ -290,50 +298,186 @@ class TestBlockStream:
         assert count == BLOCKS
 
     def test_in_place_jackknife_matches_out_of_place(self):
+        # One in-place jackknife serves the (BLOCKS, d, d) numerators of the
+        # dense pass and the (BLOCKS, d) numerators of the eigenbasis pass.
         rng = np.random.default_rng(47)
-        for d in (1, 5, 40):
-            sums = _CovarianceSums(d)
-            scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS, 1, 1)))
-            sums.nums[:] = rng.standard_normal((BLOCKS, d, d)) * scale
+        for sums_class, d in product((_CovarianceSums, _EigenCovarianceSums), (1, 5, 40)):
+            sums = sums_class(d)
+            shape = sums.nums.shape
+            scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS,) + (1,) * (len(shape) - 1)))
+            sums.nums[:] = rng.standard_normal(shape) * scale
             sums.dens[:] = rng.uniform(1.0, 5.0, BLOCKS)
             nums, dens = sums.nums.copy(), sums.dens.copy()
             est = sums.estimate(1000, 3)
 
             num_tot = nums.sum(axis=0)
             den_tot = float(dens.sum())
-            leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
+            leave_out = (num_tot[None] - nums) / (den_tot - dens).reshape(scale.shape)
             centered = leave_out - leave_out.mean(axis=0)
             se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+            assert est.value.shape == est.std_error.shape == shape[1:]
             assert np.array_equal(est.value, num_tot / den_tot)
             assert np.array_equal(est.std_error, se)
 
 
+class TestMcEigenMoments:
+    """The eigenbasis estimator that ``verify`` runs."""
+
+    @staticmethod
+    def serial_reference(eigenvalues, n, seed):
+        """Every block drawn, weighted and reduced on the calling thread."""
+        d = len(eigenvalues)
+        total = total_sq = 0.0
+        nums = np.empty((BLOCKS, d))
+        dens = np.empty(BLOCKS)
+        for b, size in enumerate(_block_sizes(n)):
+            y = _sphere_block(d, size, seed, b)
+            q = y * y
+            w = np.exp(np.einsum("ij,j->i", q, eigenvalues))
+            assert np.isfinite(w).all()
+            total += float(w.sum())
+            total_sq += float((w * w).sum())
+            nums[b] = np.einsum("i,ij->j", w, q)
+            dens[b] = float(w.sum())
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        num_tot = nums.sum(axis=0)
+        den_tot = float(dens.sum())
+        leave_out = (num_tot[None, :] - nums) / (den_tot - dens)[:, None]
+        centered = leave_out - leave_out.mean(axis=0)
+        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+        return (mean, float(np.sqrt(var / n))), (num_tot / den_tot, se)
+
+    @pytest.mark.parametrize("d", (2, 30, 200))
+    @pytest.mark.parametrize("n", (1000, 123457))
+    def test_bit_equal_to_serial_reference(self, d, n):
+        sigma = random_trace_zero(np.random.default_rng(53 + d), d, norm=0.9 * d**0.25)
+        lam = np.linalg.eigvalsh(sigma)
+        psi, cov = mc_eigen_moments(lam, n, 2026)
+        (value, se), (cov_value, cov_se) = self.serial_reference(lam, n, 2026)
+        assert psi.value == value and psi.std_error == se
+        assert np.array_equal(cov.value, cov_value)
+        assert np.array_equal(cov.std_error, cov_se)
+        assert (psi.n_samples, psi.seed, cov.n_samples, cov.seed) == (n, 2026, n, 2026)
+        assert float(np.sum(cov.value)) == pytest.approx(1.0, abs=1e-13)
+
+    def test_agrees_with_dense_estimator(self):
+        # Same seed, so the same uniform draws: the dense pass reads them as
+        # x, this pass as y = V'x, and the estimates differ by sampling
+        # error only.  Each of the d(d+1)/2 entries of V diag(estimate) V'
+        # must lie within the family threshold of mc_moments' value, in
+        # units of the two estimates' combined SE.
+        d, n, seed = 6, 100_000, 61
+        sigma = random_trace_zero(np.random.default_rng(59), d, norm=1.5)
+        lam, vecs = np.linalg.eigh(sigma)
+        psi, diag = mc_eigen_moments(lam, n, seed)
+        psi_dense, cov_dense = mc_moments(sigma, n, seed)
+        rotated = (vecs * diag.value) @ vecs.T
+        rotated_se = np.sqrt(((vecs * diag.std_error) ** 2) @ (vecs**2).T)
+        thr = family_threshold(d * (d + 1) // 2 + 1)
+        combined = np.sqrt(cov_dense.std_error**2 + rotated_se**2)
+        assert np.all(np.abs(rotated - cov_dense.value) <= thr * combined)
+        assert abs(psi.value - psi_dense.value) <= thr * math.hypot(
+            psi.std_error, psi_dense.std_error)
+
+    def test_zero_matrix(self):
+        psi, diag = mc_eigen_moments(np.zeros(4), 3000, seed=5)
+        assert psi.value == 1.0 and psi.std_error == 0.0
+        assert np.all(np.abs(diag.value - 0.25) <= 4.0 * diag.std_error)
+
+    def test_constant_weights_give_exact_psi(self):
+        est, _ = mc_eigen_moments(np.full(10, 0.5), 5000, seed=3)
+        assert est.value == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert est.std_error < 1e-8
+
+    def test_overflow(self):
+        with pytest.raises(SamplingOverflowError):
+            mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
+
+
+class TestFamilyThreshold:
+    def test_t_quantile_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for nu in (1, 3, 5, 49, 51):
+            for q in (0.1, 1e-3, 1.6e-4, 2.5e-6, 1e-9, 1e-30):
+                ref = float(stats.t.isf(q, nu))
+                assert t_upper_quantile(q, nu) == pytest.approx(ref, rel=1e-12), (nu, q)
+
+    def test_threshold_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for d in (2, 30, 200, 1000):
+            k = d + 1
+            ref = float(stats.t.ppf(1.0 - FAMILY_ALPHA / (2 * k), BLOCKS - 1))
+            assert abs(family_threshold(k) - ref) <= 1e-10
+
+    def test_stated_values(self):
+        # The README states these rounded values.
+        assert round(family_threshold(3), 2) == 3.86
+        assert round(family_threshold(201), 2) == 5.13
+        assert round(family_threshold(1001), 2) == 5.59
+
+    def test_validation(self):
+        with pytest.raises(OrderRangeError):
+            family_threshold(0)
+        with pytest.raises(OrderRangeError):
+            t_upper_quantile(0.5, 49)
+        with pytest.raises(OrderRangeError):
+            t_upper_quantile(1e-3, 4)
+
+
 class TestHelperThread:
-    """The draw-ahead thread never outlives the sampling call."""
+    """The draw-ahead pool never outlives the sampling call."""
+
+    @staticmethod
+    def meeting_draws(monkeypatch, started):
+        """Draws 0 and 1 wait for each other, so both pool workers must exist."""
+        barrier = threading.Barrier(DRAWS_IN_FLIGHT, timeout=30)
+        real = oracle._sphere_block
+
+        def draw(d, size, seed, block):
+            started.append(block)
+            if block < DRAWS_IN_FLIGHT:
+                barrier.wait()
+            return real(d, size, seed, block)
+
+        monkeypatch.setattr(oracle, "_sphere_block", draw)
 
     def test_no_thread_left_after_overflow(self):
         start = threading.active_count()
         with pytest.raises(SamplingOverflowError):
             mc_moments(800.0 * np.eye(4), 1000, seed=0)
         assert threading.active_count() == start
+        with pytest.raises(SamplingOverflowError):
+            mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
+        assert threading.active_count() == start
 
-    def test_no_thread_left_after_reduction_raises(self):
+    def failing_reduction_leaves_no_thread(self, monkeypatch, sigma, **form):
         start = threading.active_count()
-        seen = []
+        started, seen = [], []
 
         class FailingSums:
             def __init__(self, d):
                 pass
 
             def add(self, b, x, w):
-                seen.append(threading.active_count())
+                seen.append((threading.active_count(), max(started) - b))
                 if b == 3:
                     raise RuntimeError("reduction failed")
 
+        self.meeting_draws(monkeypatch, started)
         with pytest.raises(RuntimeError, match="reduction failed"):
-            _estimate(np.zeros((3, 3)), 5000, 1, FailingSums)
-        assert seen == [start + 1] * 4
+            _estimate(sigma, 5000, 1, FailingSums, **form)
+        # The pool's two workers while streaming; no draw started more than
+        # two blocks ahead of the block reduced.
+        assert [count for count, _ in seen] == [start + DRAWS_IN_FLIGHT] * 4
+        assert all(ahead <= DRAWS_IN_FLIGHT for _, ahead in seen)
         assert threading.active_count() == start
+
+    def test_no_thread_left_after_reduction_raises(self, monkeypatch):
+        self.failing_reduction_leaves_no_thread(monkeypatch, np.zeros((3, 3)))
+
+    def test_no_thread_left_after_eigen_reduction_raises(self, monkeypatch):
+        self.failing_reduction_leaves_no_thread(monkeypatch, np.zeros(3), form=_eigen_form)
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(binghamx.__file__).resolve().parents[1])

@@ -88,10 +88,18 @@ def bound_constants(regime: GrowthRegime) -> BoundConstants:
     )
 
 
+def _threshold(factor: float, regime: GrowthRegime) -> float:
+    """(factor g2^2)^(1/(1-exp)), or +inf where that power exceeds float64."""
+    g2 = regime.scale * BASE_GROWTH
+    try:
+        return (factor * g2 * g2) ** (1.0 / (1.0 - regime.exponent))
+    except OverflowError:
+        return math.inf
+
+
 def admissible_dimension(regime: GrowthRegime) -> float:
     """Smallest d at which the value tail bound holds: (2 g2^2)^(1/(1-exp))."""
-    g2 = regime.scale * BASE_GROWTH
-    return (2.0 * g2 * g2) ** (1.0 / (1.0 - regime.exponent))
+    return _threshold(2.0, regime)
 
 
 def admissible_dimension_inverse(regime: GrowthRegime) -> float:
@@ -101,8 +109,7 @@ def admissible_dimension_inverse(regime: GrowthRegime) -> float:
     equals 2 e^(1/2) / (g1 sqrt(6)) ~ 0.9855 < 1, so the bound is finite
     for every d strictly above it.
     """
-    g2 = regime.scale * BASE_GROWTH
-    return (6.0 * g2 * g2) ** (1.0 / (1.0 - regime.exponent))
+    return _threshold(6.0, regime)
 
 
 def _require_admissible(d: float, threshold: float, what: str, strict: bool) -> None:

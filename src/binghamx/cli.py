@@ -36,6 +36,7 @@ from .bounds import GrowthRegime
 from .errors import (
     BinghamxError,
     InadmissibleDimensionError,
+    MatrixFormatError,
     OrderSelectionError,
     RegimeViolationError,
     SeriesOverflowError,
@@ -182,8 +183,15 @@ def _checked_series(args, orders, powers, compute, tails=()):
     a row that is not finite raises SeriesOverflowError instead.
     """
     with np.errstate(all="ignore"):
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            sigma = symmat.load_matrix(fh.read())
+        try:
+            with open(args.matrix, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(
+                f"{args.matrix}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                f"at offset {exc.start}"
+            ) from None
+        sigma = symmat.load_matrix(text)
         d = sigma.shape[0]
         scale, exponent = getattr(args, "gamma0", None), getattr(args, "r", None)
         if (scale is None) != (exponent is None):
@@ -271,12 +279,21 @@ def _cmd_zonal(args, out) -> int:
     return 0
 
 
+def _dimension(d: int, what: str) -> float:
+    """d as a float, after checking that it is at least 2 and that float64 holds it."""
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"{what} must be >= 2, got {d}")
+    try:
+        return float(d)
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"{what} must fit in float64, got a {len(str(d))}-digit integer") from None
+
+
 def _cmd_bounds(args, out) -> int:
     regime = GrowthRegime(scale=args.gamma0, exponent=args.r)
-    for d in args.d:
-        if d < 2:
-            raise argparse.ArgumentTypeError(f"dimensions must be >= 2, got {d}")
-    table = bounds_mod.tail_bound_table(regime, [float(d) for d in args.d], args.m)
+    ds = [_dimension(d, "dimensions") for d in args.d]
+    table = bounds_mod.tail_bound_table(regime, ds, args.m)
     if args.out is not None:
         norm_path = f"{args.out}_psi.csv"
         grad_path = f"{args.out}_grad.csv"
@@ -295,13 +312,12 @@ def _cmd_bounds(args, out) -> int:
 
 def _cmd_choose_m(args, out) -> int:
     regime = GrowthRegime(scale=args.gamma0, exponent=args.r)
-    if args.d < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {args.d}")
-    m = bounds_mod.select_order(regime, float(args.d), args.eps)
+    d = _dimension(args.d, "dimension")
+    m = bounds_mod.select_order(regime, d, args.eps)
     rows = [
         ("m", m),
-        ("psi_bound", bounds_mod.norm_const_tail_bound(m, float(args.d), regime)),
-        ("grad_bound", bounds_mod.gradient_tail_bound(m, float(args.d), regime)),
+        ("psi_bound", bounds_mod.norm_const_tail_bound(m, d, regime)),
+        ("grad_bound", bounds_mod.gradient_tail_bound(m, d, regime)),
         ("eps", args.eps),
         ("d", args.d),
     ]

@@ -14,17 +14,22 @@ caller weights and reduces block b, two pool workers draw blocks b + 1
 and b + 2; each block has its own generator and the reductions stay in
 index order, so the results do not depend on that overlap.
 
-All estimators read one block stream.  :func:`mc_moments` draws each
-block and computes its weights once and feeds both the normalizing-constant
-and the covariance reductions; its two results equal those of
-:func:`mc_norm_const` and :func:`mc_covariance` bit for bit.
+Every estimator is one loop, :func:`_moments`, over the blocks.  A block
+function turns each uniform block into its weights and its numerator;
+the loop keeps the running sums of w and w^2 for Psi and the per-block
+numerators and sums of w for the jackknife.  :func:`_dense_block` reads
+the block as x, with numerator x'(w x); :func:`mc_moments` runs it and
+returns both estimates.  :func:`mc_norm_const` and :func:`mc_covariance`
+are the two halves of that same pass (the Psi half forms no numerator),
+so they equal :func:`mc_moments` bit for bit.
 
-``verify`` uses :func:`mc_eigen_moments` instead.  The uniform measure on
-the sphere is rotation-invariant, so for Sigma = V diag(lambda) V' the
-coordinates y = V'x of a uniform x are uniform too and x' Sigma x =
-sum_i lambda_i y_i^2.  Each uniform block is read directly as y: the
-weights are exp(q @ lambda) with q = y*y, and Cov(X) = V diag(E_w[q]) V',
-so a block costs O(size * d) instead of two O(size * d^2) products.
+``verify`` runs :func:`_eigen_block` through :func:`mc_eigen_moments`.
+The uniform measure on the sphere is rotation-invariant, so for Sigma =
+V diag(lambda) V' the coordinates y = V'x of a uniform x are uniform too
+and x' Sigma x = sum_i lambda_i y_i^2.  Each uniform block is read
+directly as y: the weights are exp(q @ lambda) with q = y*y, the
+numerator is w @ q, and Cov(X) = V diag(E_w[q]) V', so a block costs
+O(size * d) instead of two O(size * d^2) products.
 
 Every compared check of ``verify`` is tested at the family-wise
 false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).
@@ -33,9 +38,8 @@ false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -101,13 +105,14 @@ def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return _finite(np.exp(np.sum((x @ sigma) * x, axis=1)))
 
 
-def _dense_form(x: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The block and its weights exp(x' Sigma x), for a (d, d) Sigma."""
-    return x, _weights(x, sigma)
+def _dense_block(x: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights exp(x' Sigma x) of a uniform block x and its numerator x'(w x)."""
+    w = _weights(x, sigma)
+    return w, x.T @ (x * w[:, None])
 
 
-def _eigen_form(y: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """q = y*y and the weights exp(q @ lambda), for y in the eigenbasis of Sigma.
+def _eigen_block(y: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights exp(q @ lambda) of an eigenbasis block y and its numerator w @ q, q = y*y.
 
     The eigenbasis products run through einsum, not BLAS: with more than
     one BLAS thread a multithreaded matrix-vector product of a block is
@@ -116,26 +121,34 @@ def _eigen_form(y: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.
     """
     q = y * y
     with np.errstate(over="ignore", invalid="ignore"):
-        return q, _finite(np.exp(np.einsum("ij,j->i", q, eigenvalues)))
+        w = _finite(np.exp(np.einsum("ij,j->i", q, eigenvalues)))
+    return w, np.einsum("i,ij->j", w, q)
 
 
-def _sample_blocks(
-    sigma: np.ndarray, n: int, seed: int, form=_dense_form
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (b, *form(x, sigma)) for every sampling block b, in index order.
+def _moments(
+    data: np.ndarray, n: int, seed: int, block
+) -> tuple[McEstimate, McEstimate | None]:
+    """Psi and the ratio estimate of E_w[numerator], in one pass over the blocks.
 
-    ``form`` turns a uniform block x into the array the reductions read
-    and the weights: :func:`_dense_form` takes the (d, d) Sigma,
-    :func:`_eigen_form` its d eigenvalues.  Two pool workers draw blocks
-    b + 1 and b + 2 while the caller consumes block b; exactly
-    DRAWS_IN_FLIGHT draws are in flight.  Closing the generator early
-    waits for those draws and stops the workers.
+    ``block(x, data)`` maps a uniform block x to its weights w and its
+    numerator, or to (w, None) when only Psi is wanted; then the second
+    estimate is None.  Two pool workers draw blocks b + 1 and b + 2
+    while block b is weighted and reduced, so exactly DRAWS_IN_FLIGHT
+    draws are in flight; a block that raises waits for those draws and
+    stops the workers on leaving the pool.
+
+    The jackknife builds the delete-one-block ratios in place in the
+    per-block numerators, so only one array of that shape is alive,
+    whatever the shape of a numerator.
     """
+    _check_sampling_args(n, seed)
     # Imported here so that importing the package starts no thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
-    d = sigma.shape[0]
+    d = data.shape[0]
     sizes = _block_sizes(n)
+    total = total_sq = 0.0
+    nums, dens = None, np.empty(BLOCKS)
     with ThreadPoolExecutor(DRAWS_IN_FLIGHT) as pool:
 
         def draw(b: int):
@@ -146,87 +159,29 @@ def _sample_blocks(
             x = ahead.pop(0).result()
             if b + DRAWS_IN_FLIGHT < BLOCKS:
                 ahead.append(draw(b + DRAWS_IN_FLIGHT))
-            yield (b, *form(x, sigma))
+            w, num = block(x, data)
+            dens[b] = den = float(w.sum())
+            total += den
+            total_sq += float((w * w).sum())
+            if num is not None:
+                if nums is None:
+                    nums = np.empty((BLOCKS,) + num.shape)
+                nums[b] = num
 
-
-class _NormConstSums:
-    """Running sums of w and w^2 over the blocks, in block order."""
-
-    def __init__(self, d: int) -> None:
-        self.total = 0.0
-        self.total_sq = 0.0
-
-    def add(self, b: int, x: np.ndarray, w: np.ndarray) -> None:
-        self.total += float(w.sum())
-        self.total_sq += float((w * w).sum())
-
-    def estimate(self, n: int, seed: int) -> McEstimate:
-        mean = self.total / n
-        var = max(self.total_sq - n * mean * mean, 0.0) / (n - 1)
-        return McEstimate(
-            value=mean, std_error=float(np.sqrt(var / n)), n_samples=n, seed=seed
-        )
-
-
-class _CovarianceSums:
-    """Per-block numerators sum(w x x') and denominators sum(w)."""
-
-    def __init__(self, d: int) -> None:
-        self.nums = np.empty((BLOCKS, d, d))
-        self.dens = np.empty(BLOCKS)
-
-    def add(self, b: int, x: np.ndarray, w: np.ndarray) -> None:
-        self.nums[b] = x.T @ (x * w[:, None])
-        self.dens[b] = float(w.sum())
-
-    def estimate(self, n: int, seed: int) -> McEstimate:
-        """The ratio estimate and its jackknife errors; overwrites ``nums``.
-
-        The delete-one-block ratios are built in place in ``nums``, so
-        only one array of that shape is alive, whatever the shape of the
-        per-block numerators.
-        """
-        nums, dens = self.nums, self.dens
-        num_tot = nums.sum(axis=0)
-        den_tot = float(dens.sum())
-        value = num_tot / den_tot
-        np.subtract(num_tot[None], nums, out=nums)
-        nums /= (den_tot - dens).reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
-        nums -= nums.mean(axis=0)
-        nums *= nums
-        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(nums, axis=0))
-        return McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
-
-
-class _EigenCovarianceSums(_CovarianceSums):
-    """Per-block numerators sum(w q), q = y*y in the eigenbasis, and sum(w)."""
-
-    def __init__(self, d: int) -> None:
-        self.nums = np.empty((BLOCKS, d))
-        self.dens = np.empty(BLOCKS)
-
-    def add(self, b: int, q: np.ndarray, w: np.ndarray) -> None:
-        self.nums[b] = np.einsum("i,ij->j", w, q)
-        self.dens[b] = float(w.sum())
-
-
-def _estimate(
-    sigma: np.ndarray, n: int, seed: int, *reductions, form=_dense_form
-) -> tuple[McEstimate, ...]:
-    """One pass over the sample blocks, feeding each block to every reduction.
-
-    ``reductions`` are the reduction classes, each built from the
-    dimension; ``form`` is the block form of :func:`_sample_blocks`.
-    """
-    _check_sampling_args(n, seed)
-    sums = [r(sigma.shape[0]) for r in reductions]
-    # closing: a reduction that raises stops the pool workers without
-    # waiting for the generator to be garbage-collected.
-    with closing(_sample_blocks(sigma, n, seed, form)) as blocks:
-        for b, x, w in blocks:
-            for s in sums:
-                s.add(b, x, w)
-    return tuple(s.estimate(n, seed) for s in sums)
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    psi = McEstimate(value=mean, std_error=float(np.sqrt(var / n)), n_samples=n, seed=seed)
+    if nums is None:
+        return psi, None
+    num_tot = nums.sum(axis=0)
+    den_tot = float(dens.sum())
+    value = num_tot / den_tot
+    np.subtract(num_tot[None], nums, out=nums)
+    nums /= (den_tot - dens).reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
+    nums -= nums.mean(axis=0)
+    nums *= nums
+    se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(nums, axis=0))
+    return psi, McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
 
 
 def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -235,7 +190,8 @@ def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     Returns the estimate of the normalizing constant and the standard
     error of the mean.
     """
-    return _estimate(sigma, n, seed, _NormConstSums)[0]
+    # The Psi half of the pass: its blocks form no numerator.
+    return _moments(sigma, n, seed, lambda x, s: (_weights(x, s), None))[0]
 
 
 def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -245,7 +201,7 @@ def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     over the 50 sampling blocks, which respects the ratio form of the
     estimator.  The estimate has unit trace up to float roundoff.
     """
-    return _estimate(sigma, n, seed, _CovarianceSums)[0]
+    return _moments(sigma, n, seed, _dense_block)[1]
 
 
 def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEstimate]:
@@ -255,7 +211,7 @@ def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEsti
     seed))``, equal to the separate calls bit for bit, while drawing each
     block and computing its weights only once.
     """
-    return _estimate(sigma, n, seed, _NormConstSums, _CovarianceSums)
+    return _moments(sigma, n, seed, _dense_block)
 
 
 def mc_eigen_moments(
@@ -271,8 +227,7 @@ def mc_eigen_moments(
     Cov(X) = V diag(E_w[q]) V', so entry k estimates v_k' Cov(X) v_k.
     The entries sum to 1 up to float roundoff.
     """
-    return _estimate(np.asarray(eigenvalues, dtype=float), n, seed, _NormConstSums,
-                     _EigenCovarianceSums, form=_eigen_form)
+    return _moments(np.asarray(eigenvalues, dtype=float), n, seed, _eigen_block)
 
 
 def _t_tail(t: float, nu: int) -> float:

@@ -120,6 +120,15 @@ class TestThresholds:
             scaled = admissible_dimension(GrowthRegime(2.0, r))
             assert scaled == pytest.approx(base * 4.0 ** (1.0 / (1.0 - r)), rel=1e-12)
 
+    def test_overflowing_power_is_infinite(self):
+        # (2 g2^2)^100 exceeds float64: no d is admissible, and the
+        # dimension check reports the infinite threshold.
+        regime = GrowthRegime(1e150, 0.99)
+        assert admissible_dimension(regime) == math.inf
+        assert admissible_dimension_inverse(regime) == math.inf
+        with pytest.raises(InadmissibleDimensionError, match="need d >= inf"):
+            norm_const_tail_bound(3, 1e300, regime)
+
 
 class TestValueBound:
     def test_frozen_reference_cell(self):

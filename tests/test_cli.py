@@ -652,6 +652,51 @@ class TestSeriesOverflow:
         assert f"(||Sigma||_F = {1e160:.17g})" in capsys.readouterr().err
 
 
+# Inputs that once escaped as a traceback: argv, with {zero}, {npy} and
+# {latin1} standing for matrix files, then the exit code and a fragment of
+# the one stderr line.
+HUGE_D = "1" + "0" * 400
+OVERFLOWING_THRESHOLD = ["--gamma0", "1e150", "--r", "0.99"]
+ESCAPE_TABLE = [
+    pytest.param(["choose-m", *OVERFLOWING_THRESHOLD, "--d", "5", "--eps", "0.1"], 1,
+                 "need d >= inf", id="choose-m-threshold"),
+    pytest.param(["bounds", *OVERFLOWING_THRESHOLD, "--d", "5", "--m", "3"], 1,
+                 "need d >= inf", id="bounds-threshold"),
+    pytest.param(["psi", "--matrix", "{zero}", "--m", "3", *OVERFLOWING_THRESHOLD], 1,
+                 "need d >= inf", id="psi-threshold"),
+    pytest.param(["grad", "--matrix", "{zero}", "--m", "3", *OVERFLOWING_THRESHOLD], 1,
+                 "need d >= inf", id="grad-threshold"),
+    pytest.param(["cov", "--matrix", "{zero}", "--l", "3", "--m", "3",
+                  *OVERFLOWING_THRESHOLD], 1, "need d >= inf", id="cov-threshold"),
+    pytest.param(["psi", "--matrix", "{npy}", "--m", "3"], 2,
+                 "sigma.npy: not UTF-8 text: byte 0x93 at offset 0", id="psi-npy"),
+    pytest.param(["verify", "--matrix", "{latin1}", "--samples", "1000", "--seed", "0"], 2,
+                 "latin1.txt: not UTF-8 text: byte 0xe9 at offset 8", id="verify-latin1"),
+    pytest.param(["bounds", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--m", "3"], 2,
+                 "must fit in float64, got a 401-digit integer", id="bounds-huge-d"),
+    pytest.param(["choose-m", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--eps", "0.1"],
+                 2, "must fit in float64, got a 401-digit integer", id="choose-m-huge-d"),
+]
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("argv, code, fragment", ESCAPE_TABLE)
+    def test_one_error_line(self, tmp_path, argv, code, fragment):
+        (tmp_path / "zero.txt").write_text(format_matrix(np.zeros((2, 2))))
+        np.save(tmp_path / "sigma.npy", 0.04 * np.eye(3))
+        (tmp_path / "latin1.txt").write_bytes(b"2\n1 0\n0 \xe91\n")
+        files = {"zero": "zero.txt", "npy": "sigma.npy", "latin1": "latin1.txt"}
+        argv = [arg.format(**{k: str(tmp_path / v) for k, v in files.items()}) for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "binghamx", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and fragment in lines[0]
+
+
 class TestMarkdownLargeValues:
     def test_values_above_1e23_print_rounded(self, tmp_path):
         # psi = 1.4e27 here: 28-digit decimal rounding raised on it.

@@ -14,6 +14,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from itertools import product, zip_longest
 from pathlib import Path
 
@@ -40,11 +42,9 @@ from binghamx.oracle import (
     DRAWS_IN_FLIGHT,
     FAMILY_ALPHA,
     _block_sizes,
-    _CovarianceSums,
-    _eigen_form,
-    _EigenCovarianceSums,
-    _estimate,
-    _sample_blocks,
+    _dense_block,
+    _eigen_block,
+    _moments,
     _sphere_block,
     _weights,
     family_threshold,
@@ -152,6 +152,20 @@ class TestMcNormConst:
     def test_overflow(self):
         with pytest.raises(SamplingOverflowError):
             mc_norm_const(800.0 * np.eye(4), 1000, seed=0)
+
+    def test_forms_no_numerators(self):
+        # The Psi half of the pass keeps only running sums: no (BLOCKS, d, d)
+        # numerators, not even one d x d numerator per block.
+        d = 400
+        sigma = random_trace_zero(np.random.default_rng(29), d, norm=0.9)
+        mc_norm_const(np.zeros((2, 2)), 1000, seed=0)  # imports the pool first
+        tracemalloc.start()
+        try:
+            mc_norm_const(sigma, 1000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8
 
     def test_validation(self):
         with pytest.raises(OrderRangeError):
@@ -273,7 +287,7 @@ class TestMcMoments:
 
 
 class TestBlockStream:
-    """The pipelined block stream and the in-place jackknife against serial code."""
+    """The pipelined sampling loop and the in-place jackknife against serial code."""
 
     @staticmethod
     def serial_blocks(sigma, n, seed):
@@ -287,28 +301,43 @@ class TestBlockStream:
     @pytest.mark.parametrize("n", (1000, 123457))
     def test_stream_matches_serial_loop(self, d, n):
         sigma = random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9)
-        pairs = zip_longest(_sample_blocks(sigma, n, 2026), self.serial_blocks(sigma, n, 2026))
+        seen = []
+
+        def record(x, sigma):
+            w, num = _dense_block(x, sigma)
+            seen.append((x, w))
+            return w, num
+
+        _moments(sigma, n, 2026, record)
+        pairs = zip_longest(seen, self.serial_blocks(sigma, n, 2026))
         count = 0
         for got, ref in pairs:
             assert got is not None and ref is not None
-            assert got[0] == ref[0] == count
-            assert np.array_equal(got[1], ref[1])
-            assert np.array_equal(got[2], ref[2])
+            assert ref[0] == count
+            assert np.array_equal(got[0], ref[1])
+            assert np.array_equal(got[1], ref[2])
             count += 1
         assert count == BLOCKS
 
     def test_in_place_jackknife_matches_out_of_place(self):
         # One in-place jackknife serves the (BLOCKS, d, d) numerators of the
         # dense pass and the (BLOCKS, d) numerators of the eigenbasis pass.
+        # A synthetic block function hands the loop chosen numerators and
+        # one weight per block equal to the chosen denominator.
         rng = np.random.default_rng(47)
-        for sums_class, d in product((_CovarianceSums, _EigenCovarianceSums), (1, 5, 40)):
-            sums = sums_class(d)
-            shape = sums.nums.shape
+        for dense, d in product((True, False), (1, 5, 40)):
+            shape = (BLOCKS, d, d) if dense else (BLOCKS, d)
             scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS,) + (1,) * (len(shape) - 1)))
-            sums.nums[:] = rng.standard_normal(shape) * scale
-            sums.dens[:] = rng.uniform(1.0, 5.0, BLOCKS)
-            nums, dens = sums.nums.copy(), sums.dens.copy()
-            est = sums.estimate(1000, 3)
+            nums = rng.standard_normal(shape) * scale
+            dens = rng.uniform(1.0, 5.0, BLOCKS)
+            blocks = iter(zip(dens, nums))
+
+            def synthetic(x, data):
+                den, num = next(blocks)
+                return np.array([den]), num
+
+            _, est = _moments(np.zeros(d), 1000, 3, synthetic)
+            assert next(blocks, None) is None
 
             num_tot = nums.sum(axis=0)
             den_tot = float(dens.sum())
@@ -451,22 +480,21 @@ class TestHelperThread:
             mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
         assert threading.active_count() == start
 
-    def failing_reduction_leaves_no_thread(self, monkeypatch, sigma, **form):
+    def failing_block_leaves_no_thread(self, monkeypatch, data, block):
         start = threading.active_count()
         started, seen = [], []
 
-        class FailingSums:
-            def __init__(self, d):
-                pass
-
-            def add(self, b, x, w):
-                seen.append((threading.active_count(), max(started) - b))
-                if b == 3:
-                    raise RuntimeError("reduction failed")
+        def failing(x, data):
+            b = len(seen)
+            time.sleep(0.02)  # time for the workers to start any queued draw
+            seen.append((threading.active_count(), max(started) - b))
+            if b == 3:
+                raise RuntimeError("block failed")
+            return block(x, data)
 
         self.meeting_draws(monkeypatch, started)
-        with pytest.raises(RuntimeError, match="reduction failed"):
-            _estimate(sigma, 5000, 1, FailingSums, **form)
+        with pytest.raises(RuntimeError, match="block failed"):
+            _moments(data, 5000, 1, failing)
         # The pool's two workers while streaming; no draw started more than
         # two blocks ahead of the block reduced.
         assert [count for count, _ in seen] == [start + DRAWS_IN_FLIGHT] * 4
@@ -474,10 +502,10 @@ class TestHelperThread:
         assert threading.active_count() == start
 
     def test_no_thread_left_after_reduction_raises(self, monkeypatch):
-        self.failing_reduction_leaves_no_thread(monkeypatch, np.zeros((3, 3)))
+        self.failing_block_leaves_no_thread(monkeypatch, np.zeros((3, 3)), _dense_block)
 
     def test_no_thread_left_after_eigen_reduction_raises(self, monkeypatch):
-        self.failing_reduction_leaves_no_thread(monkeypatch, np.zeros(3), form=_eigen_form)
+        self.failing_block_leaves_no_thread(monkeypatch, np.zeros(3), _eigen_block)
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(binghamx.__file__).resolve().parents[1])

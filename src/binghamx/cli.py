@@ -25,6 +25,7 @@ byte-stable for identical inputs on one numpy/BLAS build and thread count.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from typing import Sequence
 
@@ -79,18 +80,22 @@ def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
         _emit_matrix(a, fmt, out)
 
 
+def _md_cells(values: list[float]) -> list[str]:
+    return [bounds_mod.round_half_up(x) for x in values]
+
+
 def _emit_matrix(a: np.ndarray, fmt: str, out) -> None:
-    if fmt == "csv":
-        row = ",".join(["%.17g"] * a.shape[1]) + "\n"
-        for r in a:
-            out.write(row % tuple(r.tolist()))
-    elif fmt == "md":
-        d = a.shape[0]
-        out.write("|" + "---|" * d + "\n")
-        for row in a:
-            out.write("| " + " | ".join(bounds_mod.round_half_up(x) for x in row) + " |\n")
-    else:
+    """A matrix in ``fmt``; csv and md rows are written as they are rendered."""
+    if fmt == "text":
         out.write(symmat.format_matrix(a))
+        return
+    if fmt == "csv":
+        cells, start, sep, end = symmat._g17, "", ",", "\n"
+    else:
+        cells, start, sep, end = _md_cells, "| ", " | ", " |\n"
+        out.write("|" + "---|" * a.shape[0] + "\n")
+    for row in symmat._matrix_rows(a, cells):
+        out.write(start + sep.join(row) + end)
 
 
 def _int_list(text: str) -> list[int]:
@@ -172,6 +177,23 @@ def _regime_rows(name: str, bound: float, regime: GrowthRegime) -> list[tuple[st
     return [(name, bound), ("gamma0", regime.scale), ("r", regime.exponent)]
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, less a leading byte-order mark.
+
+    A decoding error names the offending byte and its offset in the file.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    skip = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return str(memoryview(raw)[skip:], "utf-8")
+    except UnicodeDecodeError as exc:
+        at = skip + exc.start
+        raise MatrixFormatError(
+            f"{path}: not UTF-8 text: byte 0x{raw[at]:02x} at offset {at}"
+        ) from None
+
+
 def _checked_series(args, orders, powers, compute, tails=()):
     """Sigma and the rows ``compute`` returns, after every check it needs.
 
@@ -183,15 +205,7 @@ def _checked_series(args, orders, powers, compute, tails=()):
     a row that is not finite raises SeriesOverflowError instead.
     """
     with np.errstate(all="ignore"):
-        try:
-            with open(args.matrix, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MatrixFormatError(
-                f"{args.matrix}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                f"at offset {exc.start}"
-            ) from None
-        sigma = symmat.load_matrix(text)
+        sigma = symmat.load_matrix(_read_text(args.matrix))
         d = sigma.shape[0]
         scale, exponent = getattr(args, "gamma0", None), getattr(args, "r", None)
         if (scale is None) != (exponent is None):

@@ -8,11 +8,20 @@ everything downstream may assume a finite symmetric array with d >= 2.
 The text format is whitespace-separated: the first token is the dimension
 d, followed by d*d entries read row by row.  Line breaks are not
 significant beyond separating tokens.
+
+Text conversion costs far more than the arithmetic at large d, so both
+directions convert each distinct entry once.  :func:`load_matrix` parses
+the upper triangle and copies a value to its mirror when the two tokens
+are the same text; :func:`format_matrix` and the CLI's csv and md tables
+render the upper triangle and reuse a string for its mirror when the two
+values are bit-equal.  Results are the same as converting every entry.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +42,11 @@ DENSE_EIGEN_LIMIT = 20000
 
 def load_matrix(text: str) -> np.ndarray:
     """Parse matrix text into a validated symmetric float64 array.
+
+    Each distinct entry is converted once: the upper triangle is parsed,
+    and an entry below the diagonal is parsed only when its token differs
+    from its mirror's; otherwise it takes the mirror's value.  Results and
+    error messages are those of parsing every token in row-major order.
 
     Parameters
     ----------
@@ -55,6 +69,7 @@ def load_matrix(text: str) -> np.ndarray:
         ``ASYMMETRY_TOL``.
     """
     tokens = text.split()
+    del text  # freed here unless the caller holds it
     if not tokens:
         raise MatrixFormatError("empty input: expected dimension header")
     try:
@@ -65,25 +80,29 @@ def load_matrix(text: str) -> np.ndarray:
         ) from None
     if d < 2:
         raise MatrixValidationError(f"dimension must be >= 2, got {d}")
-    body = tokens[1:]
-    if len(body) != d * d:
+    count = len(tokens) - 1
+    if count != d * d:
         # Locate the shortfall/overrun for the diagnostic.
-        n = min(len(body), d * d)
+        n = min(count, d * d)
         row, col = divmod(n, d)
         raise MatrixFormatError(
-            f"expected {d * d} entries for d = {d}, got {len(body)} "
+            f"expected {d * d} entries for d = {d}, got {count} "
             f"(at row {row + 1}, column {col + 1})"
         )
-    entries = np.empty(d * d, dtype=np.float64)
-    for idx, tok in enumerate(body):
-        try:
-            entries[idx] = float(tok)
-        except ValueError:
-            row, col = divmod(idx, d)
-            raise MatrixFormatError(
-                f"row {row + 1}, column {col + 1}: expected a number, got {tok!r}"
-            ) from None
-    a = entries.reshape(d, d)
+    try:
+        a = _parse_mirrored(tokens, d)
+    except ValueError:
+        # Name the first bad token in row-major order.
+        for idx, tok in enumerate(islice(tokens, 1, None)):
+            try:
+                float(tok)
+            except ValueError:
+                row, col = divmod(idx, d)
+                raise MatrixFormatError(
+                    f"row {row + 1}, column {col + 1}: expected a number, got {tok!r}"
+                ) from None
+        raise
+    del tokens
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise MatrixValidationError(
@@ -101,15 +120,71 @@ def load_matrix(text: str) -> np.ndarray:
     return symmetrize(a)
 
 
+def _parse_mirrored(tokens: list[str], d: int) -> np.ndarray:
+    """The d x d entries after the header token, each distinct token parsed once.
+
+    Row i's upper part is parsed; column i below the diagonal copies it,
+    except where a token differs from its mirror's and is parsed itself.
+    Raises ValueError on the first token ``float`` rejects, in no set order.
+    """
+    a = np.empty((d, d), dtype=np.float64)
+    for i in range(d):
+        start = 1 + i * d
+        upper = tokens[start + i:start + d]
+        a[i, i:] = np.fromiter(map(float, upper), np.float64, d - i)
+        a[i + 1:, i] = a[i, i + 1:]
+        lower = tokens[start + d + i::d]
+        if lower != upper[1:]:
+            for j, (u, tok) in enumerate(zip(upper[1:], lower), i + 1):
+                if u != tok:
+                    a[j, i] = float(tok)
+    return a
+
+
+def _g17(values: list[float]) -> list[str]:
+    """Each value with 17 significant digits, as ``f"{x:.17g}"`` writes it."""
+    return ((" %.17g" * len(values))[1:] % tuple(values)).split(" ")
+
+
+def _matrix_rows(a: np.ndarray, cells):
+    """Yield each row of ``a`` as a list of strings, each distinct entry rendered once.
+
+    ``cells`` maps a list of floats to their strings.  A square matrix
+    renders its upper triangle; an entry below the diagonal reuses its
+    mirror's string when the two float64 values are bit-equal, and is
+    rendered on its own otherwise.  Only the strings of entries still to
+    be printed are held: at most d*d/4 of them.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    d = a.shape[0]
+    if a.shape[1] != d:
+        for r in a:
+            yield cells(r.tolist())
+        return
+    bits = a.view(np.int64)
+    # pending[j]: the strings of (0, j) .. (i - 1, j), the mirrors of row j's first i.
+    pending = [[] for _ in range(d)]
+    for i in range(d):
+        upper = cells(a[i, i:].tolist())
+        row, pending[i] = pending[i], None
+        for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+            row[j] = cells([float(a[i, j])])[0]
+        # Hand (i, j) to row j for every j > i; the deque only drains the map.
+        deque(map(list.append, pending[i + 1:], upper[1:]), maxlen=0)
+        row += upper
+        yield row
+
+
 def format_matrix(a: np.ndarray) -> str:
     """Render a matrix in the same text format :func:`load_matrix` reads.
 
     Entries are written with 17 significant digits so a round trip is
-    value-preserving.
+    value-preserving, each distinct entry converted once: a mirror entry
+    bit-equal to its partner above the diagonal reuses its string.  The
+    output is that of formatting every entry.
     """
-    row = " ".join(["%.17g"] * a.shape[1])
-    lines = [str(a.shape[0])] + [row % tuple(r.tolist()) for r in a]
-    return "\n".join(lines) + "\n"
+    rows = [str(a.shape[0])] + [" ".join(r) for r in _matrix_rows(a, _g17)]
+    return "\n".join(rows) + "\n"
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, stability."""
 
+import codecs
 import io
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from binghamx import (
     norm_const_tail_bound,
     norm_const_truncated,
     power_sums,
+    round_half_up,
 )
 from binghamx import oracle, series, symmat
 from binghamx.cli import _emit_matrix, run
@@ -209,7 +211,26 @@ class TestSeventeenDigitMatrixOutput:
                          [np.inf, -np.inf, 5e-324],
                          [1e308, 0.1, 1.0 / 3.0]])
         dense = np.random.default_rng(47).standard_normal((50, 50))
-        return edge, dense, edge.T.copy(), np.eye(4)
+        not_square = dense[:3, :5]
+        return (edge, dense, edge.T.copy(), np.eye(4), not_square,
+                *TestSeventeenDigitMatrixOutput.mirrors())
+
+    @staticmethod
+    def mirrors():
+        """Mirrors that differ only in zero sign, by one ulp or in nan payload; then views."""
+        rng = np.random.default_rng(53)
+        s = random_trace_zero(rng, 12, 3.0)
+        signs = s.copy()
+        signs[np.triu_indices(12, 1)] = 0.0
+        signs[np.tril_indices(12, -1)] = -0.0
+        ulp = s.copy()
+        below = np.tril_indices(12, -1)
+        ulp[below] = np.nextafter(ulp[below], np.inf)
+        payloads = np.full((3, 3), np.nan)
+        payloads.view(np.int64)[np.tril_indices(3, -1)] += np.arange(1, 4)
+        payloads.view(np.int64)[2, 0] |= np.int64(-2**63)  # a negative nan
+        wide = rng.standard_normal((30, 30))
+        return signs, ulp, payloads, s.T, wide.T, (wide + wide.T)[::2, 1::2]
 
     def test_text_matches_per_entry_format(self):
         for a in self.matrices():
@@ -223,6 +244,18 @@ class TestSeventeenDigitMatrixOutput:
             _emit_matrix(a, "csv", buf)
             expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in a)
             assert buf.getvalue() == expected
+
+    def test_md_matches_per_entry_format(self):
+        for a in self.matrices():
+            buf = io.StringIO()
+            _emit_matrix(a, "md", buf)
+            expected = "|" + "---|" * a.shape[0] + "\n" + "".join(
+                "| " + " | ".join(round_half_up(x) for x in row) + " |\n" for row in a)
+            assert buf.getvalue() == expected
+
+    def test_mirror_cases_differ_from_transpose_in_bits(self):
+        for a in self.mirrors()[:3]:
+            assert not np.array_equal(a.view(np.int64), a.T.view(np.int64))
 
 
 class TestZonal:
@@ -652,9 +685,9 @@ class TestSeriesOverflow:
         assert f"(||Sigma||_F = {1e160:.17g})" in capsys.readouterr().err
 
 
-# Inputs that once escaped as a traceback: argv, with {zero}, {npy} and
-# {latin1} standing for matrix files, then the exit code and a fragment of
-# the one stderr line.
+# Inputs that once escaped as a traceback: argv, with {zero}, {npy},
+# {latin1} and {bom_latin1} standing for matrix files, then the exit code
+# and a fragment of the one stderr line.
 HUGE_D = "1" + "0" * 400
 OVERFLOWING_THRESHOLD = ["--gamma0", "1e150", "--r", "0.99"]
 ESCAPE_TABLE = [
@@ -672,6 +705,8 @@ ESCAPE_TABLE = [
                  "sigma.npy: not UTF-8 text: byte 0x93 at offset 0", id="psi-npy"),
     pytest.param(["verify", "--matrix", "{latin1}", "--samples", "1000", "--seed", "0"], 2,
                  "latin1.txt: not UTF-8 text: byte 0xe9 at offset 8", id="verify-latin1"),
+    pytest.param(["psi", "--matrix", "{bom_latin1}", "--m", "3"], 2,
+                 "bom_latin1.txt: not UTF-8 text: byte 0x93 at offset 5", id="psi-bom-latin1"),
     pytest.param(["bounds", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--m", "3"], 2,
                  "must fit in float64, got a 401-digit integer", id="bounds-huge-d"),
     pytest.param(["choose-m", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--eps", "0.1"],
@@ -685,7 +720,10 @@ class TestNoTraceback:
         (tmp_path / "zero.txt").write_text(format_matrix(np.zeros((2, 2))))
         np.save(tmp_path / "sigma.npy", 0.04 * np.eye(3))
         (tmp_path / "latin1.txt").write_bytes(b"2\n1 0\n0 \xe91\n")
-        files = {"zero": "zero.txt", "npy": "sigma.npy", "latin1": "latin1.txt"}
+        # Offsets count from the start of the file, byte-order mark included.
+        (tmp_path / "bom_latin1.txt").write_bytes(codecs.BOM_UTF8 + b"2\n\x93")
+        files = {"zero": "zero.txt", "npy": "sigma.npy", "latin1": "latin1.txt",
+                 "bom_latin1": "bom_latin1.txt"}
         argv = [arg.format(**{k: str(tmp_path / v) for k, v in files.items()}) for arg in argv]
         proc = subprocess.run([sys.executable, "-m", "binghamx", *argv],
                               capture_output=True, text=True)
@@ -695,6 +733,24 @@ class TestNoTraceback:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and fragment in lines[0]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("argv", [["psi", "--m", "3"], ["grad", "--m", "3", "--format", "md"],
+                                      ["cov", "--l", "3", "--m", "3", "--format", "csv"]])
+    def test_same_output_as_without(self, tmp_path, argv):
+        text = format_matrix(np.array([[0.1, -0.0], [-0.0, -0.1]])).encode()
+        (tmp_path / "plain.txt").write_bytes(text)
+        (tmp_path / "bom.txt").write_bytes(codecs.BOM_UTF8 + text)
+        plain = invoke([*argv, "--matrix", str(tmp_path / "plain.txt")])
+        assert plain[0] == 0
+        assert invoke([*argv, "--matrix", str(tmp_path / "bom.txt")]) == plain
+
+    def test_only_a_leading_mark_is_dropped(self, tmp_path, capsys):
+        path = tmp_path / "twice.txt"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + b"2\n1 0\n0 1\n")
+        assert invoke(["psi", "--matrix", str(path), "--m", "3"]) == (2, "")
+        assert "got '\\ufeff2'" in capsys.readouterr().err
 
 
 class TestMarkdownLargeValues:

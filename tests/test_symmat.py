@@ -74,6 +74,120 @@ class TestLoadMatrix:
             assert np.array_equal(again, s)
 
 
+def reference_load_matrix(text):
+    """Parse every token in row-major order: the loader before mirror sharing."""
+    tokens = text.split()
+    if not tokens:
+        raise MatrixFormatError("empty input: expected dimension header")
+    try:
+        d = int(tokens[0])
+    except ValueError:
+        raise MatrixFormatError(
+            f"dimension header must be an integer, got {tokens[0]!r}"
+        ) from None
+    if d < 2:
+        raise MatrixValidationError(f"dimension must be >= 2, got {d}")
+    body = tokens[1:]
+    if len(body) != d * d:
+        n = min(len(body), d * d)
+        row, col = divmod(n, d)
+        raise MatrixFormatError(
+            f"expected {d * d} entries for d = {d}, got {len(body)} "
+            f"(at row {row + 1}, column {col + 1})"
+        )
+    entries = np.empty(d * d, dtype=np.float64)
+    for idx, tok in enumerate(body):
+        try:
+            entries[idx] = float(tok)
+        except ValueError:
+            row, col = divmod(idx, d)
+            raise MatrixFormatError(
+                f"row {row + 1}, column {col + 1}: expected a number, got {tok!r}"
+            ) from None
+    a = entries.reshape(d, d)
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise MatrixValidationError(
+            f"non-finite entry at row {i + 1}, column {j + 1}"
+        )
+    asym = np.abs(a - a.T) / (1.0 + np.abs(a))
+    worst = float(asym.max())
+    if worst > symmat.ASYMMETRY_TOL:
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        raise MatrixValidationError(
+            f"matrix is not symmetric: entries ({i + 1},{j + 1}) and "
+            f"({j + 1},{i + 1}) differ, relative asymmetry {worst:.3e} "
+            f"exceeds {symmat.ASYMMETRY_TOL:.0e}"
+        )
+    return (a + a.T) / 2.0
+
+
+def repr_text(a, lower=repr):
+    """``a`` in the text format, upper triangle by repr, lower by ``lower``."""
+    d = a.shape[0]
+    rows = [[repr(float(x)) if j >= i else lower(float(x)) for j, x in enumerate(r)]
+            for i, r in enumerate(a)]
+    return f"{d}\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+def benchmark_like(d):
+    """Trace-zero symmetric matrix at 0.9 of the (1, 0.5) regime cap."""
+    rng = np.random.default_rng([1, 0])
+    a = rng.standard_normal((d, d))
+    s = (a + a.T) / 2.0
+    s -= np.trace(s) / d * np.eye(d)
+    return s * (0.9 * d**0.25 / np.sqrt(np.sum(s * s)))
+
+
+PARSE_CASES = [
+    pytest.param("2\n0.5 -0.25\n-0.25 1\n", id="symmetric-d2"),
+    pytest.param(repr_text(random_symmetric(np.random.default_rng(2), 6)), id="symmetric-d6"),
+    pytest.param("3\n1 0.1 -0\n1e-1 2 1_0\n0 10 3\n", id="mirror-spellings"),
+    pytest.param("3\n1 0 0\n-0 2 -0\n0 0 3\n", id="zero-signs-below"),
+    pytest.param("2\n0 1\n1.0000000019 0\n", id="asymmetry-within"),
+    pytest.param("2\n0 1\n1.0000000021 0\n", id="asymmetry-beyond"),
+    pytest.param("3\n1 0 0\n0 2 0\nnan 0 3\n", id="nan-below"),
+    pytest.param("3\n1 0 0\n0 2 0\n0 -inf 3\n", id="inf-below"),
+    pytest.param("3\n1 0 0\n0 2 0\n0 x 3\n", id="bad-below"),
+    pytest.param("3\n1 0 x\n0 2 0\nx 0 3\n", id="bad-both"),
+    pytest.param("3\n1 0 z\ny 2 0\n0 0 3\n", id="bad-above-and-below"),
+    pytest.param("3\n1 0 0\n0 2 z\ny 0 3\n", id="bad-below-parsed-first"),
+    pytest.param("2\n1 0\n0\n", id="short"),
+    pytest.param("2\n1 0\n0 1 7\n", id="long"),
+    pytest.param("two\n1 0\n0 1\n", id="header"),
+]
+
+
+def assert_parses_like_reference(text):
+    try:
+        ref = reference_load_matrix(text)
+    except (MatrixFormatError, MatrixValidationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_matrix(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = load_matrix(text)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+class TestMirrorSharedParse:
+    """The mirror-sharing loader gives the full row-major scan's bits and errors."""
+
+    @pytest.mark.parametrize("text", PARSE_CASES)
+    def test_small_inputs(self, text):
+        assert_parses_like_reference(text)
+
+    def test_lower_triangle_spelled_differently(self):
+        # Every lower token differs from its mirror's text, most not in value.
+        a = benchmark_like(60)
+        assert_parses_like_reference(repr_text(a, lower=lambda x: f"{x:.17g}"))
+        assert_parses_like_reference(repr_text(a, lower=lambda x: f"{x:.15e}"))
+
+    def test_benchmark_size(self):
+        assert_parses_like_reference(repr_text(benchmark_like(1000)))
+
+
 class TestPowerSums:
     def test_against_repeated_multiplication(self):
         rng = np.random.default_rng(5)

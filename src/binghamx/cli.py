@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 inadmissible dimension / regime violation /
 failed verification (the computed threshold or margin is printed),
 2 usage or input errors with a one-line diagnosis, among them results
 that overflow float64 (the error names the quantity, the order and
-||Sigma||_F).  Every check that needs no spectral work runs first.
+||Sigma||_F) and sample counts too large to allocate.  Every check that
+needs no spectral work runs first.
 
 Output formats: ``text`` (key = value lines, matrices in the ingestion
 text format, 17 significant digits), ``md`` (tables, 5 decimals rounded
@@ -195,7 +196,7 @@ def _read_text(path: str) -> str:
 
 
 def _checked_series(args, orders, powers, compute, tails=()):
-    """Sigma and the rows ``compute`` returns, after every check it needs.
+    """The rows ``compute`` returns, after every check it needs.
 
     In order: load the matrix, check each ``(flag, low)`` of ``orders``,
     and with a regime check the fit and evaluate each ``(flag, bound)``
@@ -232,7 +233,7 @@ def _checked_series(args, orders, powers, compute, tails=()):
                     f"{key} at {at} is not finite in float64 "
                     f"(||Sigma||_F = {symmat.frobenius_norm(sigma):.17g})"
                 )
-    return sigma, rows
+    return rows
 
 
 def _cmd_psi(args, out) -> int:
@@ -242,8 +243,8 @@ def _cmd_psi(args, out) -> int:
             rows += _regime_rows("bound", tail[0], regime)
         return rows
 
-    _, rows = _checked_series(args, [("m", 1)], args.m - 1, compute,
-                              [("m", bounds_mod.norm_const_tail_bound)])
+    rows = _checked_series(args, [("m", 1)], args.m - 1, compute,
+                           [("m", bounds_mod.norm_const_tail_bound)])
     _emit_record(rows, args.format, out)
     return 0
 
@@ -256,8 +257,8 @@ def _cmd_grad(args, out) -> int:
             rows += _regime_rows("bound", tail[0], regime)
         return rows + [("grad", symmat.materialize(grad, sigma))]
 
-    _, rows = _checked_series(args, [("m", 2)], args.m - 1, compute,
-                              [("m", bounds_mod.gradient_tail_bound)])
+    rows = _checked_series(args, [("m", 2)], args.m - 1, compute,
+                           [("m", bounds_mod.gradient_tail_bound)])
     _emit_record(rows, args.format, out)
     return 0
 
@@ -273,9 +274,9 @@ def _cmd_cov(args, out) -> int:
             rows += _regime_rows("derived_bound", derived, regime)
         return rows + [("cov", scalar * grad)]
 
-    _, rows = _checked_series(args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute,
-                              [("m", bounds_mod.gradient_tail_bound),
-                               ("l", bounds_mod.inverse_tail_bound)])
+    rows = _checked_series(args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute,
+                           [("m", bounds_mod.gradient_tail_bound),
+                            ("l", bounds_mod.inverse_tail_bound)])
     _emit_record(rows, args.format, out)
     return 0
 
@@ -288,7 +289,7 @@ def _cmd_zonal(args, out) -> int:
             rows += [(f"grad_coeff_{l}", float(c)) for l, c in enumerate(coeffs)]
         return rows
 
-    _, rows = _checked_series(args, [("k", 0)], args.k, compute)
+    rows = _checked_series(args, [("k", 0)], args.k, compute)
     _emit_record(rows, args.format, out)
     return 0
 
@@ -342,18 +343,16 @@ def _cmd_choose_m(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     oracle._check_sampling_args(args.samples, args.seed)
 
+    # Entry k of the sampled covariance V diag(E_w[y*y]) V' is compared with
+    # T g(lambda_k), lambda ascending: the series product T g(Sigma) at diag(lambda).
     def compute(ps, sigma, regime, tail):
+        lam = np.sort(ps.eigenvalues)
+        cov = series.covariance_expansion(ps, np.diag(lam), args.l, args.m, ps.d)
         return [("psi", series.norm_const_truncated(ps, args.m, ps.d)),
-                ("cov", series.covariance_expansion(ps, sigma, args.l, args.m, ps.d))]
+                ("cov", np.diagonal(cov)), ("eigenvalues", lam)]
 
-    sigma, [(_, psi_series), (_, cov_series)] = _checked_series(
+    [(_, psi_series), (_, cov_series), (_, lam)] = _checked_series(
         args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute)
-
-    # The check runs in the eigenbasis of Sigma: the sampled covariance is
-    # V diag(E_w[y*y]) V', so entry k of the estimate is compared with
-    # v_k' C v_k of the series product C.
-    lam, vecs = np.linalg.eigh(sigma)
-    cov_series = np.sum(vecs * (cov_series @ vecs), axis=0)
     psi_mc, cov_mc = oracle.mc_eigen_moments(lam, args.samples, args.seed)
     # d covariance entries and psi, tested at the family-wise rate FAMILY_ALPHA.
     threshold = oracle.family_threshold(len(lam) + 1)
@@ -412,7 +411,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     except (InadmissibleDimensionError, RegimeViolationError, OrderSelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ADMISSIBILITY_ERROR
-    except (argparse.ArgumentTypeError, BinghamxError, OSError) as exc:
+    except (argparse.ArgumentTypeError, BinghamxError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

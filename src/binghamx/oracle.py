@@ -29,7 +29,10 @@ V diag(lambda) V' the coordinates y = V'x of a uniform x are uniform too
 and x' Sigma x = sum_i lambda_i y_i^2.  Each uniform block is read
 directly as y: the weights are exp(q @ lambda) with q = y*y, the
 numerator is w @ q, and Cov(X) = V diag(E_w[q]) V', so a block costs
-O(size * d) instead of two O(size * d^2) products.
+O(size * d) instead of two O(size * d^2) products.  Only lambda is
+needed, the one ``power_sums`` forms, and the series side of entry k is
+T g(lambda_k), the covariance product at diag(lambda): ``verify``
+computes no eigenvectors.
 
 Every compared check of ``verify`` is tested at the family-wise
 false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).

@@ -193,13 +193,14 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm, rescaled by s = max |a_ij| only if the squares overflow."""
+    """Frobenius norm, rescaled by s = max |a_ij| only if the squares overflow or underflow."""
     with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum(a * a)))
-    if norm == np.inf and np.isfinite(a).all():
+        squares = float(np.sum(a * a))
+    if not np.finfo(float).tiny <= squares < np.inf and np.isfinite(a).all():
         s = float(np.abs(a).max())
-        norm = s * float(np.sqrt(np.sum((a / s) ** 2)))
-    return norm
+        if s > 0.0:
+            return s * float(np.sqrt(np.sum((a / s) ** 2)))
+    return float(np.sqrt(squares))
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,13 @@ class PowerSums:
     """Traces of matrix powers, the sufficient statistics of the series.
 
     ``p[j]`` holds tr(Sigma^j) for j = 0..K, so ``p[0]`` is the ambient
-    dimension d and ``p[1]`` the trace.  Instances are treated as
-    immutable after construction.
+    dimension d and ``p[1]`` the trace; ``eigenvalues`` is the lambda they
+    sum, or None if p was given directly.  Instances are immutable.
     """
 
     d: int
     p: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def K(self) -> int:
@@ -237,9 +239,9 @@ def _diagonal(sigma: np.ndarray) -> np.ndarray | None:
 def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
     """Compute tr(Sigma^j) for j = 1..K from the eigenvalues of Sigma.
 
-    Diagonal matrices skip the eigenvalue decomposition and use their
-    diagonal directly.  Dense matrices beyond ``DENSE_EIGEN_LIMIT`` are
-    rejected; diagonal ones of any size are fine.
+    Dense matrices take one ``eigvalsh`` (lambda ascending), diagonal ones
+    their diagonal as it stands; the result keeps that lambda.  Dense ones
+    beyond ``DENSE_EIGEN_LIMIT`` are rejected; diagonal ones of any size are fine.
 
     Parameters
     ----------
@@ -281,7 +283,7 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
         p[j] = pw.sum()
         if j < K:
             pw *= eig
-    return PowerSums(d=d, p=p)
+    return PowerSums(d=d, p=p, eigenvalues=eig)
 
 
 @dataclass(frozen=True)

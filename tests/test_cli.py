@@ -421,8 +421,8 @@ class TestVerify:
     def test_golden_md_and_csv(self, tmp_path, monkeypatch):
         # Fixed Monte-Carlo estimates, exact in binary, keep the bytes
         # independent of the BLAS kernel; the psi check fails on purpose.
-        # eigh orders the eigenvalues of diag(0.2, -0.2) as (-0.2, 0.2), so
-        # v0 = e2 and the series value of cov[v0] is C[1, 1].
+        # verify takes the eigenvalues of diag(0.2, -0.2) ascending, (-0.2, 0.2),
+        # so v0 = e2 and the series value of cov[v0] is C[1, 1] = T g(-0.2).
         def fixed_moments(eigenvalues, n, seed):
             diag = np.array([0.4609375, 0.5390625])
             diag_se = np.array([0.0048828125, 0.0048828125])
@@ -469,6 +469,74 @@ class TestVerify:
         assert len(lines) == 4
         assert [len(line.split(",")) for line in lines] == [6] * 4
         assert lines[2].startswith("cov[v")
+
+    @pytest.mark.parametrize("dense, passes", [(True, 1), (False, 0)],
+                             ids=["dense", "diagonal"])
+    def test_one_eigenvalue_pass(self, tmp_path, monkeypatch, dense, passes):
+        # Everything comes from the eigenvalues power_sums forms: one eigvalsh
+        # for dense Sigma, none for diagonal Sigma, and no eigenvectors.
+        sigma = random_trace_zero(np.random.default_rng(71), 12, norm=0.8)
+        path = write_matrix(tmp_path, sigma if dense else np.diag(np.diagonal(sigma)))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("verify computed eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+        code, text = invoke(["verify", "--matrix", path, "--samples", "5000", "--seed", "3"])
+        assert code == 0, text
+        assert calls == [(12, 12)] * passes
+
+    @staticmethod
+    def printed_series(monkeypatch, path, d, ks):
+        """The series value verify prints as cov[v<k>], for each k of ``ks``.
+
+        Fixed estimates, zero but for a spike at k, make entry k the worst.
+        """
+        spike = [0]
+
+        def spiked_moments(eigenvalues, n, seed):
+            value = np.zeros(d)
+            value[spike[0]] = 1e3
+            return (McEstimate(1.0, 0.0, n, seed), McEstimate(value, np.zeros(d), n, seed))
+
+        monkeypatch.setattr(oracle, "mc_eigen_moments", spiked_moments)
+        got = []
+        for k in ks:
+            spike[0] = k
+            _, text = invoke(["verify", "--matrix", path, "--samples", "1000",
+                              "--seed", "0", "--format", "csv"])
+            name, value = text.splitlines()[2].split(",")[:2]
+            assert name == f"cov[v{k}]"
+            got.append(float(value))
+        return np.array(got)
+
+    @staticmethod
+    def projected_series(sigma, l=3, m=12):
+        """Reference: the series column as v_k' C v_k of the dense product C,
+        with v_k the eigenvectors of eigh, eigenvalues ascending."""
+        d = sigma.shape[0]
+        c = covariance_expansion(power_sums(sigma, max(l, m) - 1), sigma, l, m, d)
+        vecs = np.linalg.eigh(sigma)[1]
+        return np.sum(vecs * (c @ vecs), axis=0)
+
+    @pytest.mark.parametrize("d", (12, 200))
+    def test_series_matches_projection_dense(self, tmp_path, monkeypatch, d):
+        sigma = random_trace_zero(np.random.default_rng(2026), d, norm=0.9 * d**0.25)
+        ks = list(range(0, d, 1 if d < 20 else 13)) + [d - 1]
+        got = self.printed_series(monkeypatch, write_matrix(tmp_path, sigma), d, ks)
+        np.testing.assert_allclose(got, self.projected_series(sigma)[ks], rtol=1e-14, atol=0)
+
+    def test_series_matches_projection_diagonal_unsorted(self, tmp_path, monkeypatch):
+        sigma = np.diag([0.3, -0.1, 0.0, 0.25, -0.45, -0.0, 0.1, -0.1])
+        got = self.printed_series(monkeypatch, write_matrix(tmp_path, sigma), 8, range(8))
+        assert np.array_equal(got, self.projected_series(sigma))
 
 
 class TestVerifyDecision:
@@ -685,9 +753,9 @@ class TestSeriesOverflow:
         assert f"(||Sigma||_F = {1e160:.17g})" in capsys.readouterr().err
 
 
-# Inputs that once escaped as a traceback: argv, with {zero}, {npy},
-# {latin1} and {bom_latin1} standing for matrix files, then the exit code
-# and a fragment of the one stderr line.
+# Inputs that once escaped as a traceback, or as a false success: argv, with
+# {zero}, {npy}, {latin1}, {bom_latin1}, {tiny} and {d3} standing for matrix
+# files, then the exit code and a fragment of the one stderr line.
 HUGE_D = "1" + "0" * 400
 OVERFLOWING_THRESHOLD = ["--gamma0", "1e150", "--r", "0.99"]
 ESCAPE_TABLE = [
@@ -707,6 +775,11 @@ ESCAPE_TABLE = [
                  "latin1.txt: not UTF-8 text: byte 0xe9 at offset 8", id="verify-latin1"),
     pytest.param(["psi", "--matrix", "{bom_latin1}", "--m", "3"], 2,
                  "bom_latin1.txt: not UTF-8 text: byte 0x93 at offset 5", id="psi-bom-latin1"),
+    pytest.param(["psi", "--matrix", "{tiny}", "--m", "3", "--gamma0", "1e-200", "--r", "0"], 1,
+                 f"||Sigma||_F = {1e-170:.17g} exceeds the regime cap", id="psi-norm-underflow"),
+    # One block of 2e15 samples needs 4.8e16 bytes, past any 64-bit address space.
+    pytest.param(["verify", "--matrix", "{d3}", "--samples", str(10**17), "--seed", "0"], 2,
+                 "Unable to allocate", id="verify-memory"),
     pytest.param(["bounds", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--m", "3"], 2,
                  "must fit in float64, got a 401-digit integer", id="bounds-huge-d"),
     pytest.param(["choose-m", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--eps", "0.1"],
@@ -722,11 +795,15 @@ class TestNoTraceback:
         (tmp_path / "latin1.txt").write_bytes(b"2\n1 0\n0 \xe91\n")
         # Offsets count from the start of the file, byte-order mark included.
         (tmp_path / "bom_latin1.txt").write_bytes(codecs.BOM_UTF8 + b"2\n\x93")
+        (tmp_path / "tiny.txt").write_text(format_matrix(np.diag([1e-170, 0.0])))
+        (tmp_path / "d3.txt").write_text(format_matrix(0.04 * np.eye(3)))
         files = {"zero": "zero.txt", "npy": "sigma.npy", "latin1": "latin1.txt",
-                 "bom_latin1": "bom_latin1.txt"}
+                 "bom_latin1": "bom_latin1.txt", "tiny": "tiny.txt", "d3": "d3.txt"}
         argv = [arg.format(**{k: str(tmp_path / v) for k, v in files.items()}) for arg in argv]
-        proc = subprocess.run([sys.executable, "-m", "binghamx", *argv],
-                              capture_output=True, text=True)
+        # Development mode with warnings as errors: an exception left unhandled
+        # in a pool worker, or a leaked resource, fails the row.
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "binghamx",
+                               *argv], capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr

@@ -17,6 +17,7 @@ from binghamx import (
     InsufficientPowersError,
     MatrixFormatError,
     MatrixValidationError,
+    PowerSums,
     format_matrix,
     frobenius_norm,
     load_matrix,
@@ -239,9 +240,33 @@ class TestPowerSums:
             assert frobenius_norm(np.diag([1e160, 0.0])) == 1e160
             assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf
         rng = np.random.default_rng(29)
-        for scale in (1.0, 1e150):
+        for scale in (1.0, 1e150, 1e-150):
             s = scale * random_symmetric(rng, 5)
             assert frobenius_norm(s) == float(np.sqrt(np.sum(s * s)))
+
+    def test_frobenius_norm_past_square_underflow(self):
+        # Squares below 2.2e-308 lose digits or vanish; the scaled sum keeps them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(np.diag([1e-170, 0.0])) == 1e-170
+            assert frobenius_norm(np.diag([3e-160, 4e-160])) == 5e-160
+            assert frobenius_norm(np.zeros((3, 3))) == 0.0
+
+    def test_keeps_the_eigenvalues_it_summed(self):
+        # eigvalsh's lambda for dense input, the diagonal as it stands for
+        # diagonal input; p is the running product of that lambda, summed.
+        rng = np.random.default_rng(37)
+        dense = random_symmetric(rng, 7)
+        diag = np.diag([0.3, -0.1, 0.0, 0.25, -0.45, -0.0, 0.1])
+        for s, lam in ((dense, np.linalg.eigvalsh(dense)), (diag, np.diagonal(diag))):
+            ps = power_sums(s, 6)
+            assert np.array_equal(ps.eigenvalues, lam)
+            p, pw = [7.0], lam.copy()
+            for _ in range(6):
+                p.append(pw.sum())
+                pw *= lam
+            assert np.array_equal(ps.p, p)
+        assert PowerSums(d=2, p=np.array([2.0, 0.0])).eigenvalues is None
 
     def test_require(self):
         ps = power_sums(np.eye(3), 4)

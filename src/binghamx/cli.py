@@ -265,14 +265,16 @@ def _cmd_grad(args, out) -> int:
 
 def _cmd_cov(args, out) -> int:
     def compute(ps, sigma, regime, tail):
-        # One materialized gradient feeds both the product and the derived bound.
-        scalar, grad = series._covariance_factors(ps, sigma, args.l, args.m, ps.d)
+        # One series pass feeds the product and the derived bound, whose
+        # ||G||_F is ||g(lambda)||_2 as in the library, not the printed matrix's.
+        scalar, grad = series._covariance_factors(ps, args.l, args.m, ps.d)
         rows = [("l", args.l), ("m", args.m), ("d", ps.d),
                 ("alpha", series.alpha_descriptor(args.m, regime))]
         if regime is not None:
-            derived = series._derived_bound(scalar, grad, *tail)
-            rows += _regime_rows("derived_bound", derived, regime)
-        return rows + [("cov", scalar * grad)]
+            norm = series._gradient_norm(grad, ps, sigma)
+            rows += _regime_rows("derived_bound", series._derived_bound(scalar, norm, *tail),
+                                 regime)
+        return rows + [("cov", scalar * symmat.materialize(grad, sigma))]
 
     rows = _checked_series(args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute,
                            [("m", bounds_mod.gradient_tail_bound),
@@ -340,19 +342,25 @@ def _cmd_choose_m(args, out) -> int:
     return 0
 
 
+def _verify_series(ps, l: int, m: int) -> list[tuple[str, object]]:
+    """Rows psi, cov and eigenvalues: the series side of ``verify``.
+
+    Entry k of the sampled covariance V diag(E_w[y*y]) V' is compared with
+    T g(lambda_k), lambda ascending: the eigenvalues of the series product
+    T g(Sigma), in O(d m) time and O(d) memory.
+    """
+    lam = np.sort(ps.eigenvalues)
+    scalar, grad = series._covariance_factors(ps, l, m, ps.d)
+    return [("psi", series.norm_const_truncated(ps, m, ps.d)),
+            ("cov", scalar * symmat.polynomial_values(grad.coeffs, lam)), ("eigenvalues", lam)]
+
+
 def _cmd_verify(args, out) -> int:
     oracle._check_sampling_args(args.samples, args.seed)
 
-    # Entry k of the sampled covariance V diag(E_w[y*y]) V' is compared with
-    # T g(lambda_k), lambda ascending: the series product T g(Sigma) at diag(lambda).
-    def compute(ps, sigma, regime, tail):
-        lam = np.sort(ps.eigenvalues)
-        cov = series.covariance_expansion(ps, np.diag(lam), args.l, args.m, ps.d)
-        return [("psi", series.norm_const_truncated(ps, args.m, ps.d)),
-                ("cov", np.diagonal(cov)), ("eigenvalues", lam)]
-
     [(_, psi_series), (_, cov_series), (_, lam)] = _checked_series(
-        args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute)
+        args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1,
+        lambda ps, sigma, regime, tail: _verify_series(ps, args.l, args.m))
     psi_mc, cov_mc = oracle.mc_eigen_moments(lam, args.samples, args.seed)
     # d covariance entries and psi, tested at the family-wise rate FAMILY_ALPHA.
     threshold = oracle.family_threshold(len(lam) + 1)

@@ -23,7 +23,14 @@ Series terms e_k / (d/2)_k, with e_k = (1/2)_k C_k / k!, and the gradient
 coefficients come from one O(m^2) pass of the generating-function
 recurrence over the power sums (see :mod:`binghamx.zonal`).  The
 Pochhammer division stays inside the recurrence, so (d/2)_k, e_k and k!,
-which grow without bound in k and d, are never formed on their own.
+which grow without bound in k and d, are never formed on their own.  The
+covariance product takes T and the gradient coefficients from one pass
+at order max(l, m).
+
+The gradient G = g(Sigma) is a polynomial in Sigma, so for
+Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
+||G||_F = ||g(lambda)||_2.  The derived bound reads ||G||_F from the
+eigenvalues in O(d m) and never forms G.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from .symmat import (
     PowerSums,
     frobenius_norm,
     materialize,
+    polynomial_values,
+    power_sums,
 )
 from .zonal import _series_pass
 
@@ -104,22 +113,33 @@ def covariance_expansion(
     ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int
 ) -> np.ndarray:
     """Covariance approximation: truncated inverse times truncated gradient."""
+    _check_sigma(sigma, d)
+    scalar, grad = _covariance_factors(ps, l, m, d)
+    return scalar * materialize(grad, sigma)
+
+
+def _check_sigma(sigma: np.ndarray, d: int) -> None:
     if sigma.shape[0] != d:
         raise DimensionMismatchError(
             f"matrix has dimension {sigma.shape[0]}, call asked for d = {d}"
         )
-    scalar, grad = _covariance_factors(ps, sigma, l, m, d)
-    return scalar * grad
 
 
 def _covariance_factors(
-    ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int
-) -> tuple[float, np.ndarray]:
-    """T, the truncated inverse at order l, and G, the materialized
-    truncated gradient at order m: the covariance product is T G."""
-    scalar = inverse_norm_const_truncated(ps, l, d)
-    grad = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
-    return scalar, grad
+    ps: PowerSums, l: int, m: int, d: int
+) -> tuple[float, GradientPolynomial]:
+    """T, the truncated inverse at order l, and g, the truncated gradient
+    polynomial at order m: the covariance product is T g(Sigma).
+
+    One series pass at order max(l, m) serves both; its terms and
+    gradient rows below either order are bit-identical to a pass at
+    that order.
+    """
+    _check_dims(ps, d, l, 2, "l")
+    _check_dims(ps, d, m, 2, "m")
+    t, g = _series_pass(ps.p, max(l, m), d / 2.0)
+    grad = GradientPolynomial(d=ps.d, coeffs=g[:m, :m - 1].sum(axis=0))
+    return 1.0 - float(t[1:l].sum()), grad
 
 
 def covariance_second_order(sigma: np.ndarray, d: int) -> np.ndarray:
@@ -128,10 +148,7 @@ def covariance_second_order(sigma: np.ndarray, d: int) -> np.ndarray:
     (1 - tr(Sigma)/d) * [ I/d + ((tr Sigma) I + 2 Sigma) / (d (d + 2)) ],
     which for trace-zero Sigma reduces to I/d + 2 Sigma / (d (d + 2)).
     """
-    if sigma.shape[0] != d:
-        raise DimensionMismatchError(
-            f"matrix has dimension {sigma.shape[0]}, call asked for d = {d}"
-        )
+    _check_sigma(sigma, d)
     t = float(np.trace(sigma))
     base = np.eye(d) / d + (t * np.eye(d) + 2.0 * sigma) / (d * (d + 2.0))
     return (1.0 - t / d) * base
@@ -167,23 +184,40 @@ def covariance_derived_bound(
     """Conservative numeric bound on the covariance truncation error.
 
     Assembled from the proved pieces: with T the truncated inverse, G
-    the materialized truncated gradient, B_g the gradient tail bound and
-    B_i the inverse tail bound,
+    the truncated gradient at Sigma, B_g the gradient tail bound and B_i
+    the inverse tail bound,
 
         ||Cov - T G||_F <= |T| B_g + B_i (||G||_F + B_g).
+
+    G = V g(Lambda) V' for Sigma = V Lambda V', so ||G||_F = ||g(lambda)||_2:
+    O(d m) on the eigenvalues ``ps`` keeps (or, when ``ps`` was built from
+    p alone, on those :func:`power_sums` finds for Sigma), and G itself is
+    never formed.  The orders, the dimensions and both tail bounds, with
+    the admissibility of d, are checked before any series or eigenvalue
+    work.
 
     Derived, not sharp; requires d above the inverse-expansion
     threshold.  The tight statement remains the alpha descriptor.
     """
-    scalar, grad = _covariance_factors(ps, sigma, l, m, d)
-    return _derived_bound(
-        scalar, grad, gradient_tail_bound(m, d, regime), inverse_tail_bound(l, d, regime)
-    )
+    _check_sigma(sigma, d)
+    _check_dims(ps, d, l, 2, "l")
+    _check_dims(ps, d, m, 2, "m")
+    b_grad = gradient_tail_bound(m, d, regime)
+    b_inv = inverse_tail_bound(l, d, regime)
+    scalar, grad = _covariance_factors(ps, l, m, d)
+    return _derived_bound(scalar, _gradient_norm(grad, ps, sigma), b_grad, b_inv)
 
 
-def _derived_bound(scalar: float, grad: np.ndarray, b_grad: float, b_inv: float) -> float:
-    """|T| B_g + B_i (||G||_F + B_g) from the factors T, G of the product."""
-    return abs(scalar) * b_grad + b_inv * (frobenius_norm(grad) + b_grad)
+def _gradient_norm(grad: GradientPolynomial, ps: PowerSums, sigma: np.ndarray) -> float:
+    """||g(Sigma)||_F as ||g(lambda)||_2, on the eigenvalues ``ps`` keeps
+    or, if it has none, on those of Sigma."""
+    lam = ps.eigenvalues if ps.eigenvalues is not None else power_sums(sigma, 1).eigenvalues
+    return frobenius_norm(polynomial_values(grad.coeffs, lam))
+
+
+def _derived_bound(scalar: float, grad_norm: float, b_grad: float, b_inv: float) -> float:
+    """|T| B_g + B_i (||G||_F + B_g) from T and ||G||_F of the product T G."""
+    return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)
 
 
 @dataclass(frozen=True)

@@ -303,16 +303,30 @@ class GradientPolynomial:
         return len(self.coeffs) - 1
 
 
+def polynomial_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c_0 + c_1 x_k + ... + c_L x_k^L for every entry x_k, by Horner's rule.
+
+    With x the eigenvalues of Sigma these are the eigenvalues of the
+    matrix polynomial at Sigma, so ||g(Sigma)||_F = ||g(lambda)||_2 costs
+    O(d L).  It is the loop :func:`materialize` runs on diagonal Sigma.
+    """
+    out = np.full(len(x), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     """Evaluate a :class:`GradientPolynomial` at Sigma by Horner's rule.
 
     Each step multiplies by Sigma and adds c_l to the diagonal in place,
     rounding as ``out @ Sigma + c_l I`` does: exact zeros of a product are
     +0.0.  The result is symmetrized to remove accumulation asymmetry.
-    Diagonal Sigma runs the same recurrence on its diagonal in O(d m),
-    which rounds exactly like the dense products as long as they stay
-    finite; past overflow its off-diagonal entries stay exact zeros where
-    the dense products would turn to nan.
+    Diagonal Sigma runs the same recurrence on its diagonal in O(d m)
+    through :func:`polynomial_values`, which rounds exactly like the dense
+    products as long as they stay finite; past overflow its off-diagonal
+    entries stay exact zeros where the dense products would turn to nan.
     """
     if sigma.shape[0] != g.d:
         raise DimensionMismatchError(
@@ -321,11 +335,10 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     c = g.coeffs
     # Degree 0 takes no product, and c_0 I below keeps the sign of its zeros.
     diag = _diagonal(sigma) if len(c) > 1 else None
-    if diag is None:
-        out, diag_step = c[-1] * np.eye(g.d), g.d + 1
-    else:
-        out, diag_step = np.full(g.d, c[-1]), 1
+    if diag is not None:
+        return symmetrize(np.diag(polynomial_values(c, diag)))
+    out = c[-1] * np.eye(g.d)
     for l in range(len(c) - 2, -1, -1):
-        out = out @ sigma if diag is None else out * diag
-        out.flat[::diag_step] += c[l]
-    return symmetrize(out if diag is None else np.diag(out))
+        out = out @ sigma
+        out.flat[::g.d + 1] += c[l]
+    return symmetrize(out)

@@ -4,6 +4,7 @@ import codecs
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from binghamx import (
     round_half_up,
 )
 from binghamx import oracle, series, symmat
-from binghamx.cli import _emit_matrix, run
+from binghamx.cli import _emit_matrix, _verify_series, run
 from binghamx.oracle import McEstimate
 
 
@@ -538,6 +539,27 @@ class TestVerify:
         got = self.printed_series(monkeypatch, write_matrix(tmp_path, sigma), 8, range(8))
         assert np.array_equal(got, self.projected_series(sigma))
 
+    def test_series_column_memory_d3000(self):
+        # The series column T g(lambda_k) is formed from d numbers in O(d)
+        # memory; one d x d float64 array at this d is 72 MB.
+        d = 3000
+        lam = np.linspace(-0.02, 0.02, d)[::-1].copy()
+        ps = power_sums(np.diag(lam), 11)
+        tracemalloc.start()
+        try:
+            rows = _verify_series(ps, 3, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        (_, psi), (_, cov), (_, sorted_lam) = rows
+        assert psi == norm_const_truncated(ps, 12, d)
+        assert np.array_equal(sorted_lam, lam[::-1])
+        scalar = series.inverse_norm_const_truncated(ps, 3, d)
+        coeffs = norm_const_gradient_truncated(ps, 12, d).coeffs
+        want = scalar * np.polynomial.polynomial.polyval(sorted_lam, coeffs)
+        assert cov == pytest.approx(want, rel=1e-15)
+
 
 class TestVerifyDecision:
     """The family-wise rule keeps its power and stops the false failures."""
@@ -575,16 +597,17 @@ class TestVerifyDecision:
         sigma = np.diag([1.0, -1.0, 0.5, -0.5, 0.0])
         path = write_matrix(tmp_path, sigma)
 
-        def flipped(ps, sigma, l, m, d):
-            grad = norm_const_gradient_truncated(ps, m, d)
+        real = series._covariance_factors
+
+        def flipped(ps, l, m, d):
+            scalar, grad = real(ps, l, m, d)
             coeffs = grad.coeffs.copy()
             coeffs[1] = -coeffs[1]
-            scalar = series.inverse_norm_const_truncated(ps, l, d)
-            return scalar * materialize(GradientPolynomial(d=grad.d, coeffs=coeffs), sigma)
+            return scalar, GradientPolynomial(d=grad.d, coeffs=coeffs)
 
         code, text = self.run_verify(path, 20_000, 19)
         assert code == 0
-        monkeypatch.setattr(series, "covariance_expansion", flipped)
+        monkeypatch.setattr(series, "_covariance_factors", flipped)
         code, text = self.run_verify(path, 20_000, 19)
         assert code == 1
         status = self.statuses(text)

@@ -9,7 +9,9 @@ Oracles:
 * gradients are compared with symmetric-matrix finite differences of the
   truncated value itself (same truncation, so agreement is to quadrature
   error only);
-* the second-order covariance expansion has a hand-expanded closed form.
+* the second-order covariance expansion has a hand-expanded closed form;
+* the derived covariance bound, which takes ||G||_F from the eigenvalues,
+  is checked against the same formula on the materialized G.
 """
 
 import math
@@ -19,8 +21,11 @@ import pytest
 from conftest import random_symmetric, random_trace_zero
 
 from binghamx import (
+    GradientPolynomial,
     GrowthRegime,
+    InadmissibleDimensionError,
     OrderRangeError,
+    PowerSums,
     alpha_descriptor,
     alpha_exponent,
     covariance_derived_bound,
@@ -37,7 +42,11 @@ from binghamx import (
     norm_const_with_bound,
     power_sums,
 )
+from binghamx import series, symmat
+from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
 from binghamx.series import pochhammer_ratio
+from binghamx.symmat import frobenius_norm
+from binghamx.zonal import _series_pass
 
 
 class TestPochhammerRatio:
@@ -317,3 +326,125 @@ class TestBoundedWrappers:
         # Without a regime the descriptor stays symbolic in r.
         sym = covariance_with_descriptor(ps, s, 3, 4, d)
         assert "(3 - 2r)/2" in sym.bound
+
+
+def materialized_derived_bound(ps, sigma, l, m, d, regime):
+    """|T| B_g + B_i (||G||_F + B_g) with G materialized at Sigma by Horner
+    products, T and G from separate series passes: the reference formula."""
+    scalar = inverse_norm_const_truncated(ps, l, d)
+    grad = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
+    b_grad, b_inv = gradient_tail_bound(m, d, regime), inverse_tail_bound(l, d, regime)
+    return abs(scalar) * b_grad + b_inv * (frobenius_norm(grad) + b_grad)
+
+
+def two_pass_factors(ps, l, m, d):
+    """T at order l and the gradient coefficients at order m, one series pass each."""
+    t, _ = _series_pass(ps.p, l, d / 2.0)
+    _, g = _series_pass(ps.p, m, d / 2.0)
+    return 1.0 - float(t[1:].sum()), g.sum(axis=0)
+
+
+def spectral_test_matrix(kind, d, rng, norm=0.8):
+    """A dense, diagonal (with +0 and -0), block-diagonal or rank-one Sigma."""
+    if kind == "dense":
+        return random_symmetric(rng, d, norm=norm)
+    if kind == "diagonal":
+        v = rng.standard_normal(d)
+        v[::4], v[1::4] = 0.0, -0.0
+        return np.diag(v * (norm / np.linalg.norm(v)))
+    if kind == "block":
+        s = np.zeros((d, d))
+        for i in range(0, d - 2, 3):
+            s[i:i + 3, i:i + 3] = random_symmetric(rng, 3)
+        return s * (norm / np.sqrt(np.sum(s * s)))
+    e = rng.standard_normal(d)
+    return norm * np.outer(e, e) / (e @ e)
+
+
+def raising(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return fail
+
+
+class TestSpectralDerivedBound:
+    """||G||_F = ||g(lambda)||_2 in the derived covariance bound."""
+
+    REGIME = GrowthRegime(scale=0.9, exponent=0.0)
+    ORDERS = ((2, 2), (3, 4), (3, 12), (3, 40), (8, 12))
+
+    @pytest.mark.parametrize("kind", ("dense", "diagonal", "block", "rank_one"))
+    @pytest.mark.parametrize("d", (12, 20, 100, 400))
+    def test_matches_materialized_formula(self, kind, d, monkeypatch):
+        rng = np.random.default_rng(1000 + d)
+        sigma = spectral_test_matrix(kind, d, rng)
+        ps = power_sums(sigma, 39)
+        from_p = PowerSums(d, ps.p)  # no eigenvalues: the bound takes them from Sigma
+        want = {lm: materialized_derived_bound(ps, sigma, *lm, d, self.REGIME)
+                for lm in self.ORDERS}
+        monkeypatch.setattr(series, "materialize", raising("materialize"))
+        monkeypatch.setattr(symmat, "materialize", raising("materialize"))
+        for (l, m), ref in want.items():
+            for p in (ps, from_p):
+                got = covariance_derived_bound(p, sigma, l, m, d, self.REGIME)
+                assert abs(got - ref) <= 1e-15 * ref, (kind, d, l, m, p.eigenvalues is None)
+
+    def test_one_series_pass(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        d = 20
+        sigma = random_trace_zero(rng, d, norm=0.8)
+        ps = power_sums(sigma, 39)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return _series_pass(*args)
+
+        monkeypatch.setattr(series, "_series_pass", counted)
+        covariance_derived_bound(ps, sigma, 3, 40, d, self.REGIME)
+        assert calls == [40]
+        calls.clear()
+        covariance_derived_bound(ps, sigma, 12, 4, d, self.REGIME)
+        assert calls == [12]
+
+    def test_checks_before_any_work(self, monkeypatch):
+        # d = 5 is below the inverse-expansion threshold (about 9.07) of this regime.
+        assert admissible_dimension_inverse(self.REGIME) > 5
+        sigma = np.diag([0.3, -0.3, 0.1, -0.1, 0.0])
+        ps = power_sums(sigma, 11)
+        for module, name in ((series, "_series_pass"), (series, "materialize"),
+                             (symmat, "materialize"), (series, "power_sums"),
+                             (symmat, "power_sums"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, raising(name))
+        for p in (ps, PowerSums(5, ps.p)):
+            with pytest.raises(InadmissibleDimensionError):
+                covariance_derived_bound(p, sigma, 3, 12, 5, self.REGIME)
+            with pytest.raises(OrderRangeError):
+                covariance_derived_bound(p, sigma, 3, 41, 5, self.REGIME)
+
+    @pytest.mark.parametrize("kind", ("dense", "diagonal", "rank_one"))
+    def test_one_pass_factors_bit_identical(self, kind):
+        rng = np.random.default_rng(47)
+        sigma = spectral_test_matrix(kind, 30, rng, norm=1.5)
+        ps = power_sums(sigma, 39)
+        for l in (2, 3, 4, 7, 12, 25, 40):
+            for m in (2, 3, 4, 7, 12, 25, 40):
+                scalar, grad = series._covariance_factors(ps, l, m, 30)
+                ref_scalar, ref_coeffs = two_pass_factors(ps, l, m, 30)
+                assert np.float64(scalar).tobytes() == np.float64(ref_scalar).tobytes()
+                assert grad.coeffs.tobytes() == ref_coeffs.tobytes(), (l, m)
+                if m in (4, 12):
+                    ref = materialize(GradientPolynomial(d=30, coeffs=ref_coeffs), sigma)
+                    assert materialize(grad, sigma).tobytes() == ref.tobytes()
+
+    def test_polynomial_values_is_the_diagonal_loop(self):
+        # materialize on diagonal Sigma has the same bits on its diagonal.
+        v = np.array([0.7, -0.0, 0.0, -1.3, 2.5, 1e-3])
+        coeffs = np.array([0.25, -1.5, 3.0, 0.125, -2.0])
+        got = symmat.polynomial_values(coeffs, v)
+        want = np.zeros_like(v)
+        for c in coeffs[::-1]:
+            want = want * v + c
+        assert got.tobytes() == want.tobytes()
+        g = GradientPolynomial(d=6, coeffs=coeffs)
+        assert np.diagonal(materialize(g, np.diag(v))).tobytes() == got.tobytes()

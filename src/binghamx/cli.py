@@ -267,7 +267,7 @@ def _cmd_cov(args, out) -> int:
     def compute(ps, sigma, regime, tail):
         # One series pass feeds the product and the derived bound, whose
         # ||G||_F is ||g(lambda)||_2 as in the library, not the printed matrix's.
-        scalar, grad = series._covariance_factors(ps, args.l, args.m, ps.d)
+        scalar, grad, _ = series._covariance_factors(ps, args.l, args.m, ps.d)
         rows = [("l", args.l), ("m", args.m), ("d", ps.d),
                 ("alpha", series.alpha_descriptor(args.m, regime))]
         if regime is not None:
@@ -347,12 +347,13 @@ def _verify_series(ps, l: int, m: int) -> list[tuple[str, object]]:
 
     Entry k of the sampled covariance V diag(E_w[y*y]) V' is compared with
     T g(lambda_k), lambda ascending: the eigenvalues of the series product
-    T g(Sigma), in O(d m) time and O(d) memory.
+    T g(Sigma), in O(d m) time and O(d) memory.  Psi, T and g come from
+    one series pass.
     """
     lam = np.sort(ps.eigenvalues)
-    scalar, grad = series._covariance_factors(ps, l, m, ps.d)
-    return [("psi", series.norm_const_truncated(ps, m, ps.d)),
-            ("cov", scalar * symmat.polynomial_values(grad.coeffs, lam)), ("eigenvalues", lam)]
+    scalar, grad, psi = series._covariance_factors(ps, l, m, ps.d)
+    return [("psi", psi), ("cov", scalar * symmat.polynomial_values(grad.coeffs, lam)),
+            ("eigenvalues", lam)]
 
 
 def _cmd_verify(args, out) -> int:

@@ -9,27 +9,43 @@ Block b of a run draws from PCG64(SeedSequence([seed, b])) with numpy's
 ziggurat standard_normal, and blocks are reduced in index order, so
 identical (seed, n, Sigma) draw the same samples on any machine and give
 bit-identical estimates on one numpy/BLAS build and BLAS thread count.
-The 50 blocks double as the jackknife resampling groups.  While the
-caller weights and reduces block b, two pool workers draw blocks b + 1
-and b + 2; each block has its own generator and the reductions stay in
-index order, so the results do not depend on that overlap.
+The 50 blocks double as the jackknife resampling groups.
 
-Every estimator is one loop, :func:`_moments`, over the blocks.  A block
-function turns each uniform block into its weights and its numerator;
-the loop keeps the running sums of w and w^2 for Psi and the per-block
-numerators and sums of w for the jackknife.  :func:`_dense_block` reads
-the block as x, with numerator x'(w x); :func:`mc_moments` runs it and
-returns both estimates.  :func:`mc_norm_const` and :func:`mc_covariance`
-are the two halves of that same pass (the Psi half forms no numerator),
-so they equal :func:`mc_moments` bit for bit.
+Every estimator is one loop, :func:`_moments`, over the blocks, and each
+path comes in two halves: a BLAS-free worker half that draws block b and
+does what it can without BLAS, and a main half that turns what the
+worker returned into the block's weights and numerator.  Two pool
+workers run the halves of blocks b + 1 and b + 2 while the caller runs
+the main half of block b and reduces it; each block has its own
+generator and the reductions stay in index order, so the results do not
+depend on that overlap.  The loop keeps the running sums of w and w^2
+for Psi and the per-block numerators and sums of w for the jackknife.
 
-``verify`` runs :func:`_eigen_block` through :func:`mc_eigen_moments`.
+The dense path's worker half is :func:`_sphere_block`, a uniform block
+x; its main half, :func:`_dense_block`, forms the weights exp(x' Sigma x)
+and the numerator x'(w x) with BLAS products, which stay on the calling
+thread.  :func:`mc_moments` runs it and returns both estimates.
+:func:`mc_norm_const` and :func:`mc_covariance` each return one of them
+from that same pass (the Psi pass forms no numerator), so they equal
+:func:`mc_moments` bit for bit.
+
+``verify`` runs the eigenbasis path through :func:`mc_eigen_moments`.
 The uniform measure on the sphere is rotation-invariant, so for Sigma =
 V diag(lambda) V' the coordinates y = V'x of a uniform x are uniform too
-and x' Sigma x = sum_i lambda_i y_i^2.  Each uniform block is read
-directly as y: the weights are exp(q @ lambda) with q = y*y, the
-numerator is w @ q, and Cov(X) = V diag(E_w[q]) V', so a block costs
-O(size * d) instead of two O(size * d^2) products.  Only lambda is
+and x' Sigma x = sum_i lambda_i y_i^2.  A uniform block is read directly
+as y = z / |z| for Gaussian rows z, so q = y*y = (z*z) / r with r =
+|z|^2, and Cov(X) = V diag(E_w[q]) V'.  The worker half,
+:func:`_eigen_block`, evaluates the whole block: it squares z in place
+and returns only the weights exp(q @ lambda - s), one per row, shifted
+by the block's largest exponent s <= lambda_max, the d-vector numerator
+w @ q and s; its main half passes them on.  A block costs O(size * d)
+instead of two O(size * d^2) products, and no block-sized array crosses
+threads, so about DRAWS_IN_FLIGHT blocks are alive at once.  The shift
+keeps every weight at most 1 and the largest weight of each block at
+exactly 1, so neither the weights nor their squares overflow, and a
+matrix fails only when Psi itself exceeds float64.  :func:`_moments`
+brings the blocks to a common shift and scales Psi and its standard
+error back; the covariance ratio does not change.  Only lambda is
 needed, the one ``power_sums`` forms, and the series side of entry k is
 T g(lambda_k), the covariance product at diag(lambda): ``verify``
 computes no eigenvectors.
@@ -84,10 +100,15 @@ def _block_sizes(n: int) -> list[int]:
     return [base + 1] * rem + [base] * (BLOCKS - rem)
 
 
+def _normal_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
+    """The standard Gaussians of block b, from PCG64(SeedSequence([seed, b]))."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
+    return rng.standard_normal((size, d))
+
+
 def _sphere_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
     """Uniform sphere samples: normalized rows of standard Gaussians."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
-    z = rng.standard_normal((size, d))
+    z = _normal_block(d, size, seed, block)
     norms = np.sqrt(np.sum(z * z, axis=1))
     return z / norms[:, None]
 
@@ -108,74 +129,122 @@ def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return _finite(np.exp(np.sum((x @ sigma) * x, axis=1)))
 
 
-def _dense_block(x: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights exp(x' Sigma x) of a uniform block x and its numerator x'(w x)."""
+def _dense_draw(sigma: np.ndarray, size: int, seed: int, block: int) -> np.ndarray:
+    """The worker half of the dense path: the uniform block x."""
+    return _sphere_block(sigma.shape[0], size, seed, block)
+
+
+def _dense_block(
+    x: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The weights exp(x' Sigma x) of a uniform block x, unshifted, and its numerator x'(w x)."""
     w = _weights(x, sigma)
-    return w, x.T @ (x * w[:, None])
+    return w, x.T @ (x * w[:, None]), 0.0
 
 
-def _eigen_block(y: np.ndarray, eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights exp(q @ lambda) of an eigenbasis block y and its numerator w @ q, q = y*y.
+def _eigen_block(
+    eigenvalues: np.ndarray, size: int, seed: int, block: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The worker half of the eigenbasis path: block b's weights, numerator and shift.
 
-    The eigenbasis products run through einsum, not BLAS: with more than
-    one BLAS thread a multithreaded matrix-vector product of a block is
-    several times slower than a single-threaded loop, and its threads
-    compete with the pool workers for the cores.
+    With z the block's Gaussians and r = |z|^2 per row, the uniform
+    eigen-coordinates are y = z / sqrt(r) and q = y*y = (z*z) / r, and
+    the exponents are e = (z*z) @ lambda / r = x' Sigma x.  The weights
+    are exp(e - s), shifted by the block's largest exponent s <= lambda_max,
+    and the numerator is w @ q = (w / r) @ (z*z).  z is squared in place
+    and neither y nor q is formed, so the block is the only block-sized
+    array; only w, one value per row, the d-vector numerator and s leave
+    the worker.
+
+    The products run through einsum, not BLAS: with more than one BLAS
+    thread a multithreaded matrix-vector product of a block is several
+    times slower than a single-threaded loop, and its threads compete
+    with the pool workers for the cores.
     """
-    q = y * y
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _finite(np.exp(np.einsum("ij,j->i", q, eigenvalues)))
-    return w, np.einsum("i,ij->j", w, q)
+    z = _normal_block(len(eigenvalues), size, seed, block)
+    z *= z
+    r = np.einsum("ij->i", z)
+    e = np.einsum("ij,j->i", z, eigenvalues)
+    e /= r
+    top = float(e.max())
+    with np.errstate(invalid="ignore"):
+        w = _finite(np.exp(e - top))
+    return w, np.einsum("i,ij->j", w / r, z), top
+
+
+def _evaluated(drawn: tuple[np.ndarray, np.ndarray, float], eigenvalues: np.ndarray):
+    """The main half of the eigenbasis path: the worker evaluated the block."""
+    return drawn
 
 
 def _moments(
-    data: np.ndarray, n: int, seed: int, block
+    data: np.ndarray, n: int, seed: int, draw, block
 ) -> tuple[McEstimate, McEstimate | None]:
     """Psi and the ratio estimate of E_w[numerator], in one pass over the blocks.
 
-    ``block(x, data)`` maps a uniform block x to its weights w and its
-    numerator, or to (w, None) when only Psi is wanted; then the second
-    estimate is None.  Two pool workers draw blocks b + 1 and b + 2
-    while block b is weighted and reduced, so exactly DRAWS_IN_FLIGHT
-    draws are in flight; a block that raises waits for those draws and
-    stops the workers on leaving the pool.
+    ``draw(data, size, seed, b)`` is a path's worker half: it runs in a
+    pool worker, draws block b and calls no BLAS routine.  ``block(drawn,
+    data)`` is its main half: it runs on the calling thread and maps what
+    ``draw`` returned to the block's weights w = exp(x' Sigma x - s), its
+    numerator and its shift s; the numerator is None when only Psi is
+    wanted, and then the second estimate is None.  Two pool workers run
+    the draws of blocks b + 1 and b + 2 while block b is finished and
+    reduced, so exactly DRAWS_IN_FLIGHT draws are in flight; a block that
+    raises, in either half, waits for those draws and stops the workers
+    on leaving the pool.
 
-    The jackknife builds the delete-one-block ratios in place in the
-    per-block numerators, so only one array of that shape is alive,
-    whatever the shape of a numerator.
+    At the end every block's sums are brought to the largest shift S by
+    the factor e^(s - S), which is 1 for unshifted blocks, and Psi and
+    its standard error are scaled back by e^S.  The covariance ratio does
+    not depend on S.  The jackknife builds the delete-one-block ratios in
+    place in the per-block numerators, so only one array of that shape is
+    alive, whatever the shape of a numerator.
     """
     _check_sampling_args(n, seed)
     # Imported here so that importing the package starts no thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
-    d = data.shape[0]
     sizes = _block_sizes(n)
-    total = total_sq = 0.0
-    nums, dens = None, np.empty(BLOCKS)
+    nums, dens, squares, shifts = None, np.empty(BLOCKS), np.empty(BLOCKS), np.empty(BLOCKS)
     with ThreadPoolExecutor(DRAWS_IN_FLIGHT) as pool:
 
-        def draw(b: int):
-            return pool.submit(_sphere_block, d, sizes[b], seed, b)
+        def submit(b: int):
+            return pool.submit(draw, data, sizes[b], seed, b)
 
-        ahead = [draw(b) for b in range(DRAWS_IN_FLIGHT)]
+        ahead = [submit(b) for b in range(DRAWS_IN_FLIGHT)]
         for b in range(BLOCKS):
-            x = ahead.pop(0).result()
+            drawn = ahead.pop(0).result()
             if b + DRAWS_IN_FLIGHT < BLOCKS:
-                ahead.append(draw(b + DRAWS_IN_FLIGHT))
-            w, num = block(x, data)
-            dens[b] = den = float(w.sum())
-            total += den
-            total_sq += float((w * w).sum())
+                ahead.append(submit(b + DRAWS_IN_FLIGHT))
+            w, num, shifts[b] = block(drawn, data)
+            dens[b] = float(w.sum())
+            squares[b] = float((w * w).sum())
             if num is not None:
                 if nums is None:
                     nums = np.empty((BLOCKS,) + num.shape)
                 nums[b] = num
 
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    psi = McEstimate(value=mean, std_error=float(np.sqrt(var / n)), n_samples=n, seed=seed)
+    top = float(shifts.max())
+    scale = np.exp(shifts - top)
+    dens *= scale
+    squares *= scale * scale
+    # Python's sum adds in block order, like a running sum.
+    mean = sum(dens.tolist()) / n
+    var = max(sum(squares.tolist()) - n * mean * mean, 0.0) / (n - 1)
+    se = float(np.sqrt(var / n))
+    # e^top as two factors: a shifted block's largest weight is 1, so Psi >= e^top / n,
+    # which may fit in float64 where e^top does not.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(top / 2.0)
+        value, se = mean * half * half, se * half * half
+    if not np.isfinite(value):
+        raise SamplingOverflowError(
+            f"Psi exceeds float64: the sample mean of exp(x' Sigma x - {top:.17g}) is {mean:.6g}"
+        )
+    psi = McEstimate(value=float(value), std_error=float(se), n_samples=n, seed=seed)
     if nums is None:
         return psi, None
+    nums *= scale.reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
     num_tot = nums.sum(axis=0)
     den_tot = float(dens.sum())
     value = num_tot / den_tot
@@ -194,7 +263,7 @@ def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     error of the mean.
     """
     # The Psi half of the pass: its blocks form no numerator.
-    return _moments(sigma, n, seed, lambda x, s: (_weights(x, s), None))[0]
+    return _moments(sigma, n, seed, _dense_draw, lambda x, s: (_weights(x, s), None, 0.0))[0]
 
 
 def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -204,7 +273,7 @@ def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     over the 50 sampling blocks, which respects the ratio form of the
     estimator.  The estimate has unit trace up to float roundoff.
     """
-    return _moments(sigma, n, seed, _dense_block)[1]
+    return _moments(sigma, n, seed, _dense_draw, _dense_block)[1]
 
 
 def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEstimate]:
@@ -214,7 +283,7 @@ def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEsti
     seed))``, equal to the separate calls bit for bit, while drawing each
     block and computing its weights only once.
     """
-    return _moments(sigma, n, seed, _dense_block)
+    return _moments(sigma, n, seed, _dense_draw, _dense_block)
 
 
 def mc_eigen_moments(
@@ -224,13 +293,16 @@ def mc_eigen_moments(
 
     ``eigenvalues`` are those of Sigma = V diag(lambda) V'.  Each uniform
     block is read as the eigen-coordinates y, which is exact in law by
-    rotation invariance, and weighted by exp(q @ lambda), q = y*y.
-    Returns the estimate of Psi (as :func:`mc_norm_const` computes it
-    from the weights) and the d-vector E_w[q] with jackknife errors:
-    Cov(X) = V diag(E_w[q]) V', so entry k estimates v_k' Cov(X) v_k.
-    The entries sum to 1 up to float roundoff.
+    rotation invariance, and weighted by exp(q @ lambda), q = y*y,
+    computed shifted by the block's largest exponent so that no weight
+    overflows.  Returns the estimate of Psi (as :func:`mc_norm_const`
+    computes it from the weights) and the d-vector E_w[q] with jackknife
+    errors: Cov(X) = V diag(E_w[q]) V', so entry k estimates
+    v_k' Cov(X) v_k.  The entries sum to 1 up to float roundoff.  Raises
+    :class:`SamplingOverflowError` only when the estimate of Psi itself
+    does not fit in float64.
     """
-    return _moments(np.asarray(eigenvalues, dtype=float), n, seed, _eigen_block)
+    return _moments(np.asarray(eigenvalues, dtype=float), n, seed, _eigen_block, _evaluated)
 
 
 def _t_tail(t: float, nu: int) -> float:

@@ -114,7 +114,7 @@ def covariance_expansion(
 ) -> np.ndarray:
     """Covariance approximation: truncated inverse times truncated gradient."""
     _check_sigma(sigma, d)
-    scalar, grad = _covariance_factors(ps, l, m, d)
+    scalar, grad, _ = _covariance_factors(ps, l, m, d)
     return scalar * materialize(grad, sigma)
 
 
@@ -127,19 +127,20 @@ def _check_sigma(sigma: np.ndarray, d: int) -> None:
 
 def _covariance_factors(
     ps: PowerSums, l: int, m: int, d: int
-) -> tuple[float, GradientPolynomial]:
-    """T, the truncated inverse at order l, and g, the truncated gradient
-    polynomial at order m: the covariance product is T g(Sigma).
+) -> tuple[float, GradientPolynomial, float]:
+    """T, the truncated inverse at order l, g, the truncated gradient
+    polynomial at order m, and Psi_m, the m-term truncation: the
+    covariance product is T g(Sigma), and Cov(X) = grad Psi / Psi.
 
-    One series pass at order max(l, m) serves both; its terms and
+    One series pass at order max(l, m) serves all three; its terms and
     gradient rows below either order are bit-identical to a pass at
-    that order.
+    that order, so Psi_m equals :func:`norm_const_truncated` bit for bit.
     """
     _check_dims(ps, d, l, 2, "l")
     _check_dims(ps, d, m, 2, "m")
     t, g = _series_pass(ps.p, max(l, m), d / 2.0)
     grad = GradientPolynomial(d=ps.d, coeffs=g[:m, :m - 1].sum(axis=0))
-    return 1.0 - float(t[1:l].sum()), grad
+    return 1.0 - float(t[1:l].sum()), grad, float(t[:m].sum())
 
 
 def covariance_second_order(sigma: np.ndarray, d: int) -> np.ndarray:
@@ -204,7 +205,7 @@ def covariance_derived_bound(
     _check_dims(ps, d, m, 2, "m")
     b_grad = gradient_tail_bound(m, d, regime)
     b_inv = inverse_tail_bound(l, d, regime)
-    scalar, grad = _covariance_factors(ps, l, m, d)
+    scalar, grad, _ = _covariance_factors(ps, l, m, d)
     return _derived_bound(scalar, _gradient_norm(grad, ps, sigma), b_grad, b_inv)
 
 

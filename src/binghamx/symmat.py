@@ -327,6 +327,8 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     through :func:`polynomial_values`, which rounds exactly like the dense
     products as long as they stay finite; past overflow its off-diagonal
     entries stay exact zeros where the dense products would turn to nan.
+    A diagonal result is symmetric as it stands and is returned without
+    the mirror sum, so an entry above DBL_MAX / 2 stays finite.
     """
     if sigma.shape[0] != g.d:
         raise DimensionMismatchError(
@@ -336,7 +338,7 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     # Degree 0 takes no product, and c_0 I below keeps the sign of its zeros.
     diag = _diagonal(sigma) if len(c) > 1 else None
     if diag is not None:
-        return symmetrize(np.diag(polynomial_values(c, diag)))
+        return np.diag(polynomial_values(c, diag))
     out = c[-1] * np.eye(g.d)
     for l in range(len(c) - 2, -1, -1):
         out = out @ sigma

@@ -494,6 +494,42 @@ class TestVerify:
         assert code == 0, text
         assert calls == [(12, 12)] * passes
 
+    @pytest.mark.parametrize("diagonal", [(400.0, 0.0, 0.0), (400.0, -400.0, 0.0)],
+                             ids=["400-0-0", "400-minus400-0"])
+    def test_large_eigenvalue_report_is_finite(self, tmp_path, capsys, diagonal):
+        # Unshifted weights reach e^400 and their squares overflow: the report
+        # showed std_error nan after an overflow warning.  Shifted weights keep
+        # every printed number finite and stderr empty; the m = 12 series is
+        # far from Psi here, so psi and cov[v2] fail.
+        path = write_matrix(tmp_path, np.diag(diagonal))
+        code, text = invoke(["verify", "--matrix", path, "--samples", "20000", "--seed", "1",
+                             "--format", "csv"])
+        assert capsys.readouterr().err == ""
+        assert code == 1
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["psi", "cov[v2]", "cov_trace"]
+        assert [row[-1] for row in rows] == ["FAIL", "FAIL", "pass"]
+        assert np.isfinite([float(x) for row in rows for x in row[1:5]]).all()
+
+    def test_one_series_pass(self, tmp_path, monkeypatch):
+        # Psi, T and the gradient coefficients all come from one pass at
+        # order max(l, m).
+        path = write_matrix(tmp_path, random_trace_zero(np.random.default_rng(71), 12, norm=0.8))
+        calls = []
+        real = series._series_pass
+
+        def counted(p, m, a):
+            calls.append(m)
+            return real(p, m, a)
+
+        monkeypatch.setattr(series, "_series_pass", counted)
+        for l, m in ((3, 12), (9, 4)):
+            calls.clear()
+            code, _ = invoke(["verify", "--matrix", path, "--samples", "2000", "--seed", "5",
+                              "--l", str(l), "--m", str(m)])
+            assert code in (0, 1)
+            assert calls == [max(l, m)]
+
     @staticmethod
     def printed_series(monkeypatch, path, d, ks):
         """The series value verify prints as cov[v<k>], for each k of ``ks``.
@@ -580,13 +616,13 @@ class TestVerifyDecision:
         path = write_matrix(tmp_path, sigma)
         n, seed = 20_000, 17
         psi, _ = oracle.mc_eigen_moments(np.linalg.eigvalsh(sigma), n, seed)
-        real = series.norm_const_truncated
+        real = series._covariance_factors
 
-        def scaled(ps, m, d):
-            value = real(ps, m, d)
-            return value * (1.0 + 12.0 * psi.std_error / value)
+        def scaled(ps, l, m, d):
+            scalar, grad, value = real(ps, l, m, d)
+            return scalar, grad, value * (1.0 + 12.0 * psi.std_error / value)
 
-        monkeypatch.setattr(series, "norm_const_truncated", scaled)
+        monkeypatch.setattr(series, "_covariance_factors", scaled)
         code, text = self.run_verify(path, n, seed)
         assert code == 1
         assert self.statuses(text)["psi"] == "FAIL"
@@ -600,10 +636,10 @@ class TestVerifyDecision:
         real = series._covariance_factors
 
         def flipped(ps, l, m, d):
-            scalar, grad = real(ps, l, m, d)
+            scalar, grad, psi = real(ps, l, m, d)
             coeffs = grad.coeffs.copy()
             coeffs[1] = -coeffs[1]
-            return scalar, GradientPolynomial(d=grad.d, coeffs=coeffs)
+            return scalar, GradientPolynomial(d=grad.d, coeffs=coeffs), psi
 
         code, text = self.run_verify(path, 20_000, 19)
         assert code == 0

@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from itertools import product, zip_longest
 from pathlib import Path
 
@@ -43,7 +44,9 @@ from binghamx.oracle import (
     FAMILY_ALPHA,
     _block_sizes,
     _dense_block,
+    _dense_draw,
     _eigen_block,
+    _evaluated,
     _moments,
     _sphere_block,
     _weights,
@@ -304,11 +307,11 @@ class TestBlockStream:
         seen = []
 
         def record(x, sigma):
-            w, num = _dense_block(x, sigma)
+            w, num, shift = _dense_block(x, sigma)
             seen.append((x, w))
-            return w, num
+            return w, num, shift
 
-        _moments(sigma, n, 2026, record)
+        _moments(sigma, n, 2026, _dense_draw, record)
         pairs = zip_longest(seen, self.serial_blocks(sigma, n, 2026))
         count = 0
         for got, ref in pairs:
@@ -319,26 +322,53 @@ class TestBlockStream:
             count += 1
         assert count == BLOCKS
 
+    @pytest.mark.parametrize("d", (2, 30))
+    @pytest.mark.parametrize("n", (1000, 123457))
+    def test_eigen_stream_matches_serial_loop(self, d, n):
+        # The eigenbasis worker half evaluates whole blocks in the pool; the
+        # main half must still see block b's weights and numerator in index order.
+        lam = np.linalg.eigvalsh(random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9))
+        seen = []
+
+        def record(drawn, lam):
+            seen.append(drawn)
+            return _evaluated(drawn, lam)
+
+        _moments(lam, n, 2026, _eigen_block, record)
+        assert len(seen) == BLOCKS
+        for b, (size, (w, num, top)) in enumerate(zip(_block_sizes(n), seen)):
+            ref_w, ref_num, ref_top = _eigen_block(lam, size, 2026, b)
+            assert w.shape == (size,) and num.shape == (d,)
+            assert np.array_equal(w, ref_w)
+            assert np.array_equal(num, ref_num)
+            assert top == ref_top and w.max() == 1.0
+
     def test_in_place_jackknife_matches_out_of_place(self):
         # One in-place jackknife serves the (BLOCKS, d, d) numerators of the
         # dense pass and the (BLOCKS, d) numerators of the eigenbasis pass.
-        # A synthetic block function hands the loop chosen numerators and
-        # one weight per block equal to the chosen denominator.
+        # A synthetic worker half hands on the block index, and a synthetic
+        # main half returns block b's chosen numerator, one weight equal to
+        # its chosen denominator and its chosen shift: none on the dense
+        # shapes, as on the dense path, and one per block on the others.
         rng = np.random.default_rng(47)
         for dense, d in product((True, False), (1, 5, 40)):
             shape = (BLOCKS, d, d) if dense else (BLOCKS, d)
             scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS,) + (1,) * (len(shape) - 1)))
             nums = rng.standard_normal(shape) * scale
             dens = rng.uniform(1.0, 5.0, BLOCKS)
-            blocks = iter(zip(dens, nums))
+            shifts = np.zeros(BLOCKS) if dense else rng.uniform(-20.0, 20.0, BLOCKS)
+            seen = []
 
-            def synthetic(x, data):
-                den, num = next(blocks)
-                return np.array([den]), num
+            def synthetic(b, data):
+                seen.append(b)
+                return np.array([dens[b]]), nums[b], shifts[b]
 
-            _, est = _moments(np.zeros(d), 1000, 3, synthetic)
-            assert next(blocks, None) is None
+            _, est = _moments(np.zeros(d), 1000, 3, lambda data, size, seed, b: b, synthetic)
+            assert seen == list(range(BLOCKS))
 
+            common = np.exp(shifts - shifts.max())
+            dens = dens * common
+            nums = nums * common.reshape(scale.shape)
             num_tot = nums.sum(axis=0)
             den_tot = float(dens.sum())
             leave_out = (num_tot[None] - nums) / (den_tot - dens).reshape(scale.shape)
@@ -354,28 +384,45 @@ class TestMcEigenMoments:
 
     @staticmethod
     def serial_reference(eigenvalues, n, seed):
-        """Every block drawn, weighted and reduced on the calling thread."""
+        """Every block drawn, weighted and reduced on the calling thread.
+
+        Block b's Gaussians z give q = (z*z) / r, r = |z|^2 per row, the
+        exponents e = q @ lambda, the weights exp(e - s_b) with s_b the
+        block's largest exponent, and the numerator w @ q.  The blocks are
+        then brought to the largest shift S, and Psi and its standard
+        error scaled back by e^S, applied as two factors e^(S / 2).
+        """
         d = len(eigenvalues)
-        total = total_sq = 0.0
         nums = np.empty((BLOCKS, d))
-        dens = np.empty(BLOCKS)
+        dens, squares, shifts = np.empty(BLOCKS), np.empty(BLOCKS), np.empty(BLOCKS)
         for b, size in enumerate(_block_sizes(n)):
-            y = _sphere_block(d, size, seed, b)
-            q = y * y
-            w = np.exp(np.einsum("ij,j->i", q, eigenvalues))
-            assert np.isfinite(w).all()
-            total += float(w.sum())
-            total_sq += float((w * w).sum())
-            nums[b] = np.einsum("i,ij->j", w, q)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, b])))
+            zz = rng.standard_normal((size, d)) ** 2
+            r = np.einsum("ij->i", zz)
+            e = np.einsum("ij,j->i", zz, eigenvalues) / r
+            shifts[b] = e.max()
+            w = np.exp(e - shifts[b])
+            assert np.isfinite(w).all() and w.max() == 1.0
             dens[b] = float(w.sum())
+            squares[b] = float((w * w).sum())
+            nums[b] = np.einsum("i,ij->j", w / r, zz)
+        top = shifts.max()
+        common = np.exp(shifts - top)
+        dens, squares, nums = dens * common, squares * (common * common), nums * common[:, None]
+        total = total_sq = 0.0
+        for b in range(BLOCKS):
+            total += float(dens[b])
+            total_sq += float(squares[b])
         mean = total / n
         var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        half = np.exp(float(top) / 2.0)
         num_tot = nums.sum(axis=0)
         den_tot = float(dens.sum())
         leave_out = (num_tot[None, :] - nums) / (den_tot - dens)[:, None]
         centered = leave_out - leave_out.mean(axis=0)
         se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
-        return (mean, float(np.sqrt(var / n))), (num_tot / den_tot, se)
+        psi = (float(mean * half * half), float(float(np.sqrt(var / n)) * half * half))
+        return psi, (num_tot / den_tot, se)
 
     @pytest.mark.parametrize("d", (2, 30, 200))
     @pytest.mark.parametrize("n", (1000, 123457))
@@ -420,8 +467,53 @@ class TestMcEigenMoments:
         assert est.std_error < 1e-8
 
     def test_overflow(self):
-        with pytest.raises(SamplingOverflowError):
+        # Every shifted weight is 1; Psi = e^800 itself exceeds float64.
+        with pytest.raises(SamplingOverflowError, match="Psi exceeds float64"):
             mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
+
+    @pytest.mark.parametrize("d, top, seed", [(3, 400.0, 1), (200, 800.0, 1), (200, 1000.0, 1)])
+    def test_shifted_weights_keep_every_estimate_finite(self, d, top, seed):
+        # Unshifted, the weights at d = 3 reach e^400 and their squares
+        # overflow, which made the standard error of Psi nan.  Shifted by
+        # lambda_max instead of each block's largest exponent, the weights at
+        # d = 200, where no sample comes near the top eigenvector, would be
+        # subnormal (standard error 0) or all 0 (0 / 0 covariance).
+        lam = np.zeros(d)
+        lam[-1] = top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi, diag = mc_eigen_moments(lam, 20_000, seed=seed)
+        assert np.isfinite([psi.value, psi.std_error]).all()
+        assert 0.0 < psi.std_error < psi.value and math.log(psi.value) < top
+        assert np.isfinite(diag.value).all() and np.isfinite(diag.std_error).all()
+        assert np.all(diag.std_error > 0.0)
+        assert float(np.sum(diag.value)) == pytest.approx(1.0, abs=1e-13)
+
+    def test_psi_fits_although_e_to_the_shift_does_not(self):
+        # 1F1(1/2; 3/2; 712) = e^712 / 1424 (1 + O(1/712)), about 1.5e306, and
+        # some samples come close enough to the top eigenvector that the
+        # largest exponent exceeds log(DBL_MAX) = 709.78.
+        mpmath = pytest.importorskip("mpmath")
+        lam = np.array([0.0, 0.0, 712.0])
+        psi, _ = mc_eigen_moments(lam, 20_000, seed=2)
+        truth = float(mpmath.hyp1f1(0.5, 1.5, 712))
+        assert np.isfinite(psi.std_error) and psi.std_error > 0.0
+        assert abs(psi.value - truth) <= 4.0 * psi.std_error
+
+    def test_memory_about_two_blocks(self):
+        # No block-sized array leaves a pool worker, and a worker squares its
+        # Gaussians in place: about DRAWS_IN_FLIGHT blocks are alive at once.
+        d, n = 200, 200_000
+        block_bytes = n // BLOCKS * d * 8
+        lam = np.linspace(-1.0, 1.0, d)
+        mc_eigen_moments(lam, 1000, seed=0)  # imports the pool first
+        tracemalloc.start()
+        try:
+            mc_eigen_moments(lam, n, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block_bytes
 
 
 class TestFamilyThreshold:
@@ -461,7 +553,7 @@ class TestHelperThread:
     def meeting_draws(monkeypatch, started):
         """Draws 0 and 1 wait for each other, so both pool workers must exist."""
         barrier = threading.Barrier(DRAWS_IN_FLIGHT, timeout=30)
-        real = oracle._sphere_block
+        real = oracle._normal_block
 
         def draw(d, size, seed, block):
             started.append(block)
@@ -469,7 +561,7 @@ class TestHelperThread:
                 barrier.wait()
             return real(d, size, seed, block)
 
-        monkeypatch.setattr(oracle, "_sphere_block", draw)
+        monkeypatch.setattr(oracle, "_normal_block", draw)
 
     def test_no_thread_left_after_overflow(self):
         start = threading.active_count()
@@ -479,22 +571,26 @@ class TestHelperThread:
         with pytest.raises(SamplingOverflowError):
             mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
         assert threading.active_count() == start
+        # A nan weight is caught in the worker that evaluates the block.
+        with pytest.raises(SamplingOverflowError, match="non-finite weights"):
+            mc_eigen_moments(np.array([0.0, np.nan, 0.0]), 1000, seed=0)
+        assert threading.active_count() == start
 
-    def failing_block_leaves_no_thread(self, monkeypatch, data, block):
+    def failing_block_leaves_no_thread(self, monkeypatch, data, draw, block):
         start = threading.active_count()
         started, seen = [], []
 
-        def failing(x, data):
+        def failing(drawn, data):
             b = len(seen)
             time.sleep(0.02)  # time for the workers to start any queued draw
             seen.append((threading.active_count(), max(started) - b))
             if b == 3:
                 raise RuntimeError("block failed")
-            return block(x, data)
+            return block(drawn, data)
 
         self.meeting_draws(monkeypatch, started)
         with pytest.raises(RuntimeError, match="block failed"):
-            _moments(data, 5000, 1, failing)
+            _moments(data, 5000, 1, draw, failing)
         # The pool's two workers while streaming; no draw started more than
         # two blocks ahead of the block reduced.
         assert [count for count, _ in seen] == [start + DRAWS_IN_FLIGHT] * 4
@@ -502,10 +598,33 @@ class TestHelperThread:
         assert threading.active_count() == start
 
     def test_no_thread_left_after_reduction_raises(self, monkeypatch):
-        self.failing_block_leaves_no_thread(monkeypatch, np.zeros((3, 3)), _dense_block)
+        self.failing_block_leaves_no_thread(
+            monkeypatch, np.zeros((3, 3)), _dense_draw, _dense_block)
 
     def test_no_thread_left_after_eigen_reduction_raises(self, monkeypatch):
-        self.failing_block_leaves_no_thread(monkeypatch, np.zeros(3), _eigen_block)
+        self.failing_block_leaves_no_thread(monkeypatch, np.zeros(3), _eigen_block, _evaluated)
+
+    def test_no_thread_left_after_worker_raises(self, monkeypatch):
+        # A worker half that raises reaches the caller through its future, in
+        # block order: blocks 0 to 2 are reduced, and no thread outlives the call.
+        start = threading.active_count()
+        started, reduced = [], []
+
+        def failing_draw(data, size, seed, b):
+            if b == 3:
+                raise RuntimeError("draw failed")
+            return _eigen_block(data, size, seed, b)
+
+        def record(drawn, data):
+            reduced.append(max(started))
+            return _evaluated(drawn, data)
+
+        self.meeting_draws(monkeypatch, started)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _moments(np.zeros(3), 5000, 1, failing_draw, record)
+        assert len(reduced) == 3
+        assert all(ahead - b <= DRAWS_IN_FLIGHT for b, ahead in enumerate(reduced))
+        assert threading.active_count() == start
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(binghamx.__file__).resolve().parents[1])

@@ -429,10 +429,12 @@ class TestSpectralDerivedBound:
         ps = power_sums(sigma, 39)
         for l in (2, 3, 4, 7, 12, 25, 40):
             for m in (2, 3, 4, 7, 12, 25, 40):
-                scalar, grad = series._covariance_factors(ps, l, m, 30)
+                scalar, grad, psi = series._covariance_factors(ps, l, m, 30)
                 ref_scalar, ref_coeffs = two_pass_factors(ps, l, m, 30)
                 assert np.float64(scalar).tobytes() == np.float64(ref_scalar).tobytes()
                 assert grad.coeffs.tobytes() == ref_coeffs.tobytes(), (l, m)
+                ref_psi = norm_const_truncated(ps, m, 30)
+                assert np.float64(psi).tobytes() == np.float64(ref_psi).tobytes()
                 if m in (4, 12):
                     ref = materialize(GradientPolynomial(d=30, coeffs=ref_coeffs), sigma)
                     assert materialize(grad, sigma).tobytes() == ref.tobytes()

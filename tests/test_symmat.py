@@ -373,12 +373,15 @@ class TestMaterialize:
             got = materialize(g, s)
         assert np.array_equal(np.diag(got), [np.inf, 15.0, 0.0])
         assert np.array_equal(got[~np.eye(3, dtype=bool)], np.zeros(6))
-        # Symmetrizing doubles first, so an entry above max/2 becomes inf.
+        # Symmetrizing doubles first, so the dense path turns an entry above
+        # max/2 into inf; a diagonal result is not symmetrized and keeps it.
         s = np.diag([1e308, 2.0, -1.0])
         g = GradientPolynomial(d=3, coeffs=np.array([0.0, 1.0]))
         with np.errstate(over="ignore"):
             got, ref = materialize(g, s), self.dense_horner(g, s)
-        assert np.array_equal(got, ref)
+        assert np.array_equal(np.diag(ref), [np.inf, 2.0, -1.0])
+        assert np.array_equal(got, s)
+        assert np.array_equal(got[~np.isinf(ref)], ref[~np.isinf(ref)])
 
     def test_output_symmetric(self):
         rng = np.random.default_rng(9)

@@ -274,7 +274,9 @@ def _cmd_cov(args, out) -> int:
             norm = series._gradient_norm(grad, ps, sigma)
             rows += _regime_rows("derived_bound", series._derived_bound(scalar, norm, *tail),
                                  regime)
-        return rows + [("cov", scalar * symmat.materialize(grad, sigma))]
+        cov = symmat.materialize(grad, sigma)
+        cov *= scalar
+        return rows + [("cov", cov)]
 
     rows = _checked_series(args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute,
                            [("m", bounds_mod.gradient_tail_bound),

@@ -115,7 +115,9 @@ def covariance_expansion(
     """Covariance approximation: truncated inverse times truncated gradient."""
     _check_sigma(sigma, d)
     scalar, grad, _ = _covariance_factors(ps, l, m, d)
-    return scalar * materialize(grad, sigma)
+    cov = materialize(grad, sigma)
+    cov *= scalar
+    return cov
 
 
 def _check_sigma(sigma: np.ndarray, d: int) -> None:

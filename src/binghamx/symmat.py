@@ -15,10 +15,19 @@ the upper triangle and copies a value to its mirror when the two tokens
 are the same text; :func:`format_matrix` and the CLI's csv and md tables
 render the upper triangle and reuse a string for its mirror when the two
 values are bit-equal.  Results are the same as converting every entry.
+
+Gradients are matrix polynomials g(Sigma), of degree L = m - 2 for m terms.
+:func:`materialize` evaluates dense ones by the Paterson-Stockmeyer
+scheme: with block size s ~ sqrt(L) it takes (s - 1) + L // s products
+(11 at L = 38, 5 at L = 10) instead of Horner's L, and holds at most
+s + 2 d x d arrays beyond Sigma.  Only the products go through BLAS; the
+block sums and diagonal additions are elementwise, in a fixed order.
+Diagonal Sigma takes Horner's rule on the diagonal, O(d L).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -317,17 +326,54 @@ def polynomial_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
-    """Evaluate a :class:`GradientPolynomial` at Sigma by Horner's rule.
+def _split(degree: int) -> int:
+    """The Paterson-Stockmeyer block size s for a polynomial of degree >= 1.
 
-    Each step multiplies by Sigma and adds c_l to the diagonal in place,
-    rounding as ``out @ Sigma + c_l I`` does: exact zeros of a product are
-    +0.0.  The result is symmetrized to remove accumulation asymmetry.
-    Diagonal Sigma runs the same recurrence on its diagonal in O(d m)
-    through :func:`polynomial_values`, which rounds exactly like the dense
-    products as long as they stay finite; past overflow its off-diagonal
-    entries stay exact zeros where the dense products would turn to nan.
-    A diagonal result is symmetric as it stands and is returned without
+    The smallest s with the fewest matrix products, (s - 1) + degree // s:
+    about sqrt(degree), and 1 (plain Horner) for degree 1 and 2.  No s
+    above t = isqrt(degree) + 1 takes fewer products than t: t s > degree
+    gives degree / t - degree / s < s - t, so the quotients' floors differ
+    by at most s - t.
+    """
+    return min(range(1, math.isqrt(degree) + 2), key=lambda s: s - 1 + degree // s)
+
+
+def _block_terms(coeffs, powers: list[np.ndarray], out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = c_1 Sigma + ... + c_k Sigma^k for coeffs c_0 .. c_k, k <= len(powers).
+
+    The terms are rounded and added one at a time in order of i, each
+    product c_i Sigma^i formed in ``tmp``; c_0 is left to the caller.
+    """
+    if len(coeffs) == 1:
+        out.fill(0.0)
+        return
+    np.multiply(powers[0], coeffs[1], out=out)
+    for c, p in zip(coeffs[2:], powers[1:]):
+        np.multiply(p, c, out=tmp)
+        out += tmp
+
+
+def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
+    """Evaluate a :class:`GradientPolynomial` at Sigma.
+
+    Dense Sigma takes the Paterson-Stockmeyer scheme (Paterson &
+    Stockmeyer, SIAM J. Comput. 1973; Higham, *Functions of Matrices*,
+    2008, sec. 4.2).  For degree L and block size s ~ sqrt(L) it forms
+    Sigma^2 .. Sigma^s once and runs Horner's rule in Sigma^s over the
+    blocks B_j = c_{js} I + c_{js+1} Sigma + ... + c_{js+s-1} Sigma^(s-1):
+    (s - 1) + L // s matrix products, 11 instead of 38 at L = 38.  Each
+    step is ``acc @ Sigma^s`` plus the block's terms, summed in order of
+    i, with c_{js} added to the diagonal last.  At most s + 2 d x d arrays
+    beyond Sigma are alive at once: the s - 1 powers, the accumulator,
+    the product and one term.  Exact zeros of a product are +0.0, as in
+    dense Horner; for L <= 2 the split is s = 1 and the steps are
+    Horner's.  The result is symmetrized to remove accumulation
+    asymmetry.
+
+    Diagonal Sigma runs Horner's rule on its diagonal in O(d m) through
+    :func:`polynomial_values`.  Its off-diagonal entries are exact zeros,
+    also past overflow, where dense products would turn them to nan.  A
+    diagonal result is symmetric as it stands and is returned without
     the mirror sum, so an entry above DBL_MAX / 2 stays finite.
     """
     if sigma.shape[0] != g.d:
@@ -335,12 +381,30 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
             f"polynomial is for d = {g.d}, matrix has d = {sigma.shape[0]}"
         )
     c = g.coeffs
-    # Degree 0 takes no product, and c_0 I below keeps the sign of its zeros.
-    diag = _diagonal(sigma) if len(c) > 1 else None
+    # Degree 0 takes no product, and c_0 I keeps the sign of its zeros.
+    if len(c) == 1:
+        return symmetrize(c[0] * np.eye(g.d))
+    diag = _diagonal(sigma)
     if diag is not None:
         return np.diag(polynomial_values(c, diag))
-    out = c[-1] * np.eye(g.d)
-    for l in range(len(c) - 2, -1, -1):
-        out = out @ sigma
-        out.flat[::g.d + 1] += c[l]
-    return symmetrize(out)
+    sigma = np.asanyarray(sigma, dtype=np.float64)
+    degree, c = len(c) - 1, c.tolist()
+    s = _split(degree)
+    powers = [sigma]
+    for _ in range(s - 1):
+        powers.append(powers[-1] @ sigma)
+    sigma_s = powers.pop()
+    acc, prod, tmp = (np.empty_like(sigma) for _ in range(3))
+    last = degree // s * s
+    _block_terms(c[last:], powers, acc, tmp)
+    acc.flat[::g.d + 1] += c[last]
+    for j in range(last - s, -1, -s):
+        np.matmul(acc, sigma_s, out=prod)
+        block = c[j:j + s]
+        if s > 1:
+            _block_terms(block, powers, acc, tmp)
+            prod += acc
+        prod.flat[::g.d + 1] += block[0]
+        acc, prod = prod, acc
+    del powers, sigma_s, prod, tmp
+    return symmetrize(acc)

@@ -22,6 +22,19 @@ def random_trace_zero(rng: np.random.Generator, d: int, norm: float) -> np.ndarr
     return s
 
 
+def dense_horner(g, sigma: np.ndarray) -> np.ndarray:
+    """The gradient polynomial g at Sigma by dense Horner, one product per degree.
+
+    ``out @ Sigma + c I`` per step, then the mirror sum: the reference
+    for :func:`binghamx.materialize`'s zeros and its overflow behavior.
+    """
+    eye = np.eye(g.d)
+    out = g.coeffs[-1] * eye
+    for c in g.coeffs[-2::-1]:
+        out = out @ sigma + c * eye
+    return (out + out.T) / 2.0
+
+
 def haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     """Orthogonal matrix from the QR factorization of a Gaussian matrix.
 

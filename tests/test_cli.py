@@ -2,13 +2,14 @@
 
 import codecs
 import io
+import math
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_trace_zero
+from conftest import dense_horner, random_symmetric, random_trace_zero
 
 from binghamx import (
     GradientPolynomial,
@@ -663,6 +664,52 @@ class TestVerifyDecision:
         path = write_matrix(tmp_path, sigma)
         code, text = self.run_verify(path, 100_000, seed)
         assert code == 0, text
+
+
+class TestOverflowParity:
+    """grad and cov near the largest ||Sigma||_F the CLI accepts.
+
+    Dense Horner (one product per degree) sets the reference: the printed
+    matrix is finite exactly where Horner's is, and where it is not the
+    SeriesOverflowError message keeps its bytes.
+    """
+
+    @pytest.mark.parametrize("m", [12, 40])
+    @pytest.mark.parametrize("command", ["grad", "cov"])
+    def test_finite_exactly_where_horner_is(self, tmp_path, monkeypatch, capsys, command, m):
+        base = random_symmetric(np.random.default_rng(5), 6, norm=1.0)
+        path = tmp_path / "sigma.txt"
+        argv = [command, "--matrix", str(path), "--m", str(m)]
+        if command == "cov":
+            argv += ["--l", "3"]
+
+        def outcome(scale, horner):
+            path.write_text(format_matrix(scale * base))
+            with monkeypatch.context() as patch:
+                if horner:
+                    patch.setattr(symmat, "materialize", dense_horner)
+                code, text = invoke(argv)
+            return code, text, capsys.readouterr().err
+
+        lo, hi = 1.0, 1e300
+        assert outcome(lo, True)[0] == 0 and outcome(hi, True)[0] == 2
+        while hi / lo > 1 + 1e-12:
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if outcome(mid, True)[0] == 0 else (lo, mid)
+        for scale in np.geomspace(lo / 1.01, hi * 1.01, 9).tolist() + [lo, hi]:
+            want, got = outcome(scale, True), outcome(scale, False)
+            assert got[0] == want[0]
+            if want[0] == 0:
+                # Read the entries as printed: the mirror sum of load_matrix
+                # overflows near DBL_MAX.
+                got_m, want_m = (np.array(text.split("\n6\n")[1].split(), dtype=float)
+                                 for text in (got[1], want[1]))
+                assert np.isfinite(got_m).all()
+                assert np.allclose(got_m, want_m, rtol=1e-13, atol=0.0)
+            else:
+                assert got[2] == want[2]
+                assert "is not finite in float64" in got[2]
+        assert outcome(lo, False)[0] == 0 and outcome(hi, False)[0] == 2
 
 
 class TestErrorPaths:

@@ -15,6 +15,7 @@ Oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,28 @@ class TestCovariance:
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
             assert float(np.trace(got)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_scaled_in_place(self, monkeypatch):
+        # T is applied to the materialized G in place: the bits of T * G,
+        # and no d x d array beyond the one materialize returns.
+        rng = np.random.default_rng(26)
+        d = 200
+        s = random_trace_zero(rng, d, norm=0.8)
+        ps = power_sums(s, 11)
+        scalar, grad, _ = series._covariance_factors(ps, 3, 12, d)
+        g = materialize(grad, s)
+        want = (scalar * g).tobytes()
+        monkeypatch.setattr(series, "materialize", lambda *args: g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = covariance_expansion(ps, s, 3, 12, d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got is g
+        assert got.tobytes() == want
+        assert peak < 8 * d * d
+
     def test_expansion_converges_toward_high_order_reference(self):
         # Increasing both orders must reduce the residual against a very
         # high order evaluation of the same product.
@@ -329,8 +352,8 @@ class TestBoundedWrappers:
 
 
 def materialized_derived_bound(ps, sigma, l, m, d, regime):
-    """|T| B_g + B_i (||G||_F + B_g) with G materialized at Sigma by Horner
-    products, T and G from separate series passes: the reference formula."""
+    """|T| B_g + B_i (||G||_F + B_g) with G materialized at Sigma by dense
+    matrix products, T and G from separate series passes: the reference formula."""
     scalar = inverse_norm_const_truncated(ps, l, d)
     grad = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
     b_grad, b_inv = gradient_tail_bound(m, d, regime), inverse_tail_bound(l, d, regime)

@@ -4,11 +4,13 @@ The power-sum oracle is repeated matrix multiplication, independent of
 the eigenvalue path used by the implementation.
 """
 
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_symmetric
+from conftest import dense_horner, random_symmetric
 
 import binghamx.symmat as symmat
 from binghamx import (
@@ -322,13 +324,7 @@ class TestMaterialize:
         with pytest.raises(DimensionMismatchError):
             materialize(g, np.eye(4))
 
-    @staticmethod
-    def dense_horner(g, s):
-        eye = np.eye(g.d)
-        out = g.coeffs[-1] * eye
-        for c in g.coeffs[-2::-1]:
-            out = out @ s + c * eye
-        return (out + out.T) / 2.0
+    dense_horner = staticmethod(dense_horner)
 
     @staticmethod
     def horner_cases(rng):
@@ -352,7 +348,39 @@ class TestMaterialize:
                     s[neg | neg.T] = -0.0
                 yield s, rng.standard_normal(degree + 1)
 
+    @staticmethod
+    def serial_paterson_stockmeyer(g, s):
+        """Paterson-Stockmeyer in plain loops, rounding as materialize is meant to.
+
+        Block size k: the smallest with the fewest products.  Powers
+        Sigma^1 .. Sigma^k by repeated products; then, from the top block
+        down, out @ Sigma^k plus the block's terms c_i Sigma^i (i >= 1)
+        summed left to right, then c_0 added to the diagonal.
+        """
+        c, d = g.coeffs, g.d
+        degree = len(c) - 1
+        products = {k: k - 1 + degree // k for k in range(1, degree + 1)}
+        k = min(k for k in products if products[k] == min(products.values()))
+        powers = [np.eye(d), s]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ s)
+        out = None
+        for j in reversed(range(0, degree + 1, k)):
+            terms = [c[j + i] * powers[i] for i in range(1, min(k, degree + 1 - j))]
+            if out is None:
+                out = sum(terms[1:], terms[0]) if terms else np.zeros((d, d))
+            else:
+                out = out @ powers[k]
+                if terms:
+                    out = out + sum(terms[1:], terms[0])
+            for i in range(d):
+                out[i, i] += c[j]
+        return (out + out.T) / 2.0
+
     def test_matches_dense_horner_bitwise(self):
+        # Bit for bit: Horner's zeros and their signs everywhere, Horner's
+        # values on diagonal Sigma and wherever the split has block size 1,
+        # and the serial Paterson-Stockmeyer reference's values on the rest.
         rng = np.random.default_rng(11)
         for k, (s, coeffs) in enumerate(self.horner_cases(rng)):
             if k % 2:
@@ -360,8 +388,121 @@ class TestMaterialize:
                 coeffs = -np.abs(coeffs)
             g = GradientPolynomial(d=s.shape[0], coeffs=coeffs)
             got, ref = materialize(g, s), self.dense_horner(g, s)
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            # Exact zeros, and their signs, are Horner's.
+            assert np.array_equal(got == 0.0, ref == 0.0)
+            assert np.array_equal(np.signbit(got[got == 0.0]), np.signbit(ref[ref == 0.0]))
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            if g.degree == 0 or symmat._diagonal(s) is not None:
+                # Degree 0 and diagonal Sigma (the -0.0 block pattern at d = 2 too)
+                # take no dense product.
+                assert np.array_equal(got, ref)
+                continue
+            serial = self.serial_paterson_stockmeyer(g, s)
+            assert np.array_equal(got, serial)
+            assert np.array_equal(np.signbit(got), np.signbit(serial))
+            if g.degree <= 2:
+                # The split has block size 1: the steps are Horner's.
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_product_count(self):
+        class Counted(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if ufunc is np.matmul:
+                    Counted.products += 1
+                inputs = [np.asarray(x) for x in inputs]
+                if out is None:
+                    return getattr(ufunc, method)(*inputs, **kwargs)
+                getattr(ufunc, method)(*inputs, out=tuple(np.asarray(x) for x in out), **kwargs)
+                return out[0]
+
+        rng = np.random.default_rng(4)
+        sigma = random_symmetric(rng, 5, norm=1.0)
+        want = {1: 1, 2: 2, 3: 2, 10: 5, 38: 11, 39: 11}
+        for degree, products in want.items():
+            Counted.products = 0
+            g = GradientPolynomial(d=5, coeffs=rng.standard_normal(degree + 1))
+            got = materialize(g, sigma.view(Counted))
+            assert Counted.products == products
+            assert np.array_equal(np.asarray(got), materialize(g, sigma))
+
+    @staticmethod
+    def exact_polynomial(coeffs, s):
+        """sum_l c_l Sigma^l in exact rationals, by Horner's rule."""
+        d = len(s)
+        c = [Fraction(x) for x in coeffs]
+        a = [[Fraction(x) for x in row] for row in s]
+        out = [[c[-1] if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+        for cl in reversed(c[:-1]):
+            out = [[sum(out[i][k] * a[k][j] for k in range(d)) for j in range(d)]
+                   for i in range(d)]
+            for i in range(d):
+                out[i][i] += cl
+        return out
+
+    @staticmethod
+    def rounding_bound(coeffs, s):
+        """gamma_N * sum_l |c_l| ||Sigma||_F^l with N = (L + 2)(d + 2).
+
+        Each term c_l Sigma^l meets one rounding for c_l, at most s - 1
+        block additions, at most (s - 1) + L // s <= L products of d-term
+        dot products (|fl(AB) - AB| <= gamma_d |A||B|), each followed by at
+        most two additions, and the mirror sum: fewer than N roundings for
+        s <= 2d + 3.  The entries of |Sigma|^l are at most ||Sigma||_F^l.
+        """
+        d, degree = s.shape[0], len(coeffs) - 1
+        n = (degree + 2) * (d + 2)
+        u = np.finfo(float).eps / 2
+        norm = np.sqrt(np.sum(s * s))
+        return n * u / (1 - n * u) * sum(abs(c) * norm**l for l, c in enumerate(coeffs))
+
+    def exact_cases(self):
+        rng = np.random.default_rng(21)
+        for d in range(2, 7):
+            for degree in (1, 2, 3, 5, 10, 17, 26, 39):
+                s = random_symmetric(rng, d, norm=float(rng.uniform(0.5, 2.0)))
+                norm = np.sqrt(np.sum(s * s))
+                coeffs = rng.standard_normal(degree + 1) / norm ** np.arange(degree + 1)
+                yield s, coeffs
+
+    def test_within_rounding_bound_of_exact(self):
+        for s, coeffs in self.exact_cases():
+            d = s.shape[0]
+            got = materialize(GradientPolynomial(d=d, coeffs=coeffs), s)
+            exact = self.exact_polynomial(coeffs, s)
+            err = max(abs(Fraction(got[i, j]) - exact[i][j]) for i in range(d) for j in range(d))
+            assert err <= self.rounding_bound(coeffs, s)
+
+    def test_rounding_bound_detects_a_perturbed_coefficient(self):
+        # A coefficient off by 1e-10 (relative) breaks the bound: the check
+        # above can see an evaluation error of that size.
+        for s, coeffs in self.exact_cases():
+            d = s.shape[0]
+            exact = self.exact_polynomial(coeffs, s)
+            powers = [np.linalg.matrix_power(s, l) for l in range(len(coeffs))]
+            l = int(np.argmax([abs(c) * np.abs(p).max() for c, p in zip(coeffs, powers)]))
+            wrong = coeffs.copy()
+            wrong[l] *= 1 + 1e-10
+            got = materialize(GradientPolynomial(d=d, coeffs=wrong), s)
+            err = max(abs(Fraction(got[i, j]) - exact[i][j]) for i in range(d) for j in range(d))
+            assert err > self.rounding_bound(coeffs, s)
+
+    def test_memory_powers_plus_three(self):
+        d, degree = 300, 38
+        rng = np.random.default_rng(6)
+        sigma = random_symmetric(rng, d, norm=1.0)
+        g = GradientPolynomial(d=d, coeffs=rng.standard_normal(degree + 1))
+        s = symmat._split(degree)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            materialize(g, sigma)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (s + 3) * 8 * d * d
 
     def test_diagonal_overflow_matches_dense(self):
         # Where the dense product would turn an overflowed diagonal entry

@@ -358,15 +358,15 @@ def _verify_series(ps, l: int, m: int) -> list[tuple[str, object]]:
             ("eigenvalues", lam)]
 
 
-def _cmd_verify(args, out) -> int:
-    oracle._check_sampling_args(args.samples, args.seed)
+def _verify_checks(psi_series, cov_series, psi_mc, cov_mc) -> list[tuple]:
+    """The checks of ``verify``: (check, series, estimate, std_error, bound, status) rows.
 
-    [(_, psi_series), (_, cov_series), (_, lam)] = _checked_series(
-        args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1,
-        lambda ps, sigma, regime, tail: _verify_series(ps, args.l, args.m))
-    psi_mc, cov_mc = oracle.mc_eigen_moments(lam, args.samples, args.seed)
-    # d covariance entries and psi, tested at the family-wise rate FAMILY_ALPHA.
-    threshold = oracle.family_threshold(len(lam) + 1)
+    Psi and the d covariance entries are tested at the family-wise rate
+    FAMILY_ALPHA; the cov row reports the entry furthest past its bound.
+    The status is "pass" or "FAIL", and psi's is "inconclusive" when fewer
+    than MIN_ESS samples carry the weights.
+    """
+    threshold = oracle.family_threshold(len(cov_series) + 1)
     # When x' Sigma x is constant on the sphere (e.g. Sigma = theta * I) the
     # sampling variance is exactly zero, so the statistical tolerance alone
     # would reject the series over pure float roundoff.  Keep an absolute
@@ -377,25 +377,43 @@ def _cmd_verify(args, out) -> int:
     gap = np.abs(cov_mc.value - cov_series) - bound
     k = int(np.argmax(gap))
     trace = float(np.sum(cov_mc.value))
-    checks = [  # (check, series, estimate, std_error, bound, passed)
+    checks = [
         ("psi", psi_series, psi_mc.value, psi_mc.std_error, tol,
          abs(psi_mc.value - psi_series) <= tol),
         (f"cov[v{k}]", float(cov_series[k]), float(cov_mc.value[k]),
          float(cov_mc.std_error[k]), float(bound[k]), bool(gap[k] <= 0.0)),
         ("cov_trace", 1.0, trace, 0.0, 1e-12, abs(trace - 1.0) <= 1e-12),
     ]
+    rows = [(*row, "pass" if ok else "FAIL") for *row, ok in checks]
+    # A few samples carry the weights: the estimate and its standard error
+    # both miss what the draw never reached, so psi is not judged.
+    if psi_mc.ess < oracle.MIN_ESS:
+        rows[0] = (*rows[0][:-1], "inconclusive")
+    return rows
+
+
+def _cmd_verify(args, out) -> int:
+    oracle._check_sampling_args(args.samples, args.seed)
+
+    [(_, psi_series), (_, cov_series), (_, lam)] = _checked_series(
+        args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1,
+        lambda ps, sigma, regime, tail: _verify_series(ps, args.l, args.m))
+    psi_mc, cov_mc = oracle.mc_eigen_moments(lam, args.samples, args.seed)
+    rows = _verify_checks(psi_series, cov_series, psi_mc, cov_mc)
+    if rows[0][-1] == "inconclusive":
+        print(f"inconclusive: the effective sample size {psi_mc.ess:.6g} of the "
+              f"{args.samples} samples is below {oracle.MIN_ESS}", file=sys.stderr)
 
     if args.format != "text":
         header = ("check", "series", "estimate", "std_error", "bound", "status")
-        rows = [(*row, "pass" if ok else "FAIL") for *row, ok in checks]
         _emit_table(header, rows, args.format, out)
     else:
         out.write(f"{'check':<12} {'series':>24} {'estimate':>24} "
                   f"{'std_error':>12} {'bound':>12} status\n")
-        for name, s, e, se, b, ok in checks:
+        for name, s, e, se, b, status in rows:
             out.write(f"{name:<12} {s:>24.17g} {e:>24.17g} {se:>12.5g} "
-                      f"{b:>12.5g} {'pass' if ok else 'FAIL'}\n")
-    return 0 if all(ok for *_, ok in checks) else 1
+                      f"{b:>12.5g} {status}\n")
+    return 0 if all(row[-1] == "pass" for row in rows) else 1
 
 
 _COMMANDS = {

@@ -35,15 +35,18 @@ V diag(lambda) V' the coordinates y = V'x of a uniform x are uniform too
 and x' Sigma x = sum_i lambda_i y_i^2.  A uniform block is read directly
 as y = z / |z| for Gaussian rows z, so q = y*y = (z*z) / r with r =
 |z|^2, and Cov(X) = V diag(E_w[q]) V'.  The worker half,
-:func:`_eigen_block`, evaluates the whole block: it squares z in place
-and returns only the weights exp(q @ lambda - s), one per row, shifted
-by the block's largest exponent s <= lambda_max, the d-vector numerator
+:func:`_eigen_block`, evaluates the whole block: it draws z in chunks of
+about CHUNK_BYTES into one reused buffer, squares each in place, and
+returns only the weights exp(q @ lambda - s), one per row, shifted by
+the block's largest exponent s <= lambda_max, the d-vector numerator
 w @ q and s; its main half passes them on.  A block costs O(size * d)
-instead of two O(size * d^2) products, and no block-sized array crosses
-threads, so about DRAWS_IN_FLIGHT blocks are alive at once.  The shift
-keeps every weight at most 1 and the largest weight of each block at
-exactly 1, so neither the weights nor their squares overflow, and a
-matrix fails only when Psi itself exceeds float64.  :func:`_moments`
+instead of two O(size * d^2) products, and no array of size * d entries
+exists: a draw in flight holds one chunk and the block's per-row vectors,
+16 bytes a row with the caller's weights and their squares, so the
+memory of a pass does not grow with n * d.  The shift keeps every
+weight at most 1 and the largest weight of each block at exactly 1, so
+neither the weights nor their squares overflow, and a matrix fails only
+when Psi itself exceeds float64.  :func:`_moments`
 brings the blocks to a common shift and scales Psi and its standard
 error back; the covariance ratio does not change.  Only lambda is
 needed, the one ``power_sums`` forms, and the series side of entry k is
@@ -51,7 +54,11 @@ T g(lambda_k), the covariance product at diag(lambda): ``verify``
 computes no eigenvectors.
 
 Every compared check of ``verify`` is tested at the family-wise
-false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).
+false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).  Each
+estimate carries the effective sample size (sum w)^2 / sum w^2 of its
+weights; ``verify`` calls psi inconclusive below MIN_ESS of them.  The
+dense path's weights are not shifted, and it raises
+:class:`SamplingOverflowError` when their squares exceed float64.
 """
 
 from __future__ import annotations
@@ -70,8 +77,17 @@ BLOCKS = 50
 #: Sampling blocks drawn ahead of the one being reduced, one pool worker each.
 DRAWS_IN_FLIGHT = 2
 
+#: Bytes of Gaussians an eigenbasis worker draws at a time (at least two rows).
+CHUNK_BYTES = 1 << 20
+
 #: Family-wise false-alarm rate of the ``verify`` checks.
 FAMILY_ALPHA = 1e-3
+
+#: ``verify`` calls psi inconclusive below this effective sample size.  The
+#: family threshold takes the t law of a BLOCKS-group jackknife, which needs
+#: the weights spread over the groups; the groups' own effective count
+#: (sum W_b)^2 / sum W_b^2 never exceeds that of the samples.
+MIN_ESS = BLOCKS
 
 
 @dataclass(frozen=True)
@@ -79,13 +95,18 @@ class McEstimate:
     """A Monte-Carlo estimate with its standard error.
 
     ``value`` and ``std_error`` are floats for scalar targets and arrays
-    of the target's shape (entrywise standard errors) otherwise.
+    of the target's shape (entrywise standard errors) otherwise.  ``ess``
+    is the effective sample size (sum w)^2 / sum w^2 of the weights behind
+    the estimate (Owen, *Monte Carlo theory, methods and examples*, 2013,
+    ch. 9): n for constant weights, near 1 when one sample carries them.
+    It is nan when not known.
     """
 
     value: object
     std_error: object
     n_samples: int
     seed: int
+    ess: float = math.nan
 
 
 def _check_sampling_args(n: int, seed: int) -> None:
@@ -100,10 +121,40 @@ def _block_sizes(n: int) -> list[int]:
     return [base + 1] * rem + [base] * (BLOCKS - rem)
 
 
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """The generator of block b: PCG64(SeedSequence([seed, b]))."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
+
+
 def _normal_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
-    """The standard Gaussians of block b, from PCG64(SeedSequence([seed, b]))."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
-    return rng.standard_normal((size, d))
+    """The standard Gaussians of block b, a (size, d) array."""
+    return _block_rng(seed, block).standard_normal((size, d))
+
+
+def _chunk_rows(d: int) -> int:
+    """Rows of a chunk of about CHUNK_BYTES Gaussians, at least two."""
+    return max(2, CHUNK_BYTES // (8 * d))
+
+
+def _normal_chunks(d: int, size: int, seed: int, block: int, rows: int):
+    """The Gaussians of block b as (start, chunk) pairs, chunks of ``rows`` rows.
+
+    Each chunk is filled in place in one reused buffer, so it is
+    overwritten by the next; in order, the chunks are the rows of
+    :func:`_normal_block` bit for bit.  A last chunk of one row joins the
+    chunk before it: einsum reduces a lone row of more than 8192 entries
+    in another order than the same row inside a larger array.
+    """
+    rng = _block_rng(seed, block)
+    rows = min(rows, size)
+    buf = np.empty((rows + (size % rows == 1), d))
+    start = 0
+    while start < size:
+        stop = size if size - start <= len(buf) else start + rows
+        chunk = buf[: stop - start]
+        rng.standard_normal(out=chunk)
+        yield start, chunk
+        start = stop
 
 
 def _sphere_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
@@ -151,25 +202,45 @@ def _eigen_block(
     eigen-coordinates are y = z / sqrt(r) and q = y*y = (z*z) / r, and
     the exponents are e = (z*z) @ lambda / r = x' Sigma x.  The weights
     are exp(e - s), shifted by the block's largest exponent s <= lambda_max,
-    and the numerator is w @ q = (w / r) @ (z*z).  z is squared in place
-    and neither y nor q is formed, so the block is the only block-sized
-    array; only w, one value per row, the d-vector numerator and s leave
-    the worker.
+    and the numerator is w @ q = (w / r) @ (z*z).
+
+    The Gaussians come in chunks of about CHUNK_BYTES (:func:`_normal_chunks`),
+    squared in place in one reused buffer; only e, one value per row,
+    outlives its chunk.  Chunk c forms its weights shifted by its own
+    largest exponent s_c and adds their numerator, times e^(s_c - s), to a
+    running sum kept at the largest shift s so far; at the end e becomes
+    the weights in place.  So a worker holds one chunk and 8 bytes per row
+    of the block, whatever d, and only w, the d-vector numerator and s
+    leave it.  Each e and s
+    equal those of the whole block at once, so w is bit for bit the same;
+    the numerator moves in its last digits only where a block has more
+    than one chunk.
 
     The products run through einsum, not BLAS: with more than one BLAS
     thread a multithreaded matrix-vector product of a block is several
     times slower than a single-threaded loop, and its threads compete
     with the pool workers for the cores.
     """
-    z = _normal_block(len(eigenvalues), size, seed, block)
-    z *= z
-    r = np.einsum("ij->i", z)
-    e = np.einsum("ij,j->i", z, eigenvalues)
-    e /= r
-    top = float(e.max())
-    with np.errstate(invalid="ignore"):
-        w = _finite(np.exp(e - top))
-    return w, np.einsum("i,ij->j", w / r, z), top
+    d = len(eigenvalues)
+    e = np.empty(size)
+    top, num = -math.inf, np.zeros(d)
+    for start, z in _normal_chunks(d, size, seed, block, _chunk_rows(d)):
+        z *= z
+        r = np.einsum("ij->i", z)
+        part = e[start : start + len(z)]
+        np.einsum("ij,j->i", z, eigenvalues, out=part)
+        part /= r
+        shift = float(part.max())
+        with np.errstate(invalid="ignore"):
+            w = _finite(np.exp(part - shift))
+        if shift > top:
+            num *= math.exp(top - shift)
+            top = shift
+        w *= math.exp(shift - top)
+        w /= r
+        num += np.einsum("i,ij->j", w, z)
+    e -= top
+    return np.exp(e, out=e), num, top
 
 
 def _evaluated(drawn: tuple[np.ndarray, np.ndarray, float], eigenvalues: np.ndarray):
@@ -196,16 +267,20 @@ def _moments(
     At the end every block's sums are brought to the largest shift S by
     the factor e^(s - S), which is 1 for unshifted blocks, and Psi and
     its standard error are scaled back by e^S.  The covariance ratio does
-    not depend on S.  The jackknife builds the delete-one-block ratios in
-    place in the per-block numerators, so only one array of that shape is
-    alive, whatever the shape of a numerator.
+    not depend on S.  Both estimates carry the effective sample size
+    (sum w)^2 / sum w^2, which does not depend on S either.  The jackknife
+    builds the delete-one-block ratios in place in the per-block
+    numerators, so only one array of that shape is alive, whatever the
+    shape of a numerator.  When the sum of w^2 exceeds float64, which only
+    unshifted weights can do, the error names the largest exponent.
     """
     _check_sampling_args(n, seed)
     # Imported here so that importing the package starts no thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
     sizes = _block_sizes(n)
-    nums, dens, squares, shifts = None, np.empty(BLOCKS), np.empty(BLOCKS), np.empty(BLOCKS)
+    nums = None
+    dens, squares, shifts, peaks = (np.empty(BLOCKS) for _ in range(4))
     with ThreadPoolExecutor(DRAWS_IN_FLIGHT) as pool:
 
         def submit(b: int):
@@ -218,7 +293,9 @@ def _moments(
                 ahead.append(submit(b + DRAWS_IN_FLIGHT))
             w, num, shifts[b] = block(drawn, data)
             dens[b] = float(w.sum())
-            squares[b] = float((w * w).sum())
+            with np.errstate(over="ignore"):
+                squares[b] = float((w * w).sum())
+            peaks[b] = float(w.max())
             if num is not None:
                 if nums is None:
                     nums = np.empty((BLOCKS,) + num.shape)
@@ -229,8 +306,17 @@ def _moments(
     dens *= scale
     squares *= scale * scale
     # Python's sum adds in block order, like a running sum.
-    mean = sum(dens.tolist()) / n
-    var = max(sum(squares.tolist()) - n * mean * mean, 0.0) / (n - 1)
+    total, total_sq = sum(dens.tolist()), sum(squares.tolist())
+    if not math.isfinite(total_sq):
+        exponent = max(math.log(p) + s for p, s in zip(peaks.tolist(), shifts.tolist()) if p > 0)
+        raise SamplingOverflowError(
+            f"the sum of the squared weights exp(2 x' Sigma x) exceeds float64: "
+            f"x' Sigma x reaches {exponent:.6g}"
+        )
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    # Only unshifted weights can all square to 0.
+    ess = (total / math.sqrt(total_sq)) ** 2 if total_sq > 0.0 else math.nan
     se = float(np.sqrt(var / n))
     # e^top as two factors: a shifted block's largest weight is 1, so Psi >= e^top / n,
     # which may fit in float64 where e^top does not.
@@ -241,7 +327,7 @@ def _moments(
         raise SamplingOverflowError(
             f"Psi exceeds float64: the sample mean of exp(x' Sigma x - {top:.17g}) is {mean:.6g}"
         )
-    psi = McEstimate(value=float(value), std_error=float(se), n_samples=n, seed=seed)
+    psi = McEstimate(value=float(value), std_error=float(se), n_samples=n, seed=seed, ess=ess)
     if nums is None:
         return psi, None
     nums *= scale.reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
@@ -253,7 +339,7 @@ def _moments(
     nums -= nums.mean(axis=0)
     nums *= nums
     se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(nums, axis=0))
-    return psi, McEstimate(value=value, std_error=se, n_samples=n, seed=seed)
+    return psi, McEstimate(value=value, std_error=se, n_samples=n, seed=seed, ess=ess)
 
 
 def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:

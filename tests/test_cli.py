@@ -495,21 +495,25 @@ class TestVerify:
         assert code == 0, text
         assert calls == [(12, 12)] * passes
 
-    @pytest.mark.parametrize("diagonal", [(400.0, 0.0, 0.0), (400.0, -400.0, 0.0)],
-                             ids=["400-0-0", "400-minus400-0"])
-    def test_large_eigenvalue_report_is_finite(self, tmp_path, capsys, diagonal):
+    @pytest.mark.parametrize("diagonal, psi_status", [
+        ((400.0, 0.0, 0.0), "FAIL"),
+        ((400.0, -400.0, 0.0), "inconclusive"),
+    ], ids=["400-0-0", "400-minus400-0"])
+    def test_large_eigenvalue_report_is_finite(self, tmp_path, capsys, diagonal, psi_status):
         # Unshifted weights reach e^400 and their squares overflow: the report
         # showed std_error nan after an overflow warning.  Shifted weights keep
-        # every printed number finite and stderr empty; the m = 12 series is
-        # far from Psi here, so psi and cov[v2] fail.
+        # every printed number finite and warn of nothing; the m = 12 series is
+        # far from Psi here, so cov[v2] fails, and psi fails where at least
+        # MIN_ESS = 50 samples carry the weights (51.1 and 37.8 of them).
         path = write_matrix(tmp_path, np.diag(diagonal))
         code, text = invoke(["verify", "--matrix", path, "--samples", "20000", "--seed", "1",
                              "--format", "csv"])
-        assert capsys.readouterr().err == ""
+        err = capsys.readouterr().err
+        assert err == "" if psi_status == "FAIL" else err.startswith("inconclusive:")
         assert code == 1
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert [row[0] for row in rows] == ["psi", "cov[v2]", "cov_trace"]
-        assert [row[-1] for row in rows] == ["FAIL", "FAIL", "pass"]
+        assert [row[-1] for row in rows] == [psi_status, "FAIL", "pass"]
         assert np.isfinite([float(x) for row in rows for x in row[1:5]]).all()
 
     def test_one_series_pass(self, tmp_path, monkeypatch):
@@ -664,6 +668,46 @@ class TestVerifyDecision:
         path = write_matrix(tmp_path, sigma)
         code, text = self.run_verify(path, 100_000, seed)
         assert code == 0, text
+
+
+    @pytest.mark.parametrize("n, ess", [(200_000, "1.01064"), (1000, "1.00141")])
+    def test_hopeless_psi_is_inconclusive(self, tmp_path, capsys, n, ess):
+        # diag(0, ..., 0, 745): no sample comes near the top eigenvector and one
+        # carries the weights.  The estimate, 2.1e29 at n = 2e5 and 9.5e15 at
+        # n = 1000, with a standard error as large, passed against the series'
+        # 4.6e8; the true Psi is 3.3e193.
+        lam = np.zeros(200)
+        lam[-1] = 745.0
+        path = write_matrix(tmp_path, np.diag(lam))
+        code, text = self.run_verify(path, n, 1)
+        assert code == 1
+        assert self.statuses(text)["psi"] == "inconclusive"
+        assert capsys.readouterr().err == (
+            f"inconclusive: the effective sample size {ess} of the {n} samples is below 50\n")
+
+    @pytest.mark.parametrize("ess, code", [(49.999, 1), (50.0, 0)])
+    def test_inconclusive_golden(self, tmp_path, monkeypatch, capsys, ess, code):
+        # Fixed estimates that pass every check; below MIN_ESS = 50 effective
+        # samples only the psi status changes, and the run exits 1.
+        def fixed_moments(eigenvalues, n, seed):
+            return (McEstimate(1.0100250277951457, 0.0009765625, n, seed, ess),
+                    McEstimate(np.array([0.5, 0.5]), np.array([0.25, 0.25]), n, seed, ess))
+
+        monkeypatch.setattr(oracle, "mc_eigen_moments", fixed_moments)
+        path = write_matrix(tmp_path, np.diag([0.2, -0.2]))
+        got = invoke(["verify", "--matrix", path, "--samples", "2000", "--seed", "5",
+                      "--format", "md"])
+        status = "inconclusive" if code else "pass"
+        assert got == (code, (
+            "| check | series | estimate | std_error | bound | status |\n"
+            "|---|---|---|---|---|---|\n"
+            f"| psi | 1.01003 | 1.01003 | 0.00098 | 0.00377 | {status} |\n"
+            "| cov[v0] | 0.45021 | 0.50000 | 0.25000 | 0.96471 | pass |\n"
+            "| cov_trace | 1.00000 | 1.00000 | 0.00000 | 0.00000 | pass |\n"
+        ))
+        err = capsys.readouterr().err
+        assert err == ("inconclusive: the effective sample size 49.999 of the 2000 samples "
+                       "is below 50\n" if code else "")
 
 
 class TestOverflowParity:

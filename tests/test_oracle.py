@@ -40,14 +40,19 @@ from binghamx import (
 )
 from binghamx.oracle import (
     BLOCKS,
+    CHUNK_BYTES,
     DRAWS_IN_FLIGHT,
     FAMILY_ALPHA,
+    McEstimate,
     _block_sizes,
+    _chunk_rows,
     _dense_block,
     _dense_draw,
     _eigen_block,
     _evaluated,
     _moments,
+    _normal_block,
+    _normal_chunks,
     _sphere_block,
     _weights,
     family_threshold,
@@ -114,6 +119,81 @@ class TestBlockSizes:
             assert len(sizes) == BLOCKS
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
+
+
+def block_generator(seed, block):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
+
+
+def whole_eigen_block(lam, size, seed, block):
+    """The eigenbasis worker half on the whole block at once: (w, num, top)."""
+    zz = block_generator(seed, block).standard_normal((size, len(lam))) ** 2
+    r = np.einsum("ij->i", zz)
+    e = np.einsum("ij,j->i", zz, lam) / r
+    top = float(e.max())
+    w = np.exp(e - top)
+    return w, np.einsum("i,ij->j", w / r, zz), top
+
+
+class TestNormalChunks:
+    """The eigenbasis worker's chunked draw is the block's draw, bit for bit."""
+
+    @pytest.mark.parametrize("d, size, rows", [
+        (3, 20, 1),  # one row per chunk
+        (3, 20, 6),  # a ragged last chunk of two rows
+        (5, 21, 4),  # a last row of its own joins the chunk before it
+        (7, 40, 40),  # one chunk
+        (2, 25, 100),  # fewer rows than a chunk
+        (200, 4001, _chunk_rows(200)),  # the verify point: six chunks and 71 rows
+        (200, 2 * _chunk_rows(200) + 1, _chunk_rows(200)),
+    ])
+    def test_chunks_are_the_block(self, d, size, rows):
+        got = []
+        first = None
+        for start, chunk in _normal_chunks(d, size, 2026, 7, rows):
+            first = chunk if first is None else first
+            assert start == sum(len(c) for c in got)
+            assert np.shares_memory(chunk, first)  # one reused buffer
+            got.append(chunk.copy())
+        ref = block_generator(2026, 7).standard_normal((size, d))
+        assert np.array_equal(np.concatenate(got), ref)
+        assert np.array_equal(ref, _normal_block(d, size, 2026, 7))
+        lengths = [len(c) for c in got]
+        assert all(n == min(rows, size) for n in lengths[:-1])
+        assert lengths[-1] <= rows + 1 and (rows == 1 or 1 not in lengths)
+
+    def test_chunk_rows(self):
+        assert _chunk_rows(200) == CHUNK_BYTES // 1600
+        assert _chunk_rows(62501) == 2 and _chunk_rows(10**6) == 2
+
+    def test_one_chunk_block_is_the_whole_block(self):
+        # At d = 2 a block of 2470 rows fits in one chunk: weights, numerator
+        # and shift are those of the whole block at once, bit for bit.
+        lam = np.array([-0.4, 0.4])
+        for b, size in enumerate(_block_sizes(123457)[:5]):
+            assert size <= _chunk_rows(2)
+            got, ref = _eigen_block(lam, size, 2026, b), whole_eigen_block(lam, size, 2026, b)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("d, size", [
+        (200, 4001),
+        (9000, 2 * _chunk_rows(9000) + 1),
+        (62501, 4),  # two-row chunks from here on
+        (62501, 5),
+        (62501, 20),  # a block at n = 1000
+        (70000, 21),
+    ])
+    def test_chunked_weights_are_the_whole_blocks(self, d, size):
+        # Every exponent, and so every weight and the shift, is that of the
+        # whole block; only the numerator's summation order moves.  At d = 9000
+        # and above, a lone last row, which einsum would reduce in another
+        # order, joins the chunk before it.
+        lam = np.linspace(-2.0, 2.0, d)
+        w, num, top = _eigen_block(lam, size, 11, 3)
+        ref_w, ref_num, ref_top = whole_eigen_block(lam, size, 11, 3)
+        assert np.array_equal(w, ref_w) and top == ref_top
+        np.testing.assert_allclose(num, ref_num, rtol=1e-13, atol=0)
 
 
 class TestMcNormConst:
@@ -282,6 +362,30 @@ class TestMcMoments:
         with pytest.raises(SamplingOverflowError):
             mc_moments(800.0 * np.eye(4), 1000, seed=0)
 
+    @pytest.mark.parametrize("estimator", [mc_moments, mc_norm_const, mc_covariance])
+    @pytest.mark.parametrize("sigma, n, exponent", [
+        (np.diag([400.0, 0.0, 0.0]), 20_000, r"399\.96"),
+        (349.5 * np.eye(3), 200_000, r"349\.5\b"),
+    ], ids=["squares", "their-sum"])
+    def test_squared_weights_overflow_raises(self, estimator, sigma, n, exponent):
+        # The weights fit in float64 but the sum of their squares does not:
+        # at diag(400, 0, 0) each block's, at 349.5 I only the sum over the
+        # blocks.  The standard error of Psi was nan, after an overflow
+        # warning in the first case and silently in the second.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SamplingOverflowError, match="x' Sigma x reaches " + exponent):
+                estimator(sigma, n, 1)
+
+    def test_effective_sample_size(self):
+        # Constant weights: every sample counts.  diag(4, 0, 0) concentrates
+        # the weights, and both estimates carry the one ESS of their weights.
+        psi, cov = mc_moments(0.5 * np.eye(3), 5000, seed=3)
+        assert psi.ess == pytest.approx(5000.0, rel=1e-12)
+        psi, cov = mc_moments(np.diag([4.0, 0.0, 0.0]), 5000, seed=3)
+        assert 1.0 < psi.ess < 0.9 * 5000 and cov.ess == psi.ess
+        assert math.isnan(McEstimate(1.0, 0.0, 1000, 0).ess)
+
     def test_validation(self):
         with pytest.raises(OrderRangeError):
             mc_moments(np.zeros((3, 3)), 999, seed=0)
@@ -388,16 +492,21 @@ class TestMcEigenMoments:
 
         Block b's Gaussians z give q = (z*z) / r, r = |z|^2 per row, the
         exponents e = q @ lambda, the weights exp(e - s_b) with s_b the
-        block's largest exponent, and the numerator w @ q.  The blocks are
-        then brought to the largest shift S, and Psi and its standard
-        error scaled back by e^S, applied as two factors e^(S / 2).
+        block's largest exponent, and the numerator w @ q.  The numerator
+        is summed over chunks of max(2, CHUNK_BYTES // 8d) rows, a last row
+        of its own joining the chunk before it: chunk c weights its rows by
+        exp(e - s_c) e^(s_c - t), with s_c the chunk's largest exponent and
+        t the largest shift so far, and the running sum is rescaled by
+        e^(t - s_c) whenever s_c exceeds t.  The blocks are then brought to
+        the largest shift S, and Psi and its standard error scaled back by
+        e^S, applied as two factors e^(S / 2).
         """
         d = len(eigenvalues)
+        rows = max(2, CHUNK_BYTES // (8 * d))
         nums = np.empty((BLOCKS, d))
         dens, squares, shifts = np.empty(BLOCKS), np.empty(BLOCKS), np.empty(BLOCKS)
         for b, size in enumerate(_block_sizes(n)):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, b])))
-            zz = rng.standard_normal((size, d)) ** 2
+            zz = block_generator(seed, b).standard_normal((size, d)) ** 2
             r = np.einsum("ij->i", zz)
             e = np.einsum("ij,j->i", zz, eigenvalues) / r
             shifts[b] = e.max()
@@ -405,7 +514,18 @@ class TestMcEigenMoments:
             assert np.isfinite(w).all() and w.max() == 1.0
             dens[b] = float(w.sum())
             squares[b] = float((w * w).sum())
-            nums[b] = np.einsum("i,ij->j", w / r, zz)
+            starts = list(range(0, size, rows))
+            if size - starts[-1] == 1 and len(starts) > 1:
+                starts.pop()
+            top, num = -math.inf, np.zeros(d)
+            for lo, hi in zip(starts, starts[1:] + [size]):
+                s_c = float(e[lo:hi].max())
+                if s_c > top:
+                    num *= math.exp(top - s_c)
+                    top = s_c
+                w_c = np.exp(e[lo:hi] - s_c) * math.exp(s_c - top) / r[lo:hi]
+                num += np.einsum("i,ij->j", w_c, zz[lo:hi])
+            nums[b] = num
         top = shifts.max()
         common = np.exp(shifts - top)
         dens, squares, nums = dens * common, squares * (common * common), nums * common[:, None]
@@ -500,20 +620,51 @@ class TestMcEigenMoments:
         assert np.isfinite(psi.std_error) and psi.std_error > 0.0
         assert abs(psi.value - truth) <= 4.0 * psi.std_error
 
-    def test_memory_about_two_blocks(self):
-        # No block-sized array leaves a pool worker, and a worker squares its
-        # Gaussians in place: about DRAWS_IN_FLIGHT blocks are alive at once.
-        d, n = 200, 200_000
-        block_bytes = n // BLOCKS * d * 8
-        lam = np.linspace(-1.0, 1.0, d)
-        mc_eigen_moments(lam, 1000, seed=0)  # imports the pool first
+    @staticmethod
+    def traced_peak(lam, n):
+        mc_eigen_moments(np.zeros(3), 1000, seed=0)  # imports the pool first
         tracemalloc.start()
         try:
             mc_eigen_moments(lam, n, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * block_bytes
+
+    def test_memory_one_chunk_per_draw(self):
+        # A pool worker holds one chunk of Gaussians and 8 bytes per row of its
+        # block, and the caller a block's weights and their squares: per draw in
+        # flight one chunk and 16 bytes per row, whatever d.  Ten times the
+        # samples adds only those bytes per row; a whole block at n = 2e6 is
+        # 64 MB.
+        d = 200
+        lam = np.linspace(-1.0, 1.0, d)
+        peaks = {n: self.traced_peak(lam, n) for n in (200_000, 2_000_000)}
+        for n, peak in peaks.items():
+            assert peak < DRAWS_IN_FLIGHT * (CHUNK_BYTES + 16 * n // BLOCKS) + 256 * 1024, n
+        rows_added = (2_000_000 - 200_000) // BLOCKS
+        assert peaks[2_000_000] - peaks[200_000] < DRAWS_IN_FLIGHT * 16 * rows_added + 64 * 1024
+
+    def test_memory_at_d62501(self):
+        # The largest dimension of the paper's tables, diagonal Sigma.  Beyond
+        # the (BLOCKS, d) numerators that the jackknife needs, a draw in flight
+        # holds one chunk (two rows) and two d-vectors; one block of the
+        # 20 x d Gaussians is 10 MB.
+        d, n = 62501, 1000
+        lam = np.linspace(-0.01, 0.01, d)
+        peak = self.traced_peak(lam, n)
+        per_draw = CHUNK_BYTES + 2 * 8 * d + 16 * n // BLOCKS
+        assert peak < BLOCKS * 8 * d + DRAWS_IN_FLIGHT * per_draw + 1024 * 1024
+
+    def test_effective_sample_size(self):
+        # Constant weights: every sample counts.  On diag(0, ..., 0, 745) at
+        # d = 200 one sample carries the weights, and verify calls psi
+        # inconclusive.
+        psi, cov = mc_eigen_moments(np.full(10, 0.5), 5000, seed=3)
+        assert psi.ess == pytest.approx(5000.0, rel=1e-12) and cov.ess == psi.ess
+        lam = np.zeros(200)
+        lam[-1] = 745.0
+        psi, _ = mc_eigen_moments(lam, 200_000, seed=1)
+        assert 1.0 <= psi.ess < 1.1
 
 
 class TestFamilyThreshold:
@@ -551,17 +702,21 @@ class TestHelperThread:
 
     @staticmethod
     def meeting_draws(monkeypatch, started):
-        """Draws 0 and 1 wait for each other, so both pool workers must exist."""
-        barrier = threading.Barrier(DRAWS_IN_FLIGHT, timeout=30)
-        real = oracle._normal_block
+        """Draws 0 and 1 wait for each other, so both pool workers must exist.
 
-        def draw(d, size, seed, block):
+        Both paths draw through the block's generator: the dense worker at
+        once, the eigenbasis worker before its first chunk.
+        """
+        barrier = threading.Barrier(DRAWS_IN_FLIGHT, timeout=30)
+        real = oracle._block_rng
+
+        def generator(seed, block):
             started.append(block)
             if block < DRAWS_IN_FLIGHT:
                 barrier.wait()
-            return real(d, size, seed, block)
+            return real(seed, block)
 
-        monkeypatch.setattr(oracle, "_normal_block", draw)
+        monkeypatch.setattr(oracle, "_block_rng", generator)
 
     def test_no_thread_left_after_overflow(self):
         start = threading.active_count()

@@ -63,18 +63,14 @@ from .partitions import (
     partition_weight,
 )
 from .series import (
-    BoundedValue,
     alpha_descriptor,
     alpha_exponent,
     covariance_derived_bound,
     covariance_expansion,
     covariance_second_order,
-    covariance_with_descriptor,
-    gradient_with_bound,
     inverse_norm_const_truncated,
     norm_const_gradient_truncated,
     norm_const_truncated,
-    norm_const_with_bound,
     pochhammer_ratio,
 )
 from .symmat import (

@@ -87,7 +87,7 @@ class ConvergenceError(BinghamxError):
 
 
 class SamplingOverflowError(BinghamxError):
-    """Monte-Carlo weights, or the estimate of Psi itself, are not finite in float64."""
+    """A sampled matrix, the Monte-Carlo weights or the estimate of Psi is not finite in float64."""
 
 
 class SeriesOverflowError(BinghamxError):

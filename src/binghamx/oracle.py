@@ -11,60 +11,55 @@ identical (seed, n, Sigma) draw the same samples on any machine and give
 bit-identical estimates on one numpy/BLAS build and BLAS thread count.
 The 50 blocks double as the jackknife resampling groups.
 
-Every estimator is one loop, :func:`_moments`, over the blocks, and each
-path comes in two halves: a BLAS-free worker half that draws block b and
-does what it can without BLAS, and a main half that turns what the
-worker returned into the block's weights and numerator.  Two pool
-workers run the halves of blocks b + 1 and b + 2 while the caller runs
-the main half of block b and reduces it; each block has its own
-generator and the reductions stay in index order, so the results do not
-depend on that overlap.  The loop keeps the running sums of w and w^2
-for Psi and the per-block numerators and sums of w for the jackknife.
+Sampling runs in the eigenbasis.  The uniform measure on the sphere is
+rotation-invariant, so for Sigma = V diag(lambda) V' the coordinates
+y = V'x of a uniform x are uniform too and x' Sigma x = sum_i lambda_i
+y_i^2.  A uniform block is read directly as y = z / |z| for Gaussian rows
+z, so q = y*y = (z*z) / r with r = |z|^2, and Cov(X) = V diag(E_w[q]) V'.
+The weights depend on y only through q, so the sign flips y_i -> -y_i
+leave them unchanged and E_w[y_i y_j] = 0 for i != j.  Averaging each
+sample over those flips, a Rao-Blackwellization, leaves the diagonal as
+it is and makes the off-diagonal eigenbasis entries exact zeros: no
+noise there, and no bias.
 
-The dense path's worker half is :func:`_sphere_block`, a uniform block
-x; its main half, :func:`_dense_block`, forms the weights exp(x' Sigma x)
-and the numerator x'(w x) with BLAS products, which stay on the calling
-thread.  :func:`mc_moments` runs it and returns both estimates.
-:func:`mc_norm_const` and :func:`mc_covariance` each return one of them
-from that same pass (the Psi pass forms no numerator), so they equal
-:func:`mc_moments` bit for bit.
-
-``verify`` runs the eigenbasis path through :func:`mc_eigen_moments`.
-The uniform measure on the sphere is rotation-invariant, so for Sigma =
-V diag(lambda) V' the coordinates y = V'x of a uniform x are uniform too
-and x' Sigma x = sum_i lambda_i y_i^2.  A uniform block is read directly
-as y = z / |z| for Gaussian rows z, so q = y*y = (z*z) / r with r =
-|z|^2, and Cov(X) = V diag(E_w[q]) V'.  The worker half,
-:func:`_eigen_block`, evaluates the whole block: it draws z in chunks of
+One loop, :func:`_moments`, runs over the blocks.  A pool worker,
+:func:`_eigen_block`, evaluates a whole block: it draws z in chunks of
 about CHUNK_BYTES into one reused buffer, squares each in place, and
-returns only the weights exp(q @ lambda - s), one per row, shifted by
-the block's largest exponent s <= lambda_max, the d-vector numerator
-w @ q and s; its main half passes them on.  A block costs O(size * d)
-instead of two O(size * d^2) products, and no array of size * d entries
-exists: a draw in flight holds one chunk and the block's per-row vectors,
-16 bytes a row with the caller's weights and their squares, so the
-memory of a pass does not grow with n * d.  The shift keeps every
+returns only the weights exp(q @ lambda - s), one per row, shifted by the
+block's largest exponent s <= lambda_max, the d-vector numerator w @ q
+and s.  Two pool workers evaluate blocks b + 1 and b + 2 while the caller
+reduces block b; each block has its own generator and the reductions
+stay in index order, so the results do not depend on that overlap.  A
+block costs O(size * d), calls no BLAS routine, and no array of size * d
+entries exists: a draw in flight holds one chunk and the block's per-row
+vectors, 16 bytes a row with the caller's weights and their squares, so
+the memory of a pass does not grow with n * d.  The shift keeps every
 weight at most 1 and the largest weight of each block at exactly 1, so
 neither the weights nor their squares overflow, and a matrix fails only
-when Psi itself exceeds float64.  :func:`_moments`
-brings the blocks to a common shift and scales Psi and its standard
-error back; the covariance ratio does not change.  Only lambda is
-needed, the one ``power_sums`` forms, and the series side of entry k is
+when Psi itself exceeds float64.  :func:`_moments` brings the blocks to a
+common shift and scales Psi and its standard error back; the covariance
+ratio does not change.
+
+:func:`mc_eigen_moments` takes lambda alone.  ``verify`` runs it on the
+lambda that ``power_sums`` forms, and the series side of entry k is
 T g(lambda_k), the covariance product at diag(lambda): ``verify``
-computes no eigenvectors.
+computes no eigenvectors.  :func:`mc_moments` takes a dense Sigma: one
+``eigh`` of its symmetric part, the same pass on lambda, so its Psi is
+that of :func:`mc_eigen_moments` bit for bit, and one mapping
+V diag(.) V' of the covariance and of each delete-one-block estimate of
+the jackknife.  :func:`mc_norm_const` and :func:`mc_covariance` return
+its two halves.
 
 Every compared check of ``verify`` is tested at the family-wise
 false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).  Each
 estimate carries the effective sample size (sum w)^2 / sum w^2 of its
-weights; ``verify`` calls psi inconclusive below MIN_ESS of them.  The
-dense path's weights are not shifted, and it raises
-:class:`SamplingOverflowError` when their squares exceed float64.
+weights; ``verify`` calls psi inconclusive below MIN_ESS of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -157,15 +152,8 @@ def _normal_chunks(d: int, size: int, seed: int, block: int, rows: int):
         start = stop
 
 
-def _sphere_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
-    """Uniform sphere samples: normalized rows of standard Gaussians."""
-    z = _normal_block(d, size, seed, block)
-    norms = np.sqrt(np.sum(z * z, axis=1))
-    return z / norms[:, None]
-
-
 def _finite(w: np.ndarray) -> np.ndarray:
-    """The weights w, unless one of them overflowed or is nan."""
+    """The weights w, unless one of them is nan: a lambda or an exponent was not finite."""
     if not np.isfinite(w).all():
         raise SamplingOverflowError(
             "exp(x' Sigma x) produced non-finite weights; the matrix is far "
@@ -174,29 +162,10 @@ def _finite(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weights(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """exp(x' Sigma x) per row of x; overflow, or nan from inf - inf, raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(np.exp(np.sum((x @ sigma) * x, axis=1)))
-
-
-def _dense_draw(sigma: np.ndarray, size: int, seed: int, block: int) -> np.ndarray:
-    """The worker half of the dense path: the uniform block x."""
-    return _sphere_block(sigma.shape[0], size, seed, block)
-
-
-def _dense_block(
-    x: np.ndarray, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The weights exp(x' Sigma x) of a uniform block x, unshifted, and its numerator x'(w x)."""
-    w = _weights(x, sigma)
-    return w, x.T @ (x * w[:, None]), 0.0
-
-
 def _eigen_block(
     eigenvalues: np.ndarray, size: int, seed: int, block: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The worker half of the eigenbasis path: block b's weights, numerator and shift.
+    """Block b's weights, numerator and shift, evaluated in a pool worker.
 
     With z the block's Gaussians and r = |z|^2 per row, the uniform
     eigen-coordinates are y = z / sqrt(r) and q = y*y = (z*z) / r, and
@@ -211,10 +180,9 @@ def _eigen_block(
     running sum kept at the largest shift s so far; at the end e becomes
     the weights in place.  So a worker holds one chunk and 8 bytes per row
     of the block, whatever d, and only w, the d-vector numerator and s
-    leave it.  Each e and s
-    equal those of the whole block at once, so w is bit for bit the same;
-    the numerator moves in its last digits only where a block has more
-    than one chunk.
+    leave it.  Each e and s equal those of the whole block at once, so w
+    is bit for bit the same; the numerator moves in its last digits only
+    where a block has more than one chunk.
 
     The products run through einsum, not BLAS: with more than one BLAS
     thread a multithreaded matrix-vector product of a block is several
@@ -243,63 +211,49 @@ def _eigen_block(
     return np.exp(e, out=e), num, top
 
 
-def _evaluated(drawn: tuple[np.ndarray, np.ndarray, float], eigenvalues: np.ndarray):
-    """The main half of the eigenbasis path: the worker evaluated the block."""
-    return drawn
-
-
 def _moments(
-    data: np.ndarray, n: int, seed: int, draw, block
-) -> tuple[McEstimate, McEstimate | None]:
-    """Psi and the ratio estimate of E_w[numerator], in one pass over the blocks.
+    eigenvalues: np.ndarray, n: int, seed: int
+) -> tuple[McEstimate, np.ndarray, np.ndarray]:
+    """Psi, the ratio estimate of E_w[q] and its jackknife deviations, in one pass.
 
-    ``draw(data, size, seed, b)`` is a path's worker half: it runs in a
-    pool worker, draws block b and calls no BLAS routine.  ``block(drawn,
-    data)`` is its main half: it runs on the calling thread and maps what
-    ``draw`` returned to the block's weights w = exp(x' Sigma x - s), its
-    numerator and its shift s; the numerator is None when only Psi is
-    wanted, and then the second estimate is None.  Two pool workers run
-    the draws of blocks b + 1 and b + 2 while block b is finished and
-    reduced, so exactly DRAWS_IN_FLIGHT draws are in flight; a block that
-    raises, in either half, waits for those draws and stops the workers
-    on leaving the pool.
+    Pool workers run :func:`_eigen_block` on the blocks: two of them
+    evaluate blocks b + 1 and b + 2 while block b is reduced, so exactly
+    DRAWS_IN_FLIGHT draws are in flight; a block that raises, in a worker
+    or in the reduction, waits for those draws and stops the workers on
+    leaving the pool.
 
     At the end every block's sums are brought to the largest shift S by
-    the factor e^(s - S), which is 1 for unshifted blocks, and Psi and
-    its standard error are scaled back by e^S.  The covariance ratio does
-    not depend on S.  Both estimates carry the effective sample size
-    (sum w)^2 / sum w^2, which does not depend on S either.  The jackknife
-    builds the delete-one-block ratios in place in the per-block
-    numerators, so only one array of that shape is alive, whatever the
-    shape of a numerator.  When the sum of w^2 exceeds float64, which only
-    unshifted weights can do, the error names the largest exponent.
+    the factor e^(s - S), and Psi and its standard error are scaled back
+    by e^S.  The ratio E_w[q] does not depend on S, nor does the effective
+    sample size (sum w)^2 / sum w^2 that Psi carries.  Each block's
+    largest weight is 1, so the sum of w^2 lies in [1, n].
+
+    The third result holds the delete-one-block ratios less their mean,
+    one row per block, built in place in the per-block numerators: the
+    jackknife standard error of a linear map of E_w[q] is that of the same
+    map applied to each row.
     """
     _check_sampling_args(n, seed)
     # Imported here so that importing the package starts no thread machinery.
     from concurrent.futures import ThreadPoolExecutor
 
     sizes = _block_sizes(n)
-    nums = None
-    dens, squares, shifts, peaks = (np.empty(BLOCKS) for _ in range(4))
+    nums = np.empty((BLOCKS, len(eigenvalues)))
+    dens, squares, shifts = np.empty(BLOCKS), np.empty(BLOCKS), np.empty(BLOCKS)
     with ThreadPoolExecutor(DRAWS_IN_FLIGHT) as pool:
 
         def submit(b: int):
-            return pool.submit(draw, data, sizes[b], seed, b)
+            # The worker is looked up per call, so that tests can substitute one.
+            return pool.submit(_eigen_block, eigenvalues, sizes[b], seed, b)
 
         ahead = [submit(b) for b in range(DRAWS_IN_FLIGHT)]
         for b in range(BLOCKS):
             drawn = ahead.pop(0).result()
             if b + DRAWS_IN_FLIGHT < BLOCKS:
                 ahead.append(submit(b + DRAWS_IN_FLIGHT))
-            w, num, shifts[b] = block(drawn, data)
+            w, nums[b], shifts[b] = drawn
             dens[b] = float(w.sum())
-            with np.errstate(over="ignore"):
-                squares[b] = float((w * w).sum())
-            peaks[b] = float(w.max())
-            if num is not None:
-                if nums is None:
-                    nums = np.empty((BLOCKS,) + num.shape)
-                nums[b] = num
+            squares[b] = float((w * w).sum())
 
     top = float(shifts.max())
     scale = np.exp(shifts - top)
@@ -307,16 +261,8 @@ def _moments(
     squares *= scale * scale
     # Python's sum adds in block order, like a running sum.
     total, total_sq = sum(dens.tolist()), sum(squares.tolist())
-    if not math.isfinite(total_sq):
-        exponent = max(math.log(p) + s for p, s in zip(peaks.tolist(), shifts.tolist()) if p > 0)
-        raise SamplingOverflowError(
-            f"the sum of the squared weights exp(2 x' Sigma x) exceeds float64: "
-            f"x' Sigma x reaches {exponent:.6g}"
-        )
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    # Only unshifted weights can all square to 0.
-    ess = (total / math.sqrt(total_sq)) ** 2 if total_sq > 0.0 else math.nan
     se = float(np.sqrt(var / n))
     # e^top as two factors: a shifted block's largest weight is 1, so Psi >= e^top / n,
     # which may fit in float64 where e^top does not.
@@ -327,29 +273,35 @@ def _moments(
         raise SamplingOverflowError(
             f"Psi exceeds float64: the sample mean of exp(x' Sigma x - {top:.17g}) is {mean:.6g}"
         )
+    ess = (total / math.sqrt(total_sq)) ** 2
     psi = McEstimate(value=float(value), std_error=float(se), n_samples=n, seed=seed, ess=ess)
-    if nums is None:
-        return psi, None
-    nums *= scale.reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
+    nums *= scale[:, None]
     num_tot = nums.sum(axis=0)
     den_tot = float(dens.sum())
-    value = num_tot / den_tot
     np.subtract(num_tot[None], nums, out=nums)
-    nums /= (den_tot - dens).reshape((BLOCKS,) + (1,) * (nums.ndim - 1))
+    nums /= (den_tot - dens)[:, None]
     nums -= nums.mean(axis=0)
-    nums *= nums
-    se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(nums, axis=0))
-    return psi, McEstimate(value=value, std_error=se, n_samples=n, seed=seed, ess=ess)
+    return psi, num_tot / den_tot, nums
+
+
+def _jackknife_se(squared_deviations: np.ndarray) -> np.ndarray:
+    """Jackknife standard errors, in place, from the sum over the blocks of squared deviations."""
+    squared_deviations *= (BLOCKS - 1) / BLOCKS
+    return np.sqrt(squared_deviations, out=squared_deviations)
+
+
+def _eigen_map(vecs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """V diag(diagonal) V'."""
+    return (vecs * diagonal) @ vecs.T
 
 
 def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     """Sample mean of exp(x' Sigma x) over the uniform sphere.
 
     Returns the estimate of the normalizing constant and the standard
-    error of the mean.
+    error of the mean: the first half of :func:`mc_moments`.
     """
-    # The Psi half of the pass: its blocks form no numerator.
-    return _moments(sigma, n, seed, _dense_draw, lambda x, s: (_weights(x, s), None, 0.0))[0]
+    return mc_moments(sigma, n, seed)[0]
 
 
 def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -357,19 +309,40 @@ def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
 
     Entrywise standard errors come from a delete-one-block jackknife
     over the 50 sampling blocks, which respects the ratio form of the
-    estimator.  The estimate has unit trace up to float roundoff.
+    estimator.  The estimate has unit trace up to float roundoff.  This
+    is the second half of :func:`mc_moments`.
     """
-    return _moments(sigma, n, seed, _dense_draw, _dense_block)[1]
+    return mc_moments(sigma, n, seed)[1]
 
 
 def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEstimate]:
-    """Both Monte-Carlo estimates from a single pass over the sample blocks.
+    """The normalizing constant and Cov(X) of a dense Sigma, in one pass.
 
-    Returns ``(mc_norm_const(sigma, n, seed), mc_covariance(sigma, n,
-    seed))``, equal to the separate calls bit for bit, while drawing each
-    block and computing its weights only once.
+    x' Sigma x depends only on the symmetric part (Sigma + Sigma') / 2,
+    so that is what one ``eigh`` factors as V diag(lambda) V'.  The pass
+    is that of :func:`mc_eigen_moments` on lambda, so Psi is its Psi bit
+    for bit, and the covariance is V diag(E_w[q]) V'.  Its entrywise
+    standard errors map each delete-one-block deviation delta_b the same
+    way and sum the squares of V diag(delta_b) V' over the blocks, one
+    d x d product at a time: O(BLOCKS d^3), and a few d x d arrays beside
+    the memory of the pass.  Entries off the diagonal in the eigenbasis
+    are exact zeros there, with standard error 0 (see the module
+    docstring).  For diagonal Sigma, where ``eigh`` returns a signed
+    permutation V, so are the off-diagonal entries and their standard
+    errors.
     """
-    return _moments(sigma, n, seed, _dense_draw, _dense_block)
+    sigma = np.asarray(sigma, dtype=float)
+    # LAPACK may fail to converge on a nan rather than return one.
+    if not np.isfinite(sigma).all():
+        raise SamplingOverflowError("Sigma has a non-finite entry, so exp(x' Sigma x) is not finite")
+    # Halved before the sum, which cannot then overflow.
+    lam, vecs = np.linalg.eigh(sigma / 2.0 + sigma.T / 2.0)
+    psi, value, deviations = _moments(lam, n, seed)
+    squares = np.zeros_like(vecs)
+    for delta in deviations:
+        squares += _eigen_map(vecs, delta) ** 2
+    se = _jackknife_se(squares)
+    return psi, replace(psi, value=_eigen_map(vecs, value), std_error=se)
 
 
 def mc_eigen_moments(
@@ -381,14 +354,15 @@ def mc_eigen_moments(
     block is read as the eigen-coordinates y, which is exact in law by
     rotation invariance, and weighted by exp(q @ lambda), q = y*y,
     computed shifted by the block's largest exponent so that no weight
-    overflows.  Returns the estimate of Psi (as :func:`mc_norm_const`
-    computes it from the weights) and the d-vector E_w[q] with jackknife
-    errors: Cov(X) = V diag(E_w[q]) V', so entry k estimates
+    overflows.  Returns the estimate of Psi and the d-vector E_w[q] with
+    jackknife errors: Cov(X) = V diag(E_w[q]) V', so entry k estimates
     v_k' Cov(X) v_k.  The entries sum to 1 up to float roundoff.  Raises
     :class:`SamplingOverflowError` only when the estimate of Psi itself
-    does not fit in float64.
+    does not fit in float64, or when a weight is nan.
     """
-    return _moments(np.asarray(eigenvalues, dtype=float), n, seed, _eigen_block, _evaluated)
+    psi, value, deviations = _moments(np.asarray(eigenvalues, dtype=float), n, seed)
+    deviations *= deviations
+    return psi, replace(psi, value=value, std_error=_jackknife_se(np.sum(deviations, axis=0)))
 
 
 def _t_tail(t: float, nu: int) -> float:

@@ -35,16 +35,9 @@ eigenvalues in O(d m) and never forms G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bounds import (
-    GrowthRegime,
-    gradient_tail_bound,
-    inverse_tail_bound,
-    norm_const_tail_bound,
-)
+from .bounds import GrowthRegime, gradient_tail_bound, inverse_tail_bound
 from .errors import DimensionMismatchError, OrderRangeError
 from .partitions import check_order
 from .symmat import (
@@ -221,66 +214,3 @@ def _gradient_norm(grad: GradientPolynomial, ps: PowerSums, sigma: np.ndarray) -
 def _derived_bound(scalar: float, grad_norm: float, b_grad: float, b_inv: float) -> float:
     """|T| B_g + B_i (||G||_F + B_g) from T and ||G||_F of the product T G."""
     return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)
-
-
-@dataclass(frozen=True)
-class BoundedValue:
-    """A truncated value packaged with its certified bound.
-
-    ``bound`` is a nonnegative float for the value and gradient
-    expansions, and a symbolic descriptor string for the covariance
-    product (whose remainder has a proved order but no explicit
-    constant).
-    """
-
-    value: object
-    bound: object
-    m: int
-    d: int
-    regime: GrowthRegime | None
-    l: int | None = None
-
-
-def norm_const_with_bound(
-    ps: PowerSums, m: int, d: int, regime: GrowthRegime
-) -> BoundedValue:
-    """Truncated normalizing constant plus its tail bound."""
-    return BoundedValue(
-        value=norm_const_truncated(ps, m, d),
-        bound=norm_const_tail_bound(m, float(d), regime),
-        m=m,
-        d=d,
-        regime=regime,
-    )
-
-
-def gradient_with_bound(
-    ps: PowerSums, m: int, d: int, regime: GrowthRegime
-) -> BoundedValue:
-    """Truncated gradient polynomial plus its Frobenius tail bound."""
-    return BoundedValue(
-        value=norm_const_gradient_truncated(ps, m, d),
-        bound=gradient_tail_bound(m, float(d), regime),
-        m=m,
-        d=d,
-        regime=regime,
-    )
-
-
-def covariance_with_descriptor(
-    ps: PowerSums,
-    sigma: np.ndarray,
-    l: int,
-    m: int,
-    d: int,
-    regime: GrowthRegime | None = None,
-) -> BoundedValue:
-    """Covariance product plus the symbolic order of its remainder."""
-    return BoundedValue(
-        value=covariance_expansion(ps, sigma, l, m, d),
-        bound=alpha_descriptor(m, regime),
-        m=m,
-        d=d,
-        regime=regime,
-        l=l,
-    )

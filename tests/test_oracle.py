@@ -17,7 +17,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -46,15 +45,9 @@ from binghamx.oracle import (
     McEstimate,
     _block_sizes,
     _chunk_rows,
-    _dense_block,
-    _dense_draw,
     _eigen_block,
-    _evaluated,
-    _moments,
     _normal_block,
     _normal_chunks,
-    _sphere_block,
-    _weights,
     family_threshold,
     t_upper_quantile,
 )
@@ -133,6 +126,31 @@ def whole_eigen_block(lam, size, seed, block):
     top = float(e.max())
     w = np.exp(e - top)
     return w, np.einsum("i,ij->j", w / r, zz), top
+
+
+def jackknife_se(centered):
+    """Jackknife standard errors from the delete-one-block estimates less their mean."""
+    return np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
+
+
+def traced_peak(estimator, data, n):
+    """The tracemalloc peak of one estimator call, after a call that imports the pool."""
+    estimator(np.zeros((2,) * data.ndim), 1000, seed=0)
+    tracemalloc.start()
+    try:
+        estimator(data, n, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_memory_bound(d, n):
+    """Bytes a dense pass may hold: four d x d arrays (V, the sum of squares, a
+    mapped deviation and the temporary it is formed from), the (BLOCKS, d)
+    deviations, per draw in flight one chunk and 16 bytes per row of a block,
+    and 256 KiB of slack."""
+    arrays = 4 * 8 * d * d + BLOCKS * 8 * d
+    return arrays + DRAWS_IN_FLIGHT * (CHUNK_BYTES + 16 * n // BLOCKS) + 256 * 1024
 
 
 class TestNormalChunks:
@@ -233,22 +251,15 @@ class TestMcNormConst:
         assert est.n_samples == 1500 and est.seed == 9
 
     def test_overflow(self):
-        with pytest.raises(SamplingOverflowError):
+        with pytest.raises(SamplingOverflowError, match="Psi exceeds float64"):
             mc_norm_const(800.0 * np.eye(4), 1000, seed=0)
 
     def test_forms_no_numerators(self):
-        # The Psi half of the pass keeps only running sums: no (BLOCKS, d, d)
-        # numerators, not even one d x d numerator per block.
+        # The pass keeps (BLOCKS, d) numerators in the eigenbasis and maps them
+        # one d x d product at a time: no (BLOCKS, d, d) numerators, 64 MB here.
         d = 400
         sigma = random_trace_zero(np.random.default_rng(29), d, norm=0.9)
-        mc_norm_const(np.zeros((2, 2)), 1000, seed=0)  # imports the pool first
-        tracemalloc.start()
-        try:
-            mc_norm_const(sigma, 1000, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < d * d * 8
+        assert traced_peak(mc_norm_const, sigma, 1000) < dense_memory_bound(d, 1000)
 
     def test_validation(self):
         with pytest.raises(OrderRangeError):
@@ -278,11 +289,14 @@ class TestMcCovariance:
         assert np.allclose(est.value, est.value.T, atol=1e-13)
 
     def test_diagonal_se_positive_off_diagonal_se_sane(self):
+        # At Sigma = 0 eigh returns V = I, so the eigenbasis is the standard
+        # basis and the off-diagonal entries are the estimator's exact zeros
+        # (their mean under the sign flips y_i -> -y_i), with standard error 0.
         est = mc_covariance(np.zeros((4, 4)), 50_000, seed=17)
-        assert np.all(est.std_error > 0.0)
-        # SE of diagonal entries of xx' is larger than a vanishing signal
-        # would suggest; just sanity-check the scale.
-        assert np.all(est.std_error < 0.05)
+        diagonal = np.diag(est.std_error)
+        assert np.all(diagonal > 0.0) and np.all(diagonal < 0.05)
+        off = ~np.eye(4, dtype=bool)
+        assert np.all(est.value[off] == 0.0) and np.all(est.std_error[off] == 0.0)
 
     def test_bit_reproducible(self):
         s = np.diag([0.4, -0.4])
@@ -302,34 +316,23 @@ class TestMcCovariance:
 
 
 class TestMcMoments:
-    """The single pass must reproduce both separate estimators bit for bit."""
+    """The dense pass is one eigh, the eigenbasis pass and one mapping V diag(.) V'.
+
+    Both halves must equal the separate estimators and a serial reference
+    bit for bit.
+    """
 
     @staticmethod
-    def separate_loops(sigma, n, seed):
-        """Reference: each estimator with its own block loop, drawing every block."""
-        d = sigma.shape[0]
-        total = total_sq = 0.0
-        for b, size in enumerate(_block_sizes(n)):
-            w = _weights(_sphere_block(d, size, seed, b), sigma)
-            total += float(w.sum())
-            total_sq += float((w * w).sum())
-        mean = total / n
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        psi = (mean, float(np.sqrt(var / n)))
+    def serial_reference(sigma, n, seed):
+        """Reference: eigh, the serial eigenbasis loop, then the mapping out of place.
 
-        nums = np.empty((BLOCKS, d, d))
-        dens = np.empty(BLOCKS)
-        for b, size in enumerate(_block_sizes(n)):
-            x = _sphere_block(d, size, seed, b)
-            w = _weights(x, sigma)
-            nums[b] = x.T @ (x * w[:, None])
-            dens[b] = float(w.sum())
-        num_tot = nums.sum(axis=0)
-        den_tot = float(dens.sum())
-        leave_out = (num_tot[None, :, :] - nums) / (den_tot - dens)[:, None, None]
-        centered = leave_out - leave_out.mean(axis=0)
-        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
-        return psi, (num_tot / den_tot, se)
+        All BLOCKS delete-one-block deviations of E_w[q] are mapped to
+        V diag(delta_b) V' at once, and the jackknife sums their squares.
+        """
+        lam, vecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
+        psi, value, centered = TestMcEigenMoments.serial_reference(lam, n, seed)
+        mapped = np.array([(vecs * delta) @ vecs.T for delta in centered])
+        return psi, ((vecs * value) @ vecs.T, jackknife_se(mapped))
 
     def assert_same(self, sigma, n, seed):
         psi, cov = mc_moments(sigma, n, seed)
@@ -340,7 +343,7 @@ class TestMcMoments:
         assert np.array_equal(cov.value, ref_cov.value)
         assert np.array_equal(cov.std_error, ref_cov.std_error)
         assert (cov.n_samples, cov.seed) == (n, seed)
-        (value, se), (cov_value, cov_se) = self.separate_loops(sigma, n, seed)
+        (value, se), (cov_value, cov_se) = self.serial_reference(sigma, n, seed)
         assert psi.value == value and psi.std_error == se
         assert np.array_equal(cov.value, cov_value)
         assert np.array_equal(cov.std_error, cov_se)
@@ -359,23 +362,47 @@ class TestMcMoments:
         assert psi.value == 1.0 and psi.std_error == 0.0
 
     def test_overflow(self):
-        with pytest.raises(SamplingOverflowError):
+        # Every shifted weight is 1; Psi = e^800 itself exceeds float64.
+        with pytest.raises(SamplingOverflowError, match="Psi exceeds float64"):
             mc_moments(800.0 * np.eye(4), 1000, seed=0)
 
     @pytest.mark.parametrize("estimator", [mc_moments, mc_norm_const, mc_covariance])
-    @pytest.mark.parametrize("sigma, n, exponent", [
-        (np.diag([400.0, 0.0, 0.0]), 20_000, r"399\.96"),
-        (349.5 * np.eye(3), 200_000, r"349\.5\b"),
+    @pytest.mark.parametrize("sigma, n, truth", [
+        (np.diag([400.0, 0.0, 0.0]), 20_000, kummer_series(1.5, 400.0, max_terms=2000)),
+        (349.5 * np.eye(3), 200_000, math.exp(349.5)),
     ], ids=["squares", "their-sum"])
-    def test_squared_weights_overflow_raises(self, estimator, sigma, n, exponent):
-        # The weights fit in float64 but the sum of their squares does not:
-        # at diag(400, 0, 0) each block's, at 349.5 I only the sum over the
-        # blocks.  The standard error of Psi was nan, after an overflow
-        # warning in the first case and silently in the second.
+    def test_squared_weights_stay_finite(self, estimator, sigma, n, truth):
+        # Unshifted weights would fit in float64 here but the sum of their
+        # squares would not: at diag(400, 0, 0) each block's, at 349.5 I only
+        # the sum over the blocks.  Shifted, every weight is at most 1, and Psi,
+        # 1F1(1/2; 3/2; 400) = 6.535e170 and e^349.5, lies within 4 SE.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SamplingOverflowError, match="x' Sigma x reaches " + exponent):
-                estimator(sigma, n, 1)
+            got = estimator(sigma, n, 1)
+        for est in got if isinstance(got, tuple) else (got,):
+            assert np.isfinite(est.value).all() and np.isfinite(est.std_error).all()
+            if np.ndim(est.value) == 0:
+                assert abs(est.value - truth) <= 4.0 * est.std_error
+
+    def test_symmetric_part(self):
+        # x' Sigma x depends only on (Sigma + Sigma') / 2.  eigh reads one
+        # triangle, and the lower one of [[0, 1], [0, 0]] is the zero matrix,
+        # whose Psi is 1.
+        lopsided = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for sigma in (lopsided, np.random.default_rng(67).standard_normal((7, 7)) / 4.0):
+            psi, cov = mc_moments(sigma, 1000, 0)
+            ref_psi, ref_cov = mc_moments((sigma + sigma.T) / 2.0, 1000, 0)
+            assert psi == ref_psi
+            assert np.array_equal(cov.value, ref_cov.value)
+            assert np.array_equal(cov.std_error, ref_cov.std_error)
+        assert mc_moments(lopsided, 1000, 0)[0].value != 1.0
+
+    def test_memory_a_few_square_arrays(self):
+        # A few d x d arrays beside the eigenbasis pass: no (BLOCKS, d, d)
+        # numerators, which at d = 300 are 36 MB.
+        d, n = 300, 20_000
+        sigma = random_trace_zero(np.random.default_rng(71), d, norm=0.9)
+        assert traced_peak(mc_moments, sigma, n) < dense_memory_bound(d, n)
 
     def test_effective_sample_size(self):
         # Constant weights: every sample counts.  diag(4, 0, 0) concentrates
@@ -396,91 +423,88 @@ class TestMcMoments:
 class TestBlockStream:
     """The pipelined sampling loop and the in-place jackknife against serial code."""
 
-    @staticmethod
-    def serial_blocks(sigma, n, seed):
-        """Reference: every block drawn and weighted on the calling thread."""
-        d = sigma.shape[0]
-        for b, size in enumerate(_block_sizes(n)):
-            x = _sphere_block(d, size, seed, b)
-            yield b, x, _weights(x, sigma)
-
     @pytest.mark.parametrize("d", (2, 30))
     @pytest.mark.parametrize("n", (1000, 123457))
-    def test_stream_matches_serial_loop(self, d, n):
-        sigma = random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9)
-        seen = []
-
-        def record(x, sigma):
-            w, num, shift = _dense_block(x, sigma)
-            seen.append((x, w))
-            return w, num, shift
-
-        _moments(sigma, n, 2026, _dense_draw, record)
-        pairs = zip_longest(seen, self.serial_blocks(sigma, n, 2026))
-        count = 0
-        for got, ref in pairs:
-            assert got is not None and ref is not None
-            assert ref[0] == count
-            assert np.array_equal(got[0], ref[1])
-            assert np.array_equal(got[1], ref[2])
-            count += 1
-        assert count == BLOCKS
-
-    @pytest.mark.parametrize("d", (2, 30))
-    @pytest.mark.parametrize("n", (1000, 123457))
-    def test_eigen_stream_matches_serial_loop(self, d, n):
-        # The eigenbasis worker half evaluates whole blocks in the pool; the
-        # main half must still see block b's weights and numerator in index order.
+    def test_stream_matches_serial_loop(self, monkeypatch, d, n):
+        # The pool workers draw, block by block, the Gaussians of the serial
+        # loop over _normal_block, and weight them as that loop would.
         lam = np.linalg.eigvalsh(random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9))
-        seen = []
+        drawn, weights = {}, {}
+        real_chunks, real_block = oracle._normal_chunks, oracle._eigen_block
 
-        def record(drawn, lam):
-            seen.append(drawn)
-            return _evaluated(drawn, lam)
+        def chunks(d, size, seed, block, rows):
+            for start, chunk in real_chunks(d, size, seed, block, rows):
+                drawn.setdefault(block, []).append(chunk.copy())
+                yield start, chunk
 
-        _moments(lam, n, 2026, _eigen_block, record)
-        assert len(seen) == BLOCKS
-        for b, (size, (w, num, top)) in enumerate(zip(_block_sizes(n), seen)):
-            ref_w, ref_num, ref_top = _eigen_block(lam, size, 2026, b)
+        def record(eigenvalues, size, seed, b):
+            weights[b], num, top = real_block(eigenvalues, size, seed, b)
+            return weights[b], num, top
+
+        monkeypatch.setattr(oracle, "_normal_chunks", chunks)
+        monkeypatch.setattr(oracle, "_eigen_block", record)
+        mc_eigen_moments(lam, n, 2026)
+        assert sorted(drawn) == sorted(weights) == list(range(BLOCKS))
+        for b, size in enumerate(_block_sizes(n)):
+            z = _normal_block(d, size, 2026, b)
+            assert np.array_equal(np.concatenate(drawn[b]), z)
+            e = np.einsum("ij,j->i", z * z, lam) / np.einsum("ij->i", z * z)
+            assert np.array_equal(weights[b], np.exp(e - e.max()))
+
+    @pytest.mark.parametrize("d", (2, 30))
+    @pytest.mark.parametrize("n", (1000, 123457))
+    def test_eigen_stream_matches_serial_loop(self, monkeypatch, d, n):
+        # The workers evaluate whole blocks in the pool; each block is
+        # evaluated once, with its own size, as a serial call would.
+        lam = np.linalg.eigvalsh(random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9))
+        seen = {}
+        real = oracle._eigen_block
+
+        def record(eigenvalues, size, seed, b):
+            assert b not in seen
+            seen[b] = real(eigenvalues, size, seed, b)
+            return seen[b]
+
+        monkeypatch.setattr(oracle, "_eigen_block", record)
+        mc_eigen_moments(lam, n, 2026)
+        assert sorted(seen) == list(range(BLOCKS))
+        for b, size in enumerate(_block_sizes(n)):
+            w, num, top = seen[b]
+            ref_w, ref_num, ref_top = real(lam, size, 2026, b)
             assert w.shape == (size,) and num.shape == (d,)
             assert np.array_equal(w, ref_w)
             assert np.array_equal(num, ref_num)
             assert top == ref_top and w.max() == 1.0
 
-    def test_in_place_jackknife_matches_out_of_place(self):
-        # One in-place jackknife serves the (BLOCKS, d, d) numerators of the
-        # dense pass and the (BLOCKS, d) numerators of the eigenbasis pass.
-        # A synthetic worker half hands on the block index, and a synthetic
-        # main half returns block b's chosen numerator, one weight equal to
-        # its chosen denominator and its chosen shift: none on the dense
-        # shapes, as on the dense path, and one per block on the others.
+    def test_in_place_jackknife_matches_out_of_place(self, monkeypatch):
+        # A synthetic worker returns block b's chosen numerator, one weight
+        # equal to its chosen denominator and its chosen shift.
         rng = np.random.default_rng(47)
-        for dense, d in product((True, False), (1, 5, 40)):
-            shape = (BLOCKS, d, d) if dense else (BLOCKS, d)
-            scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS,) + (1,) * (len(shape) - 1)))
-            nums = rng.standard_normal(shape) * scale
+        for d in (1, 5, 40):
+            scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS, 1)))
+            nums = rng.standard_normal((BLOCKS, d)) * scale
             dens = rng.uniform(1.0, 5.0, BLOCKS)
-            shifts = np.zeros(BLOCKS) if dense else rng.uniform(-20.0, 20.0, BLOCKS)
+            shifts = rng.uniform(-20.0, 20.0, BLOCKS)
             seen = []
 
-            def synthetic(b, data):
+            def synthetic(eigenvalues, size, seed, b):
                 seen.append(b)
                 return np.array([dens[b]]), nums[b], shifts[b]
 
-            _, est = _moments(np.zeros(d), 1000, 3, lambda data, size, seed, b: b, synthetic)
-            assert seen == list(range(BLOCKS))
+            monkeypatch.setattr(oracle, "_eigen_block", synthetic)
+            _, est = mc_eigen_moments(np.zeros(d), 1000, 3)
+            assert sorted(seen) == list(range(BLOCKS))
 
             common = np.exp(shifts - shifts.max())
             dens = dens * common
-            nums = nums * common.reshape(scale.shape)
+            nums = nums * common[:, None]
             num_tot = nums.sum(axis=0)
             den_tot = float(dens.sum())
-            leave_out = (num_tot[None] - nums) / (den_tot - dens).reshape(scale.shape)
+            leave_out = (num_tot[None] - nums) / (den_tot - dens)[:, None]
             centered = leave_out - leave_out.mean(axis=0)
-            se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
-            assert est.value.shape == est.std_error.shape == shape[1:]
+            assert est.value.shape == est.std_error.shape == (d,)
             assert np.array_equal(est.value, num_tot / den_tot)
-            assert np.array_equal(est.std_error, se)
+            assert np.array_equal(est.std_error, jackknife_se(centered))
 
 
 class TestMcEigenMoments:
@@ -499,7 +523,9 @@ class TestMcEigenMoments:
         t the largest shift so far, and the running sum is rescaled by
         e^(t - s_c) whenever s_c exceeds t.  The blocks are then brought to
         the largest shift S, and Psi and its standard error scaled back by
-        e^S, applied as two factors e^(S / 2).
+        e^S, applied as two factors e^(S / 2).  Returns Psi and its standard
+        error, E_w[q], and the delete-one-block estimates of E_w[q] less
+        their mean.
         """
         d = len(eigenvalues)
         rows = max(2, CHUNK_BYTES // (8 * d))
@@ -540,9 +566,8 @@ class TestMcEigenMoments:
         den_tot = float(dens.sum())
         leave_out = (num_tot[None, :] - nums) / (den_tot - dens)[:, None]
         centered = leave_out - leave_out.mean(axis=0)
-        se = np.sqrt((BLOCKS - 1) / BLOCKS * np.sum(centered * centered, axis=0))
         psi = (float(mean * half * half), float(float(np.sqrt(var / n)) * half * half))
-        return psi, (num_tot / den_tot, se)
+        return psi, num_tot / den_tot, centered
 
     @pytest.mark.parametrize("d", (2, 30, 200))
     @pytest.mark.parametrize("n", (1000, 123457))
@@ -550,31 +575,25 @@ class TestMcEigenMoments:
         sigma = random_trace_zero(np.random.default_rng(53 + d), d, norm=0.9 * d**0.25)
         lam = np.linalg.eigvalsh(sigma)
         psi, cov = mc_eigen_moments(lam, n, 2026)
-        (value, se), (cov_value, cov_se) = self.serial_reference(lam, n, 2026)
+        (value, se), cov_value, centered = self.serial_reference(lam, n, 2026)
         assert psi.value == value and psi.std_error == se
         assert np.array_equal(cov.value, cov_value)
-        assert np.array_equal(cov.std_error, cov_se)
+        assert np.array_equal(cov.std_error, jackknife_se(centered))
         assert (psi.n_samples, psi.seed, cov.n_samples, cov.seed) == (n, 2026, n, 2026)
         assert float(np.sum(cov.value)) == pytest.approx(1.0, abs=1e-13)
 
     def test_agrees_with_dense_estimator(self):
-        # Same seed, so the same uniform draws: the dense pass reads them as
-        # x, this pass as y = V'x, and the estimates differ by sampling
-        # error only.  Each of the d(d+1)/2 entries of V diag(estimate) V'
-        # must lie within the family threshold of mc_moments' value, in
-        # units of the two estimates' combined SE.
+        # mc_moments runs this pass on the eigenvalues of one eigh: the same
+        # Psi bit for bit, and the covariance V diag(estimate) V'.
         d, n, seed = 6, 100_000, 61
         sigma = random_trace_zero(np.random.default_rng(59), d, norm=1.5)
+        assert np.array_equal(sigma, sigma.T)
         lam, vecs = np.linalg.eigh(sigma)
         psi, diag = mc_eigen_moments(lam, n, seed)
         psi_dense, cov_dense = mc_moments(sigma, n, seed)
-        rotated = (vecs * diag.value) @ vecs.T
-        rotated_se = np.sqrt(((vecs * diag.std_error) ** 2) @ (vecs**2).T)
-        thr = family_threshold(d * (d + 1) // 2 + 1)
-        combined = np.sqrt(cov_dense.std_error**2 + rotated_se**2)
-        assert np.all(np.abs(rotated - cov_dense.value) <= thr * combined)
-        assert abs(psi.value - psi_dense.value) <= thr * math.hypot(
-            psi.std_error, psi_dense.std_error)
+        assert psi_dense == psi
+        rotated = vecs @ np.diag(diag.value) @ vecs.T
+        np.testing.assert_allclose(cov_dense.value, rotated, rtol=0, atol=1e-15)
 
     def test_zero_matrix(self):
         psi, diag = mc_eigen_moments(np.zeros(4), 3000, seed=5)
@@ -620,16 +639,6 @@ class TestMcEigenMoments:
         assert np.isfinite(psi.std_error) and psi.std_error > 0.0
         assert abs(psi.value - truth) <= 4.0 * psi.std_error
 
-    @staticmethod
-    def traced_peak(lam, n):
-        mc_eigen_moments(np.zeros(3), 1000, seed=0)  # imports the pool first
-        tracemalloc.start()
-        try:
-            mc_eigen_moments(lam, n, seed=0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_memory_one_chunk_per_draw(self):
         # A pool worker holds one chunk of Gaussians and 8 bytes per row of its
         # block, and the caller a block's weights and their squares: per draw in
@@ -638,7 +647,7 @@ class TestMcEigenMoments:
         # 64 MB.
         d = 200
         lam = np.linspace(-1.0, 1.0, d)
-        peaks = {n: self.traced_peak(lam, n) for n in (200_000, 2_000_000)}
+        peaks = {n: traced_peak(mc_eigen_moments, lam, n) for n in (200_000, 2_000_000)}
         for n, peak in peaks.items():
             assert peak < DRAWS_IN_FLIGHT * (CHUNK_BYTES + 16 * n // BLOCKS) + 256 * 1024, n
         rows_added = (2_000_000 - 200_000) // BLOCKS
@@ -651,7 +660,7 @@ class TestMcEigenMoments:
         # 20 x d Gaussians is 10 MB.
         d, n = 62501, 1000
         lam = np.linspace(-0.01, 0.01, d)
-        peak = self.traced_peak(lam, n)
+        peak = traced_peak(mc_eigen_moments, lam, n)
         per_draw = CHUNK_BYTES + 2 * 8 * d + 16 * n // BLOCKS
         assert peak < BLOCKS * 8 * d + DRAWS_IN_FLIGHT * per_draw + 1024 * 1024
 
@@ -704,8 +713,7 @@ class TestHelperThread:
     def meeting_draws(monkeypatch, started):
         """Draws 0 and 1 wait for each other, so both pool workers must exist.
 
-        Both paths draw through the block's generator: the dense worker at
-        once, the eigenbasis worker before its first chunk.
+        The worker draws through the block's generator before its first chunk.
         """
         barrier = threading.Barrier(DRAWS_IN_FLIGHT, timeout=30)
         real = oracle._block_rng
@@ -720,65 +728,73 @@ class TestHelperThread:
 
     def test_no_thread_left_after_overflow(self):
         start = threading.active_count()
-        with pytest.raises(SamplingOverflowError):
+        with pytest.raises(SamplingOverflowError, match="Psi exceeds float64"):
             mc_moments(800.0 * np.eye(4), 1000, seed=0)
         assert threading.active_count() == start
-        with pytest.raises(SamplingOverflowError):
+        with pytest.raises(SamplingOverflowError, match="Psi exceeds float64"):
             mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
         assert threading.active_count() == start
-        # A nan weight is caught in the worker that evaluates the block.
+        # A nan weight is caught in the worker that evaluates the block, and a
+        # nan or infinite entry of Sigma before eigh.
         with pytest.raises(SamplingOverflowError, match="non-finite weights"):
             mc_eigen_moments(np.array([0.0, np.nan, 0.0]), 1000, seed=0)
         assert threading.active_count() == start
+        for bad in (np.nan, np.inf, -np.inf):
+            sigma = np.zeros((3, 3))
+            sigma[0, 2] = bad
+            with pytest.raises(SamplingOverflowError, match="non-finite entry"):
+                mc_moments(sigma, 1000, seed=0)
+            assert threading.active_count() == start
 
-    def failing_block_leaves_no_thread(self, monkeypatch, data, draw, block):
+    def failing_block_leaves_no_thread(self, monkeypatch, estimator, data):
+        # Block 3's worker returns a numerator of the wrong shape, so storing
+        # it raises in the reduction, on the calling thread.
         start = threading.active_count()
-        started, seen = [], []
+        started, seen = [], {}
+        real = oracle._eigen_block
 
-        def failing(drawn, data):
-            b = len(seen)
-            time.sleep(0.02)  # time for the workers to start any queued draw
-            seen.append((threading.active_count(), max(started) - b))
-            if b == 3:
-                raise RuntimeError("block failed")
-            return block(drawn, data)
+        def failing(eigenvalues, size, seed, b):
+            w, num, shift = real(eigenvalues, size, seed, b)
+            time.sleep(0.02)  # time for the pool to start any queued draw
+            seen[b] = threading.active_count()
+            return w, num[:-1] if b == 3 else num, shift
 
         self.meeting_draws(monkeypatch, started)
-        with pytest.raises(RuntimeError, match="block failed"):
-            _moments(data, 5000, 1, draw, failing)
-        # The pool's two workers while streaming; no draw started more than
-        # two blocks ahead of the block reduced.
-        assert [count for count, _ in seen] == [start + DRAWS_IN_FLIGHT] * 4
-        assert all(ahead <= DRAWS_IN_FLIGHT for _, ahead in seen)
+        monkeypatch.setattr(oracle, "_eigen_block", failing)
+        with pytest.raises(ValueError, match="broadcast"):
+            estimator(data, 5000, 1)
+        # The pool's two workers while streaming: blocks 0 to 3 were evaluated
+        # before the failure.  No draw started more than two blocks ahead of
+        # the block reduced: block 3 failed after block 5 was submitted, and
+        # the pool finished blocks 4 and 5 on leaving.
+        assert [seen[b] for b in range(4)] == [start + DRAWS_IN_FLIGHT] * 4
+        assert sorted(started) == list(range(3 + DRAWS_IN_FLIGHT + 1))
         assert threading.active_count() == start
 
     def test_no_thread_left_after_reduction_raises(self, monkeypatch):
-        self.failing_block_leaves_no_thread(
-            monkeypatch, np.zeros((3, 3)), _dense_draw, _dense_block)
+        self.failing_block_leaves_no_thread(monkeypatch, mc_moments, np.zeros((3, 3)))
 
     def test_no_thread_left_after_eigen_reduction_raises(self, monkeypatch):
-        self.failing_block_leaves_no_thread(monkeypatch, np.zeros(3), _eigen_block, _evaluated)
+        self.failing_block_leaves_no_thread(monkeypatch, mc_eigen_moments, np.zeros(3))
 
     def test_no_thread_left_after_worker_raises(self, monkeypatch):
-        # A worker half that raises reaches the caller through its future, in
-        # block order: blocks 0 to 2 are reduced, and no thread outlives the call.
+        # A worker that raises reaches the caller through its future, in block
+        # order: block 4 was submitted when block 2 was reduced, no block after
+        # it, and no thread outlives the call.
         start = threading.active_count()
-        started, reduced = [], []
+        started = []
+        real = oracle._eigen_block
 
-        def failing_draw(data, size, seed, b):
+        def failing(eigenvalues, size, seed, b):
             if b == 3:
                 raise RuntimeError("draw failed")
-            return _eigen_block(data, size, seed, b)
-
-        def record(drawn, data):
-            reduced.append(max(started))
-            return _evaluated(drawn, data)
+            return real(eigenvalues, size, seed, b)
 
         self.meeting_draws(monkeypatch, started)
+        monkeypatch.setattr(oracle, "_eigen_block", failing)
         with pytest.raises(RuntimeError, match="draw failed"):
-            _moments(np.zeros(3), 5000, 1, failing_draw, record)
-        assert len(reduced) == 3
-        assert all(ahead - b <= DRAWS_IN_FLIGHT for b, ahead in enumerate(reduced))
+            mc_eigen_moments(np.zeros(3), 5000, 1)
+        assert sorted(started) == [0, 1, 2, 4]
         assert threading.active_count() == start
 
     def test_cli_import_loads_no_thread_pool(self):

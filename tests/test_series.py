@@ -32,15 +32,12 @@ from binghamx import (
     covariance_derived_bound,
     covariance_expansion,
     covariance_second_order,
-    covariance_with_descriptor,
     fd_gradient,
-    gradient_with_bound,
     inverse_norm_const_truncated,
     kummer_partial_sum,
     materialize,
     norm_const_gradient_truncated,
     norm_const_truncated,
-    norm_const_with_bound,
     power_sums,
 )
 from binghamx import series, symmat
@@ -317,38 +314,6 @@ class TestAlphaExponent:
     def test_order_validation(self):
         with pytest.raises(OrderRangeError):
             alpha_exponent(1, GrowthRegime(1.0, 0.0))
-
-
-class TestBoundedWrappers:
-    def test_norm_const_with_bound(self):
-        regime = GrowthRegime(scale=1.0, exponent=0.5)
-        d = 20
-        ps = power_sums(0.04 * np.eye(d), 3)
-        out = norm_const_with_bound(ps, 3, d, regime)
-        assert out.value == pytest.approx(norm_const_truncated(ps, 3, d), rel=1e-15)
-        assert out.bound == pytest.approx(0.18781560289809351, rel=1e-12)
-        assert out.m == 3 and out.d == 20
-
-    def test_gradient_with_bound(self):
-        regime = GrowthRegime(scale=1.0, exponent=0.5)
-        d = 20
-        ps = power_sums(0.04 * np.eye(d), 3)
-        out = gradient_with_bound(ps, 3, d, regime)
-        assert out.bound == pytest.approx(0.15382778874430997, rel=1e-12)
-
-    def test_covariance_with_descriptor(self):
-        regime = GrowthRegime(scale=0.9, exponent=0.0)
-        d = 12
-        rng = np.random.default_rng(26)
-        s = random_trace_zero(rng, d, norm=0.8)
-        ps = power_sums(s, 4)
-        out = covariance_with_descriptor(ps, s, 3, 4, d, regime)
-        assert out.l == 3 and out.m == 4
-        assert isinstance(out.bound, str) and "O(d^-" in out.bound
-        assert np.allclose(out.value, covariance_expansion(ps, s, 3, 4, d))
-        # Without a regime the descriptor stays symbolic in r.
-        sym = covariance_with_descriptor(ps, s, 3, 4, d)
-        assert "(3 - 2r)/2" in sym.bound
 
 
 def materialized_derived_bound(ps, sigma, l, m, d, regime):

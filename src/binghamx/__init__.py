@@ -12,12 +12,10 @@ end-to-end verification.
 
 from .bounds import (
     BASE_GROWTH,
-    BoundConstants,
     GrowthRegime,
     TailBoundTable,
     admissible_dimension,
     admissible_dimension_inverse,
-    bound_constants,
     compare_bounds,
     first_order_inverse_ratio,
     gradient_tail_bound,
@@ -26,10 +24,7 @@ from .bounds import (
     regime_check,
     round_half_up,
     select_order,
-    table_to_csv,
-    table_to_markdown,
     tail_bound_table,
-    write_csv_tables,
 )
 from .errors import (
     BinghamxError,

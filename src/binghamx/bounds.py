@@ -1,4 +1,4 @@
-"""Certified tail bounds, admissibility thresholds, and order selection.
+"""Certified tail bounds, admissibility thresholds, order selection, and (d, m) grids.
 
 All bounds hold under a growth regime ||Sigma||_F <= scale * d^(exp/2)
 with 0 <= exp < 1.  Writing g1 = (1 + sqrt(3))/2, g2 = scale * g1 and
@@ -18,6 +18,9 @@ Dividing the two bounds gives B_value / B_gradient =
 smaller one exactly when 4 * scale^2 * d^exp <= m (m + 1); that
 algebraic criterion is what :func:`compare_bounds` evaluates, and it is
 tested to agree with direct comparison of the two bound values.
+
+:func:`tail_bound_table` evaluates both bounds over a (d, m) grid; the
+``bounds`` subcommand of the CLI renders that grid as csv or md tables.
 """
 
 from __future__ import annotations
@@ -61,31 +64,9 @@ class GrowthRegime:
         return self.scale * d ** (self.exponent / 2.0)
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """The three constants appearing in the tail bounds.
-
-    base_growth = (1 + sqrt(3)) / 2 is the growth rate of
-    sqrt(d)-Pochhammer ratios, scaled_growth = scale * base_growth, and
-    tail_prefactor = 2^(3/2) e^(1/2) / base_growth multiplies the value
-    bound.
-    """
-
-    base_growth: float
-    scaled_growth: float
-    tail_prefactor: float
-
-
 BASE_GROWTH = (1.0 + math.sqrt(3.0)) / 2.0
-
-
-def bound_constants(regime: GrowthRegime) -> BoundConstants:
-    """Constants of the tail bounds for a regime."""
-    return BoundConstants(
-        base_growth=BASE_GROWTH,
-        scaled_growth=regime.scale * BASE_GROWTH,
-        tail_prefactor=2.0**1.5 * math.exp(0.5) / BASE_GROWTH,
-    )
+# g3 = 2^(3/2) e^(1/2) / g1, the prefactor of the value tail bound.
+_TAIL_PREFACTOR = 2.0**1.5 * math.exp(0.5) / BASE_GROWTH
 
 
 def _threshold(factor: float, regime: GrowthRegime) -> float:
@@ -117,20 +98,20 @@ def _require_admissible(d: float, threshold: float, what: str, strict: bool) -> 
     if not ok:
         rel = ">" if strict else ">="
         raise InadmissibleDimensionError(
-            f"d = {d:g} is below the admissible dimension for {what}: "
+            f"d = {d:.17g} is below the admissible dimension for {what}: "
             f"need d {rel} {threshold:.6f}",
             threshold=threshold,
         )
 
 
-def _decayed_growth(c: BoundConstants, d: float, regime: GrowthRegime) -> float:
+def _decayed_growth(g2: float, d: float, regime: GrowthRegime) -> float:
     """g2 * d^(-(1-exp)/2), the per-order factor of both tail bounds.
 
     The bounds raise it to the m-th power only when g2^m alone overflows
     float64; for admissible d it is at most 1/sqrt(2), so that power
     cannot overflow.
     """
-    return c.scaled_growth * d ** (-(1.0 - regime.exponent) / 2.0)
+    return g2 * d ** (-(1.0 - regime.exponent) / 2.0)
 
 
 def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
@@ -141,17 +122,17 @@ def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     """
     check_order("m", m, 1)
     _require_admissible(d, admissible_dimension(regime), "the value tail bound", False)
-    c = bound_constants(regime)
+    g2 = regime.scale * BASE_GROWTH
     try:
-        growth = c.scaled_growth**m
+        growth = g2**m
     except OverflowError:
         return (
-            c.tail_prefactor
-            * _decayed_growth(c, d, regime) ** m
+            _TAIL_PREFACTOR
+            * _decayed_growth(g2, d, regime) ** m
             / math.sqrt(float(math.factorial(m + 1)))
         )
     return (
-        c.tail_prefactor
+        _TAIL_PREFACTOR
         * growth
         / math.sqrt(float(math.factorial(m + 1)))
         * d ** (-m * (1.0 - regime.exponent) / 2.0)
@@ -165,13 +146,13 @@ def gradient_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     """
     check_order("m", m, 2)
     _require_admissible(d, admissible_dimension(regime), "the gradient tail bound", False)
-    c = bound_constants(regime)
+    g2 = regime.scale * BASE_GROWTH
     try:
-        growth = c.scaled_growth ** (m - 1)
+        growth = g2 ** (m - 1)
     except OverflowError:
         return (
             math.sqrt(2.0 * math.e)
-            * _decayed_growth(c, d, regime) ** (m - 1)
+            * _decayed_growth(g2, d, regime) ** (m - 1)
             / math.sqrt(float(math.factorial(m - 1)))
             / math.sqrt(d)
         )
@@ -188,12 +169,12 @@ def first_order_inverse_ratio(d: float, regime: GrowthRegime) -> float:
 
     b1 < 1 exactly when d is above admissible_dimension_inverse(regime).
     """
-    c = bound_constants(regime)
+    g2 = regime.scale * BASE_GROWTH
     return (
         2.0
         * math.exp(0.5)
-        / c.base_growth
-        * c.scaled_growth
+        / BASE_GROWTH
+        * g2
         * d ** (-(1.0 - regime.exponent) / 2.0)
     )
 
@@ -309,48 +290,3 @@ def round_half_up(x: float, places: int = 5) -> str:
     # A float64 has up to 309 integer digits; the precision keeps them all.
     wide = Context(prec=309 + max(places, 0))
     return str(value.quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP, wide))
-
-
-def _grid(table: TailBoundTable, kind: str) -> np.ndarray:
-    if kind == "norm_const":
-        return table.norm_const_bounds
-    if kind == "gradient":
-        return table.gradient_bounds
-    raise OrderRangeError(f"kind must be 'norm_const' or 'gradient', got {kind!r}")
-
-
-def table_to_csv(table: TailBoundTable, kind: str) -> str:
-    """One bound family as CSV: header then one row per d, full precision."""
-    grid = _grid(table, kind)
-    lines = ["d," + ",".join(f"m={m}" for m in table.m_values)]
-    for a, d in enumerate(table.d_values):
-        cells = [f"{v:.17g}" for v in grid[a]]
-        lines.append(f"{d:g}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def table_to_markdown(table: TailBoundTable) -> str:
-    """Both bound families as Markdown tables, 5 decimals, half-up."""
-    titles = (
-        ("norm_const", "(a) normalizing-constant tail bound"),
-        ("gradient", "(b) gradient tail bound"),
-    )
-    blocks = []
-    header = "| d | " + " | ".join(f"m = {m}" for m in table.m_values) + " |"
-    rule = "|---" * (len(table.m_values) + 1) + "|"
-    for kind, title in titles:
-        grid = _grid(table, kind)
-        lines = [title, "", header, rule]
-        for a, d in enumerate(table.d_values):
-            cells = [round_half_up(v) for v in grid[a]]
-            lines.append(f"| {d:g} | " + " | ".join(cells) + " |")
-        blocks.append("\n".join(lines))
-    return ("\n\n".join(blocks)) + "\n"
-
-
-def write_csv_tables(table: TailBoundTable, norm_path, grad_path) -> None:
-    """Write the two bound families to two CSV files."""
-    with open(norm_path, "w", encoding="utf-8") as fh:
-        fh.write(table_to_csv(table, "norm_const"))
-    with open(grad_path, "w", encoding="utf-8") as fh:
-        fh.write(table_to_csv(table, "gradient"))

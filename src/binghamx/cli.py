@@ -313,19 +313,23 @@ def _cmd_bounds(args, out) -> int:
     regime = GrowthRegime(scale=args.gamma0, exponent=args.r)
     ds = [_dimension(d, "dimensions") for d in args.d]
     table = bounds_mod.tail_bound_table(regime, ds, args.m)
+    # --out writes csv whatever --format says; text prints the md tables.
+    fmt = "csv" if args.out is not None or args.format == "csv" else "md"
+    sep = "=" if fmt == "csv" else " = "
+    header = ["d", *(f"m{sep}{m}" for m in table.m_values)]
+    for name, title, grid in (
+        ("psi", "(a) normalizing-constant tail bound\n\n", table.norm_const_bounds),
+        ("grad", "\n(b) gradient tail bound\n\n", table.gradient_bounds),
+    ):
+        rows = [[f"{d:.17g}", *cells] for d, cells in zip(table.d_values, grid)]
+        if args.out is not None:
+            with open(f"{args.out}_{name}.csv", "w", encoding="utf-8") as fh:
+                _emit_table(header, rows, fmt, fh)
+        else:
+            out.write(f"# {name}\n" if fmt == "csv" else title)
+            _emit_table(header, rows, fmt, out)
     if args.out is not None:
-        norm_path = f"{args.out}_psi.csv"
-        grad_path = f"{args.out}_grad.csv"
-        bounds_mod.write_csv_tables(table, norm_path, grad_path)
-        out.write(f"{norm_path}\n{grad_path}\n")
-        return 0
-    if args.format == "csv":
-        out.write("# psi\n")
-        out.write(bounds_mod.table_to_csv(table, "norm_const"))
-        out.write("# grad\n")
-        out.write(bounds_mod.table_to_csv(table, "gradient"))
-    else:
-        out.write(bounds_mod.table_to_markdown(table))
+        out.write(f"{args.out}_psi.csv\n{args.out}_grad.csv\n")
     return 0
 
 

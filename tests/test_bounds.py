@@ -1,4 +1,4 @@
-"""Tail bounds, admissibility thresholds, order selection, and tables.
+"""Tail bounds, admissibility thresholds, order selection, and (d, m) grids.
 
 The main oracle is an in-test re-derivation of both bound formulas from
 their statements, written independently of the implementation; frozen
@@ -20,7 +20,6 @@ from binghamx import (
     OrderSelectionError,
     admissible_dimension,
     admissible_dimension_inverse,
-    bound_constants,
     compare_bounds,
     first_order_inverse_ratio,
     gradient_tail_bound,
@@ -29,10 +28,7 @@ from binghamx import (
     regime_check,
     round_half_up,
     select_order,
-    table_to_csv,
-    table_to_markdown,
     tail_bound_table,
-    write_csv_tables,
 )
 
 R_HALF = GrowthRegime(scale=1.0, exponent=0.5)
@@ -59,12 +55,6 @@ class TestConstants:
     def test_base_growth(self):
         assert BASE_GROWTH == pytest.approx((1.0 + math.sqrt(3.0)) / 2.0, rel=1e-16)
         assert BASE_GROWTH == pytest.approx(1.3660254037844386, rel=1e-15)
-
-    def test_bound_constants(self):
-        c = bound_constants(GrowthRegime(scale=2.0, exponent=0.25))
-        assert c.base_growth == BASE_GROWTH
-        assert c.scaled_growth == pytest.approx(2.0 * BASE_GROWTH, rel=1e-16)
-        assert c.tail_prefactor == pytest.approx(3.413763719382575, rel=1e-14)
 
 
 class TestGrowthRegime:
@@ -387,32 +377,19 @@ class TestTables:
                 )
                 assert table.gradient_bounds[a, b] == gradient_tail_bound(m, d, R_HALF)
 
-    def test_csv_round_trip(self):
-        table = tail_bound_table(R_HALF, [20.0, 62501.0], [3, 6])
-        text = table_to_csv(table, "norm_const")
-        lines = text.strip().split("\n")
-        assert lines[0] == "d,m=3,m=6"
-        cells = lines[1].split(",")
-        assert float(cells[0]) == 20.0
-        assert float(cells[1]) == table.norm_const_bounds[0, 0]  # 17g is lossless
-        with pytest.raises(OrderRangeError):
-            table_to_csv(table, "both")
+    def test_markdown_rendering(self, capsys):
+        from binghamx.cli import run
 
-    def test_markdown_rendering(self):
-        table = tail_bound_table(R_HALF, [20.0], [3, 6, 10])
-        text = table_to_markdown(table)
-        assert "(a) normalizing-constant tail bound" in text
-        assert "(b) gradient tail bound" in text
-        assert "| 20 | 0.18782 | 0.00349 | 0.00001 |" in text
-        assert "| 20 | 0.15383 | 0.00535 | 0.00002 |" in text
-
-    def test_write_csv_tables(self, tmp_path):
-        table = tail_bound_table(R_HALF, [20.0, 25.0], [3])
-        np_path = tmp_path / "value.csv"
-        gp_path = tmp_path / "grad.csv"
-        write_csv_tables(table, np_path, gp_path)
-        assert np_path.read_text() == table_to_csv(table, "norm_const")
-        assert gp_path.read_text() == table_to_csv(table, "gradient")
+        code = run(["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20",
+                    "--m", "3,6,10"])
+        assert code == 0
+        header = "| d | m = 3 | m = 6 | m = 10 |\n|---|---|---|---|\n"
+        assert capsys.readouterr().out == (
+            "(a) normalizing-constant tail bound\n\n" + header
+            + "| 20 | 0.18782 | 0.00349 | 0.00001 |\n\n"
+            "(b) gradient tail bound\n\n" + header
+            + "| 20 | 0.15383 | 0.00535 | 0.00002 |\n"
+        )
 
     def test_empty_grid_rejected(self):
         with pytest.raises(OrderRangeError):

@@ -25,6 +25,7 @@ from binghamx import (
     norm_const_truncated,
     power_sums,
     round_half_up,
+    tail_bound_table,
 )
 from binghamx import oracle, series, symmat
 from binghamx.cli import _emit_matrix, _verify_series, run
@@ -286,7 +287,174 @@ class TestZonal:
         assert "grad_coeff" not in text
 
 
+# Golden bytes of `bounds`: each grid's two csv families and its md/text tables.
+# The CLI promises byte-stable output, so any change here is a change of format.
+MODERATE_PSI_CSV = (
+    "d,m=2,m=3,m=6,m=10,m=40\n"
+    "20,0.5815142845221829,0.18781560289809351,0.0034932193115566972,"
+    "6.8338960688473858e-06,1.5103238371071902e-32\n"
+    "25,0.52012218803150201,0.15887265706416673,0.0024995442691058533,"
+    "3.9119503772445019e-06,1.6216978716861533e-33\n"
+    "50,0.36778192620265959,0.094466247080047194,0.00088372235128036079,"
+    "6.9154165985371508e-07,1.583689327818509e-36\n"
+    "62501,0.010402360542078574,0.00044935434037948849,1.999587424994523e-08,"
+    "1.2517740491554212e-14,1.700201415687514e-67\n"
+)
+
+MODERATE_GRAD_CSV = (
+    "d,m=2,m=3,m=6,m=10,m=40\n"
+    "20,0.33678172569777165,0.15382778874430997,0.005352577978903603,"
+    "1.6946390809696054e-05,1.4461205786145335e-31\n"
+    "25,0.28488265504379706,0.12306223099544797,0.0036221837697391641,"
+    "9.1743368505374103e-06,1.4685098805815869e-32\n"
+    "50,0.16939224015947463,0.061531115497723984,0.0010768816777052979,"
+    "1.3637733322613431e-06,1.205922553071989e-35\n"
+    "62501,0.00080576015979300824,4.9224104812502192e-05,4.0979183876549598e-09,"
+    "4.1516482368591202e-15,2.1773114694676489e-67\n"
+)
+
+MODERATE_MD = (
+    "(a) normalizing-constant tail bound\n"
+    "\n"
+    "| d | m = 2 | m = 3 | m = 6 | m = 10 | m = 40 |\n"
+    "|---|---|---|---|---|---|\n"
+    "| 20 | 0.58151 | 0.18782 | 0.00349 | 0.00001 | 0.00000 |\n"
+    "| 25 | 0.52012 | 0.15887 | 0.00250 | 0.00000 | 0.00000 |\n"
+    "| 50 | 0.36778 | 0.09447 | 0.00088 | 0.00000 | 0.00000 |\n"
+    "| 62501 | 0.01040 | 0.00045 | 0.00000 | 0.00000 | 0.00000 |\n"
+    "\n"
+    "(b) gradient tail bound\n"
+    "\n"
+    "| d | m = 2 | m = 3 | m = 6 | m = 10 | m = 40 |\n"
+    "|---|---|---|---|---|---|\n"
+    "| 20 | 0.33678 | 0.15383 | 0.00535 | 0.00002 | 0.00000 |\n"
+    "| 25 | 0.28488 | 0.12306 | 0.00362 | 0.00001 | 0.00000 |\n"
+    "| 50 | 0.16939 | 0.06153 | 0.00108 | 0.00000 | 0.00000 |\n"
+    "| 62501 | 0.00081 | 0.00005 | 0.00000 | 0.00000 | 0.00000 |\n"
+)
+
+LARGE_PSI_CSV = (
+    "d,m=2,m=3,m=6,m=10,m=40\n"
+    "200,0.69154092462949668,0.24356670281887446,0.0058748711935661503,"
+    "1.6253835656524872e-05,4.8330362787430087e-31\n"
+    "225,0.67147485741298996,0.23304281689620829,0.0053781629596417555,"
+    "1.4028628390979422e-05,2.6819917827880385e-31\n"
+    "1000,0.46246128884040649,0.13319998179001125,0.0017569962958261603,"
+    "2.1739190027962166e-06,1.5465716091977628e-34\n"
+)
+
+LARGE_GRAD_CSV = (
+    "d,m=2,m=3,m=6,m=10,m=40\n"
+    "200,0.11613878209360476,0.057848525815449227,0.0026103981338772625,"
+    "1.1687885887766734e-05,1.3419172483219793e-30\n"
+    "225,0.10789639661048074,0.052957552354722243,0.0022864418600454955,"
+    "9.6519066704417121e-06,7.1249353329753538e-31\n"
+    "1000,0.042473789926689536,0.017300744514715267,0.00042693867255062855,"
+    "8.5488895429265848e-07,2.3483453325471673e-34\n"
+)
+
+LARGE_MD = (
+    "(a) normalizing-constant tail bound\n"
+    "\n"
+    "| d | m = 2 | m = 3 | m = 6 | m = 10 | m = 40 |\n"
+    "|---|---|---|---|---|---|\n"
+    "| 200 | 0.69154 | 0.24357 | 0.00587 | 0.00002 | 0.00000 |\n"
+    "| 225 | 0.67147 | 0.23304 | 0.00538 | 0.00001 | 0.00000 |\n"
+    "| 1000 | 0.46246 | 0.13320 | 0.00176 | 0.00000 | 0.00000 |\n"
+    "\n"
+    "(b) gradient tail bound\n"
+    "\n"
+    "| d | m = 2 | m = 3 | m = 6 | m = 10 | m = 40 |\n"
+    "|---|---|---|---|---|---|\n"
+    "| 200 | 0.11614 | 0.05785 | 0.00261 | 0.00001 | 0.00000 |\n"
+    "| 225 | 0.10790 | 0.05296 | 0.00229 | 0.00001 | 0.00000 |\n"
+    "| 1000 | 0.04247 | 0.01730 | 0.00043 | 0.00000 | 0.00000 |\n"
+)
+
+OVERFLOW_PSI_CSV = (
+    "d,m=2,m=3,m=40\n"
+    "1e+20,0.00026006109401575098,1.7762503048074458e-06,1.5465716091977697e-99\n"
+    "2e+22,1.300305470078755e-06,6.2799931780700841e-10,1.4749256221749917e-145\n"
+)
+
+OVERFLOW_GRAD_CSV = (
+    "d,m=2,m=3,m=40\n"
+    "1e+20,3.1850849114427679e-12,3.0765557748862e-14,3.1315688310723694e-106\n"
+    "2e+22,1.5925424557213839e-14,1.0877267255603326e-17,2.9864967642520508e-152\n"
+)
+
+OVERFLOW_MD = (
+    "(a) normalizing-constant tail bound\n"
+    "\n"
+    "| d | m = 2 | m = 3 | m = 40 |\n"
+    "|---|---|---|---|\n"
+    "| 1e+20 | 0.00026 | 0.00000 | 0.00000 |\n"
+    "| 2e+22 | 0.00000 | 0.00000 | 0.00000 |\n"
+    "\n"
+    "(b) gradient tail bound\n"
+    "\n"
+    "| d | m = 2 | m = 3 | m = 40 |\n"
+    "|---|---|---|---|\n"
+    "| 1e+20 | 0.00000 | 0.00000 | 0.00000 |\n"
+    "| 2e+22 | 0.00000 | 0.00000 | 0.00000 |\n"
+)
+
+MODERATE_GRID = ["--gamma0", "1", "--r", "0.5", "--d", "20,25,50,62501", "--m", "2,3,6,10,40"]
+LARGE_GRID = ["--gamma0", "1", "--r", "0.75", "--d", "200,225,1000", "--m", "2,3,6,10,40"]
+# g2^40 overflows float64 here: the bounds take the decayed-growth fallback.
+OVERFLOW_GRID = ["--gamma0", "1e8", "--r", "0", "--d",
+                 "100000000000000000000,20000000000000000000000", "--m", "2,3,40"]
+GOLDEN_BOUNDS = {
+    "moderate": (MODERATE_GRID, MODERATE_PSI_CSV, MODERATE_GRAD_CSV, MODERATE_MD),
+    "large": (LARGE_GRID, LARGE_PSI_CSV, LARGE_GRAD_CSV, LARGE_MD),
+    "overflow": (OVERFLOW_GRID, OVERFLOW_PSI_CSV, OVERFLOW_GRAD_CSV, OVERFLOW_MD),
+}
+
+
 class TestBounds:
+    @pytest.mark.parametrize("grid", GOLDEN_BOUNDS)
+    def test_golden_bytes(self, tmp_path, capsys, grid):
+        argv, psi_csv, grad_csv, md = GOLDEN_BOUNDS[grid]
+        for fmt in ("text", "md"):
+            assert invoke(["bounds", *argv, "--format", fmt]) == (0, md)
+        csv = "# psi\n" + psi_csv + "# grad\n" + grad_csv
+        assert invoke(["bounds", *argv, "--format", "csv"]) == (0, csv)
+        prefix = str(tmp_path / "table")
+        assert invoke(["bounds", *argv, "--out", prefix]) == (
+            0, f"{prefix}_psi.csv\n{prefix}_grad.csv\n")
+        assert (tmp_path / "table_psi.csv").read_bytes() == psi_csv.encode()
+        assert (tmp_path / "table_grad.csv").read_bytes() == grad_csv.encode()
+        assert capsys.readouterr().err == ""
+
+    def test_golden_inadmissible(self, tmp_path, capsys):
+        argv = ["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,5", "--m", "3"]
+        prefix = str(tmp_path / "table")
+        for extra in (["--format", "text"], ["--format", "md"], ["--format", "csv"],
+                      ["--out", prefix]):
+            assert invoke([*argv, *extra]) == (1, "")
+            assert capsys.readouterr().err == (
+                "error: d = 5 is below the admissible dimension for the value tail "
+                "bound: need d >= 13.928203\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--r", "0.5", "--d", "20", "--eps", "0.01"], 0,
+         "m,psi_bound,grad_bound,eps,d\n6,0.0034932193115566972,0.005352577978903603,0.01,20\n",
+         ""),
+        (["--r", "0.75", "--d", "1000", "--eps", "1e-6"], 0,
+         "m,psi_bound,grad_bound,eps,d\n"
+         "11,3.6150267206622078e-07,1.557286367123761e-07,9.9999999999999995e-07,1000\n", ""),
+        (["--r", "0.5", "--d", "14", "--eps", "1e-30"], 1, "",
+         "error: no order up to 40 reaches eps = 1e-30; "
+         "best achievable bound is 5.596926e-30 at m = 40\n"),
+        (["--r", "0.5", "--d", "10", "--eps", "0.01"], 1, "",
+         "error: d = 10 is below the admissible dimension for order selection: "
+         "need d >= 13.928203\n"),
+    ])
+    def test_golden_choose_m(self, capsys, argv, code, out, err):
+        assert invoke(["choose-m", "--gamma0", "1", *argv, "--format", "csv"]) == (code, out)
+        assert capsys.readouterr().err == err
+
     def test_markdown_table_frozen_cells(self):
         code, text = invoke(
             ["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,25", "--m", "3,6,10"]
@@ -324,6 +492,41 @@ class TestBounds:
         grad_lines = (tmp_path / "table_grad.csv").read_text().strip().splitlines()
         v = float(grad_lines[1].split(",")[1])
         assert v == gradient_tail_bound(3, 20.0, GrowthRegime(1.0, 0.5))
+
+    def test_csv_round_trip(self):
+        # 17 significant digits are lossless: every cell parses back to the table's float.
+        regime = GrowthRegime(1.0, 0.5)
+        table = tail_bound_table(regime, [20.0, 62501.0], [3, 6])
+        code, text = invoke(["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,62501",
+                             "--m", "3,6", "--format", "csv"])
+        assert code == 0
+        psi, grad = text.removeprefix("# psi\n").split("# grad\n")
+        for part, grid in ((psi, table.norm_const_bounds), (grad, table.gradient_bounds)):
+            lines = part.splitlines()
+            assert lines[0] == "d,m=3,m=6"
+            rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+            assert [row[0] for row in rows] == [20.0, 62501.0]
+            assert np.array_equal([row[1:] for row in rows], grid)
+
+    def test_row_labels_keep_seventeen_digits(self, tmp_path):
+        # Distinct d keep distinct labels; six significant digits print 1.23457e+06 twice.
+        argv = ["bounds", "--gamma0", "1", "--r", "0.5", "--d", "1234567,1234568", "--m", "3"]
+        _, text = invoke([*argv, "--format", "csv"])
+        labels = [line.split(",")[0] for line in text.splitlines()]
+        assert labels == ["# psi", "d", "1234567", "1234568", "# grad", "d", "1234567", "1234568"]
+        _, text = invoke([*argv, "--format", "md"])
+        labels = [line.split(" | ")[0] for line in text.splitlines() if line[:3] == "| 1"]
+        assert labels == ["| 1234567", "| 1234568"] * 2
+        invoke([*argv, "--out", str(tmp_path / "t")])
+        for name in ("t_psi.csv", "t_grad.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert [line.split(",")[0] for line in lines] == ["d", "1234567", "1234568"]
+
+    def test_inadmissible_dimension_keeps_seventeen_digits(self, capsys):
+        code, _ = invoke(["choose-m", "--gamma0", "1e5", "--r", "0", "--d", "1000000000",
+                          "--eps", "0.01"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: d = 1000000000 is below ")
 
     def test_inadmissible_dimension_in_grid(self, capsys):
         code, _ = invoke(["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,5",

@@ -20,7 +20,9 @@ algebraic criterion is what :func:`compare_bounds` evaluates, and it is
 tested to agree with direct comparison of the two bound values.
 
 :func:`tail_bound_table` evaluates both bounds over a (d, m) grid; the
-``bounds`` subcommand of the CLI renders that grid as csv or md tables.
+``bounds`` subcommand of the CLI renders the same grid as csv or md tables.
+The module imports no numpy: only :func:`tail_bound_table`, which returns
+arrays, and :func:`regime_check`, which takes a matrix, load it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     InadmissibleDimensionError,
@@ -38,7 +38,9 @@ from .errors import (
     OrderSelectionError,
 )
 from .partitions import MAX_ORDER, check_order
-from .symmat import frobenius_norm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def _require_admissible(d: float, threshold: float, what: str, strict: bool) -> 
         rel = ">" if strict else ">="
         raise InadmissibleDimensionError(
             f"d = {d:.17g} is below the admissible dimension for {what}: "
-            f"need d {rel} {threshold:.6f}",
+            f"need d {rel} {threshold:.17g}",
             threshold=threshold,
         )
 
@@ -197,6 +199,8 @@ def inverse_tail_bound(l: int, d: float, regime: GrowthRegime) -> float:
 
 def regime_check(sigma: np.ndarray, regime: GrowthRegime, d: int) -> bool:
     """Whether ||Sigma||_F <= scale * d^(exponent/2)."""
+    from .symmat import frobenius_norm
+
     if sigma.shape[0] != d:
         raise OrderRangeError(
             f"matrix has dimension {sigma.shape[0]}, regime check asked for d = {d}"
@@ -257,28 +261,39 @@ class TailBoundTable:
     gradient_bounds: np.ndarray
 
 
-def tail_bound_table(
+def _bound_grid(
     regime: GrowthRegime, d_values: Sequence[float], m_values: Sequence[int]
-) -> TailBoundTable:
-    """Evaluate both tail bounds on the full (d, m) grid, checking every m first."""
+) -> tuple[tuple[float, ...], tuple[int, ...], list[list[float]], list[list[float]]]:
+    """The d and m grids and both tail bounds on them, one row list per d.
+
+    Every m is checked before any bound is evaluated.
+    """
     ds = tuple(float(d) for d in d_values)
     ms = tuple(int(m) for m in m_values)
     if not ds or not ms:
         raise OrderRangeError("d and m grids must be non-empty")
     for m in ms:
         check_order("m", m, 2)
-    nb = np.empty((len(ds), len(ms)))
-    gb = np.empty((len(ds), len(ms)))
-    for a, d in enumerate(ds):
-        for b, m in enumerate(ms):
-            nb[a, b] = norm_const_tail_bound(m, d, regime)
-            gb[a, b] = gradient_tail_bound(m, d, regime)
+    nb, gb = [], []
+    for d in ds:
+        nb.append([norm_const_tail_bound(m, d, regime) for m in ms])
+        gb.append([gradient_tail_bound(m, d, regime) for m in ms])
+    return ds, ms, nb, gb
+
+
+def tail_bound_table(
+    regime: GrowthRegime, d_values: Sequence[float], m_values: Sequence[int]
+) -> TailBoundTable:
+    """Evaluate both tail bounds on the full (d, m) grid, checking every m first."""
+    import numpy as np
+
+    ds, ms, nb, gb = _bound_grid(regime, d_values, m_values)
     return TailBoundTable(
         regime=regime,
         d_values=ds,
         m_values=ms,
-        norm_const_bounds=nb,
-        gradient_bounds=gb,
+        norm_const_bounds=np.array(nb),
+        gradient_bounds=np.array(gb),
     )
 
 

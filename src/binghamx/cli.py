@@ -28,10 +28,10 @@ from __future__ import annotations
 import argparse
 import codecs
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
+# symmat, zonal, series and oracle are lazy modules (see the package
+# docstring): bounds and choose-m run without loading numpy.
 from . import bounds as bounds_mod
 from . import oracle, series, symmat, zonal
 from .bounds import GrowthRegime
@@ -45,6 +45,9 @@ from .errors import (
 )
 from .partitions import check_order
 
+if TYPE_CHECKING:
+    import numpy as np
+
 USAGE_ERROR = 2
 ADMISSIBILITY_ERROR = 1
 
@@ -55,7 +58,7 @@ def _fmt(x, fmt: str) -> str:
     return str(x)
 
 
-def _emit_table(header: Sequence[str], rows: list[Sequence], fmt: str, out) -> None:
+def _table(header: Sequence[str], rows: list[Sequence], fmt: str) -> str:
     """A csv or md table: the header, then one line of cells per row."""
     cells = [[_fmt(v, fmt) for v in row] for row in [header, *rows]]
     if fmt == "csv":
@@ -63,17 +66,18 @@ def _emit_table(header: Sequence[str], rows: list[Sequence], fmt: str, out) -> N
     else:
         lines = ["| " + " | ".join(row) + " |" for row in cells]
         lines.insert(1, "|---" * len(header) + "|")
-    out.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
     """Scalar rows as one record, then array rows as matrices."""
-    matrices = [v for _, v in rows if isinstance(v, np.ndarray)]
-    rows = [(key, v) for key, v in rows if not isinstance(v, np.ndarray)]
+    # Arrays are the only values with ndim >= 1; the check needs no numpy.
+    matrices = [v for _, v in rows if getattr(v, "ndim", 0)]
+    rows = [(key, v) for key, v in rows if not getattr(v, "ndim", 0)]
     if fmt == "csv":
-        _emit_table([key for key, _ in rows], [[v for _, v in rows]], fmt, out)
+        out.write(_table([key for key, _ in rows], [[v for _, v in rows]], fmt))
     elif fmt == "md":
-        _emit_table(("quantity", "value"), rows, fmt, out)
+        out.write(_table(("quantity", "value"), rows, fmt))
     else:
         for key, v in rows:
             out.write(f"{key} = {_fmt(v, fmt)}\n")
@@ -205,6 +209,8 @@ def _checked_series(args, orders, powers, compute, tails=()):
     value)`` rows with every number to print.  Numpy warnings are off:
     a row that is not finite raises SeriesOverflowError instead.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):
         sigma = symmat.load_matrix(_read_text(args.matrix))
         d = sigma.shape[0]
@@ -309,27 +315,59 @@ def _dimension(d: int, what: str) -> float:
             f"{what} must fit in float64, got a {len(str(d))}-digit integer") from None
 
 
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path, all or none.
+
+    Every text goes to a temporary file beside its path first; only when
+    all are written are they renamed into place.  On any failure the
+    temporaries, and the paths this call already renamed into place, are
+    removed before the error propagates.
+    """
+    import os
+
+    temps, placed = {}, []
+    try:
+        for path, text in texts.items():
+            temps[path] = f"{path}.{os.urandom(6).hex()}.tmp"
+            try:
+                with open(temps[path], "x", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                exc.filename = path  # the error names the file asked for
+                raise
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            placed.append(path)
+    except BaseException:
+        for path in [*placed, *(temps[p] for p in temps if p not in placed)]:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        raise
+
+
 def _cmd_bounds(args, out) -> int:
     regime = GrowthRegime(scale=args.gamma0, exponent=args.r)
     ds = [_dimension(d, "dimensions") for d in args.d]
-    table = bounds_mod.tail_bound_table(regime, ds, args.m)
+    ds, ms, psi, grad = bounds_mod._bound_grid(regime, ds, args.m)
     # --out writes csv whatever --format says; text prints the md tables.
     fmt = "csv" if args.out is not None or args.format == "csv" else "md"
     sep = "=" if fmt == "csv" else " = "
-    header = ["d", *(f"m{sep}{m}" for m in table.m_values)]
-    for name, title, grid in (
-        ("psi", "(a) normalizing-constant tail bound\n\n", table.norm_const_bounds),
-        ("grad", "\n(b) gradient tail bound\n\n", table.gradient_bounds),
-    ):
-        rows = [[f"{d:.17g}", *cells] for d, cells in zip(table.d_values, grid)]
-        if args.out is not None:
-            with open(f"{args.out}_{name}.csv", "w", encoding="utf-8") as fh:
-                _emit_table(header, rows, fmt, fh)
-        else:
-            out.write(f"# {name}\n" if fmt == "csv" else title)
-            _emit_table(header, rows, fmt, out)
+    header = ["d", *(f"m{sep}{m}" for m in ms)]
+    tables = {
+        name: _table(header, [[f"{d:.17g}", *cells] for d, cells in zip(ds, grid)], fmt)
+        for name, grid in (("psi", psi), ("grad", grad))
+    }
     if args.out is not None:
-        out.write(f"{args.out}_psi.csv\n{args.out}_grad.csv\n")
+        files = {f"{args.out}_{name}.csv": text for name, text in tables.items()}
+        _write_files(files)
+        out.write("".join(f"{path}\n" for path in files))
+    elif fmt == "csv":
+        out.write("".join(f"# {name}\n{text}" for name, text in tables.items()))
+    else:
+        out.write(f"(a) normalizing-constant tail bound\n\n{tables['psi']}\n"
+                  f"(b) gradient tail bound\n\n{tables['grad']}")
     return 0
 
 
@@ -356,6 +394,8 @@ def _verify_series(ps, l: int, m: int) -> list[tuple[str, object]]:
     T g(Sigma), in O(d m) time and O(d) memory.  Psi, T and g come from
     one series pass.
     """
+    import numpy as np
+
     lam = np.sort(ps.eigenvalues)
     scalar, grad, psi = series._covariance_factors(ps, l, m, ps.d)
     return [("psi", psi), ("cov", scalar * symmat.polynomial_values(grad.coeffs, lam)),
@@ -370,6 +410,8 @@ def _verify_checks(psi_series, cov_series, psi_mc, cov_mc) -> list[tuple]:
     The status is "pass" or "FAIL", and psi's is "inconclusive" when fewer
     than MIN_ESS samples carry the weights.
     """
+    import numpy as np
+
     threshold = oracle.family_threshold(len(cov_series) + 1)
     # When x' Sigma x is constant on the sphere (e.g. Sigma = theta * I) the
     # sampling variance is exactly zero, so the statistical tolerance alone
@@ -410,7 +452,7 @@ def _cmd_verify(args, out) -> int:
 
     if args.format != "text":
         header = ("check", "series", "estimate", "std_error", "bound", "status")
-        _emit_table(header, rows, args.format, out)
+        out.write(_table(header, rows, args.format))
     else:
         out.write(f"{'check':<12} {'series':>24} {'estimate':>24} "
                   f"{'std_error':>12} {'bound':>12} status\n")

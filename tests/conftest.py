@@ -1,8 +1,15 @@
-"""Shared helpers for the test suite: random matrix generators."""
+"""Shared helpers for the test suite: random matrix generators, a fresh interpreter."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+import binghamx
 
 
 def random_symmetric(rng: np.random.Generator, d: int, norm: float | None = None) -> np.ndarray:
@@ -42,3 +49,18 @@ def haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     """
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+def fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter, in development mode with warnings as errors.
+
+    The child imports binghamx from the same source tree as this process;
+    its stdout and stderr are captured as text.
+    """
+    src = str(Path(binghamx.__file__).resolve().parents[1])
+    paths = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script, *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+    )

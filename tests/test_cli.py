@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_horner, random_symmetric, random_trace_zero
+from conftest import dense_horner, fresh_python, random_symmetric, random_trace_zero
 
 from binghamx import (
     GradientPolynomial,
@@ -434,25 +434,44 @@ class TestBounds:
             assert invoke([*argv, *extra]) == (1, "")
             assert capsys.readouterr().err == (
                 "error: d = 5 is below the admissible dimension for the value tail "
-                "bound: need d >= 13.928203\n")
+                "bound: need d >= 13.928203230275509\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_leaves_nothing_on_failure(self, tmp_path, capsys):
+        # The grad file cannot be replaced: neither file nor a temporary is left.
+        (tmp_path / "table_grad.csv").mkdir()
+        prefix = str(tmp_path / "table")
+        argv = ["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20", "--m", "3"]
+        assert invoke([*argv, "--out", prefix]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "table_grad.csv" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["table_grad.csv"]
+        assert list((tmp_path / "table_grad.csv").iterdir()) == []
+        # A missing directory: the error names the file asked for, not a temporary.
+        missing = str(tmp_path / "missing" / "table")
+        assert invoke([*argv, "--out", missing]) == (2, "")
+        assert capsys.readouterr().err.endswith(f": '{missing}_psi.csv'\n")
+
     @pytest.mark.parametrize("argv, code, out, err", [
-        (["--r", "0.5", "--d", "20", "--eps", "0.01"], 0,
+        (["--gamma0", "1", "--r", "0.5", "--d", "20", "--eps", "0.01"], 0,
          "m,psi_bound,grad_bound,eps,d\n6,0.0034932193115566972,0.005352577978903603,0.01,20\n",
          ""),
-        (["--r", "0.75", "--d", "1000", "--eps", "1e-6"], 0,
+        (["--gamma0", "1", "--r", "0.75", "--d", "1000", "--eps", "1e-6"], 0,
          "m,psi_bound,grad_bound,eps,d\n"
          "11,3.6150267206622078e-07,1.557286367123761e-07,9.9999999999999995e-07,1000\n", ""),
-        (["--r", "0.5", "--d", "14", "--eps", "1e-30"], 1, "",
+        (["--gamma0", "1", "--r", "0.5", "--d", "14", "--eps", "1e-30"], 1, "",
          "error: no order up to 40 reaches eps = 1e-30; "
          "best achievable bound is 5.596926e-30 at m = 40\n"),
-        (["--r", "0.5", "--d", "10", "--eps", "0.01"], 1, "",
+        (["--gamma0", "1", "--r", "0.5", "--d", "10", "--eps", "0.01"], 1, "",
          "error: d = 10 is below the admissible dimension for order selection: "
-         "need d >= 13.928203\n"),
+         "need d >= 13.928203230275509\n"),
+        # A threshold past 1e80 prints in exponent form, not as an 81-digit integer.
+        (["--gamma0", "1e40", "--r", "0", "--d", "1000", "--eps", "0.1"], 1, "",
+         "error: d = 1000 is below the admissible dimension for order selection: "
+         "need d >= 3.7320508075688778e+80\n"),
     ])
     def test_golden_choose_m(self, capsys, argv, code, out, err):
-        assert invoke(["choose-m", "--gamma0", "1", *argv, "--format", "csv"]) == (code, out)
+        assert invoke(["choose-m", *argv, "--format", "csv"]) == (code, out)
         assert capsys.readouterr().err == err
 
     def test_markdown_table_frozen_cells(self):
@@ -546,6 +565,38 @@ class TestBounds:
         code, _ = invoke(["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,1",
                           "--m", "3"])
         assert code == 2
+
+
+COLD_START_SCRIPT = """
+import contextlib, io, sys
+from binghamx.cli import run
+
+loaded = [("import", 0, "numpy" in sys.modules)]
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    loaded.append((argv[0], code, "numpy" in sys.modules))
+print(loaded)
+run(["psi", "--matrix", sys.argv[1], "--m", "6", "--gamma0", "1", "--r", "0.5",
+     "--format", "csv"])
+"""
+
+
+class TestColdStart:
+    def test_table_commands_load_no_numpy(self, sigma20):
+        # A fresh interpreter: this process has numpy loaded already.
+        argvs = [["bounds", *MODERATE_GRID], ["bounds", *MODERATE_GRID, "--format", "csv"],
+                 ["choose-m", "--gamma0", "1", "--r", "0.5", "--d", "20", "--eps", "0.01"],
+                 ["--help"]]
+        proc = fresh_python(COLD_START_SCRIPT.replace("ARGVS", repr(argvs)), sigma20[1])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        loaded, psi = proc.stdout.split("\n", 1)
+        assert loaded == repr([("import", 0, False)]
+                              + [(argv[0], 0, False) for argv in argvs])
+        # The matrix commands load numpy when they run, in the same process.
+        assert psi == ("psi,m,d,bound,gamma0,r\n"
+                       "1.0408107741866666,6,20,0.0034932193115566972,1,0.5\n")
 
 
 class TestChooseM:

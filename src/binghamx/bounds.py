@@ -19,10 +19,10 @@ smaller one exactly when 4 * scale^2 * d^exp <= m (m + 1); that
 algebraic criterion is what :func:`compare_bounds` evaluates, and it is
 tested to agree with direct comparison of the two bound values.
 
-:func:`tail_bound_table` evaluates both bounds over a (d, m) grid; the
-``bounds`` subcommand of the CLI renders the same grid as csv or md tables.
-The module imports no numpy: only :func:`tail_bound_table`, which returns
-arrays, and :func:`regime_check`, which takes a matrix, load it.
+:func:`tail_bound_table` is the one (d, m) grid: it evaluates both bounds
+as row tuples, one row per d, and the ``bounds`` subcommand of the CLI
+renders that table as csv or md.  The module imports no numpy; only
+:func:`regime_check`, which takes a matrix, loads it.
 """
 
 from __future__ import annotations
@@ -106,14 +106,21 @@ def _require_admissible(d: float, threshold: float, what: str, strict: bool) -> 
         )
 
 
-def _decayed_growth(g2: float, d: float, regime: GrowthRegime) -> float:
-    """g2 * d^(-(1-exp)/2), the per-order factor of both tail bounds.
+def _tail(front, k, n, d, d_power, rest, regime: GrowthRegime) -> float:
+    """front * g2^k / sqrt(n!) * d^d_power, the shape of both tail bounds.
 
-    The bounds raise it to the m-th power only when g2^m alone overflows
-    float64; for admissible d it is at most 1/sqrt(2), so that power
-    cannot overflow.
+    When g2^k alone overflows float64 it returns
+    front * (g2 d^(-(1-exp)/2))^k / sqrt(n!) / rest, ``rest`` being the
+    part of d^d_power that the k decay factors leave over.  For admissible
+    d that factor is at most 1/sqrt(2), so its power cannot overflow.
     """
-    return g2 * d ** (-(1.0 - regime.exponent) / 2.0)
+    g2 = regime.scale * BASE_GROWTH
+    root = math.sqrt(float(math.factorial(n)))
+    try:
+        growth = g2**k
+    except OverflowError:
+        return front * (g2 * d ** (-(1.0 - regime.exponent) / 2.0)) ** k / root / rest
+    return front * growth / root * d**d_power
 
 
 def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
@@ -124,21 +131,8 @@ def norm_const_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     """
     check_order("m", m, 1)
     _require_admissible(d, admissible_dimension(regime), "the value tail bound", False)
-    g2 = regime.scale * BASE_GROWTH
-    try:
-        growth = g2**m
-    except OverflowError:
-        return (
-            _TAIL_PREFACTOR
-            * _decayed_growth(g2, d, regime) ** m
-            / math.sqrt(float(math.factorial(m + 1)))
-        )
-    return (
-        _TAIL_PREFACTOR
-        * growth
-        / math.sqrt(float(math.factorial(m + 1)))
-        * d ** (-m * (1.0 - regime.exponent) / 2.0)
-    )
+    power = -m * (1.0 - regime.exponent) / 2.0
+    return _tail(_TAIL_PREFACTOR, m, m + 1, d, power, 1.0, regime)
 
 
 def gradient_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
@@ -148,22 +142,8 @@ def gradient_tail_bound(m: int, d: float, regime: GrowthRegime) -> float:
     """
     check_order("m", m, 2)
     _require_admissible(d, admissible_dimension(regime), "the gradient tail bound", False)
-    g2 = regime.scale * BASE_GROWTH
-    try:
-        growth = g2 ** (m - 1)
-    except OverflowError:
-        return (
-            math.sqrt(2.0 * math.e)
-            * _decayed_growth(g2, d, regime) ** (m - 1)
-            / math.sqrt(float(math.factorial(m - 1)))
-            / math.sqrt(d)
-        )
-    return (
-        math.sqrt(2.0 * math.e)
-        * growth
-        / math.sqrt(float(math.factorial(m - 1)))
-        * d ** (-(1.0 + (m - 1) * (1.0 - regime.exponent)) / 2.0)
-    )
+    power = -(1.0 + (m - 1) * (1.0 - regime.exponent)) / 2.0
+    return _tail(math.sqrt(2.0 * math.e), m - 1, m - 1, d, power, math.sqrt(d), regime)
 
 
 def first_order_inverse_ratio(d: float, regime: GrowthRegime) -> float:
@@ -252,48 +232,35 @@ def select_order(regime: GrowthRegime, d: float, eps: float) -> int:
 
 @dataclass(frozen=True)
 class TailBoundTable:
-    """Both bound families tabulated over a (d, m) grid."""
+    """Both bound families tabulated over a (d, m) grid, one row per d."""
 
     regime: GrowthRegime
     d_values: tuple[float, ...]
     m_values: tuple[int, ...]
-    norm_const_bounds: np.ndarray  # shape (len(d_values), len(m_values))
-    gradient_bounds: np.ndarray
-
-
-def _bound_grid(
-    regime: GrowthRegime, d_values: Sequence[float], m_values: Sequence[int]
-) -> tuple[tuple[float, ...], tuple[int, ...], list[list[float]], list[list[float]]]:
-    """The d and m grids and both tail bounds on them, one row list per d.
-
-    Every m is checked before any bound is evaluated.
-    """
-    ds = tuple(float(d) for d in d_values)
-    ms = tuple(int(m) for m in m_values)
-    if not ds or not ms:
-        raise OrderRangeError("d and m grids must be non-empty")
-    for m in ms:
-        check_order("m", m, 2)
-    nb, gb = [], []
-    for d in ds:
-        nb.append([norm_const_tail_bound(m, d, regime) for m in ms])
-        gb.append([gradient_tail_bound(m, d, regime) for m in ms])
-    return ds, ms, nb, gb
+    norm_const_bounds: tuple[tuple[float, ...], ...]
+    gradient_bounds: tuple[tuple[float, ...], ...]
 
 
 def tail_bound_table(
     regime: GrowthRegime, d_values: Sequence[float], m_values: Sequence[int]
 ) -> TailBoundTable:
     """Evaluate both tail bounds on the full (d, m) grid, checking every m first."""
-    import numpy as np
-
-    ds, ms, nb, gb = _bound_grid(regime, d_values, m_values)
+    ds = tuple(float(d) for d in d_values)
+    ms = tuple(int(m) for m in m_values)
+    if not ds or not ms:
+        raise OrderRangeError("d and m grids must be non-empty")
+    for m in ms:
+        check_order("m", m, 2)
     return TailBoundTable(
         regime=regime,
         d_values=ds,
         m_values=ms,
-        norm_const_bounds=np.array(nb),
-        gradient_bounds=np.array(gb),
+        norm_const_bounds=tuple(
+            tuple(norm_const_tail_bound(m, d, regime) for m in ms) for d in ds
+        ),
+        gradient_bounds=tuple(
+            tuple(gradient_tail_bound(m, d, regime) for m in ms) for d in ds
+        ),
     )
 
 

@@ -350,14 +350,16 @@ def _write_files(texts: dict[str, str]) -> None:
 def _cmd_bounds(args, out) -> int:
     regime = GrowthRegime(scale=args.gamma0, exponent=args.r)
     ds = [_dimension(d, "dimensions") for d in args.d]
-    ds, ms, psi, grad = bounds_mod._bound_grid(regime, ds, args.m)
+    table = bounds_mod.tail_bound_table(regime, ds, args.m)
     # --out writes csv whatever --format says; text prints the md tables.
     fmt = "csv" if args.out is not None or args.format == "csv" else "md"
     sep = "=" if fmt == "csv" else " = "
-    header = ["d", *(f"m{sep}{m}" for m in ms)]
+    header = ["d", *(f"m{sep}{m}" for m in table.m_values)]
     tables = {
-        name: _table(header, [[f"{d:.17g}", *cells] for d, cells in zip(ds, grid)], fmt)
-        for name, grid in (("psi", psi), ("grad", grad))
+        name: _table(header, [[f"{d:.17g}", *cells]
+                              for d, cells in zip(table.d_values, grid)], fmt)
+        for name, grid in (("psi", table.norm_const_bounds),
+                           ("grad", table.gradient_bounds))
     }
     if args.out is not None:
         files = {f"{args.out}_{name}.csv": text for name, text in tables.items()}

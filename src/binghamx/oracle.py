@@ -47,8 +47,9 @@ computes no eigenvectors.  :func:`mc_moments` takes a dense Sigma: one
 ``eigh`` of its symmetric part, the same pass on lambda, so its Psi is
 that of :func:`mc_eigen_moments` bit for bit, and one mapping
 V diag(.) V' of the covariance and of each delete-one-block estimate of
-the jackknife.  :func:`mc_norm_const` and :func:`mc_covariance` return
-its two halves.
+the jackknife.  :func:`mc_covariance` returns its second half;
+:func:`mc_norm_const` runs the same ``eigh`` and pass and skips the
+mapping.
 
 Every compared check of ``verify`` is tested at the family-wise
 false-alarm rate :data:`FAMILY_ALPHA` (:func:`family_threshold`).  Each
@@ -295,13 +296,25 @@ def _eigen_map(vecs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return (vecs * diagonal) @ vecs.T
 
 
+def _dense_pass(sigma: np.ndarray, n: int, seed: int):
+    """V from one ``eigh`` of (Sigma + Sigma') / 2, then :func:`_moments` on its lambda."""
+    sigma = np.asarray(sigma, dtype=float)
+    # LAPACK may fail to converge on a nan rather than return one.
+    if not np.isfinite(sigma).all():
+        raise SamplingOverflowError("Sigma has a non-finite entry, so exp(x' Sigma x) is not finite")
+    # Halved before the sum, which cannot then overflow.
+    lam, vecs = np.linalg.eigh(sigma / 2.0 + sigma.T / 2.0)
+    return (vecs, *_moments(lam, n, seed))
+
+
 def mc_norm_const(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
     """Sample mean of exp(x' Sigma x) over the uniform sphere.
 
     Returns the estimate of the normalizing constant and the standard
-    error of the mean: the first half of :func:`mc_moments`.
+    error of the mean: the Psi of :func:`mc_moments` bit for bit, from
+    the same ``eigh`` and pass without the covariance mapping.
     """
-    return mc_moments(sigma, n, seed)[0]
+    return _dense_pass(sigma, n, seed)[1]
 
 
 def mc_covariance(sigma: np.ndarray, n: int, seed: int) -> McEstimate:
@@ -331,13 +344,7 @@ def mc_moments(sigma: np.ndarray, n: int, seed: int) -> tuple[McEstimate, McEsti
     permutation V, so are the off-diagonal entries and their standard
     errors.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    # LAPACK may fail to converge on a nan rather than return one.
-    if not np.isfinite(sigma).all():
-        raise SamplingOverflowError("Sigma has a non-finite entry, so exp(x' Sigma x) is not finite")
-    # Halved before the sum, which cannot then overflow.
-    lam, vecs = np.linalg.eigh(sigma / 2.0 + sigma.T / 2.0)
-    psi, value, deviations = _moments(lam, n, seed)
+    vecs, psi, value, deviations = _dense_pass(sigma, n, seed)
     squares = np.zeros_like(vecs)
     for delta in deviations:
         squares += _eigen_map(vecs, delta) ** 2

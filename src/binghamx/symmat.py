@@ -66,7 +66,9 @@ def load_matrix(text: str) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        The exactly symmetrized matrix (A + A.T) / 2, shape (d, d).
+        The exactly symmetrized matrix (A + A.T) / 2, shape (d, d); a
+        pair whose sum overflows is halved before it is added, so finite
+        entries up to DBL_MAX stay finite.
 
     Raises
     ------
@@ -117,7 +119,9 @@ def load_matrix(text: str) -> np.ndarray:
         raise MatrixValidationError(
             f"non-finite entry at row {i + 1}, column {j + 1}"
         )
-    asym = np.abs(a - a.T) / (1.0 + np.abs(a))
+    # A difference past DBL_MAX is inf, and rejected as such.
+    with np.errstate(over="ignore"):
+        asym = np.abs(a - a.T) / (1.0 + np.abs(a))
     worst = float(asym.max())
     if worst > ASYMMETRY_TOL:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
@@ -126,7 +130,16 @@ def load_matrix(text: str) -> np.ndarray:
             f"({j + 1},{i + 1}) differ, relative asymmetry {worst:.3e} "
             f"exceeds {ASYMMETRY_TOL:.0e}"
         )
-    return symmetrize(a)
+    try:
+        with np.errstate(over="raise"):
+            return symmetrize(a)
+    except FloatingPointError:
+        # Some a_ij + a_ji overflowed: halve those pairs before adding them.
+        with np.errstate(over="ignore"):
+            out = symmetrize(a)
+        wide = np.isinf(out)
+        out[wide] = a[wide] / 2.0 + a.T[wide] / 2.0
+        return out
 
 
 def _parse_mirrored(tokens: list[str], d: int) -> np.ndarray:

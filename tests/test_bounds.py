@@ -369,13 +369,14 @@ class TestRounding:
 class TestTables:
     def test_grid_matches_point_functions(self):
         table = tail_bound_table(R_HALF, [20.0, 100.0], [3, 6, 10])
-        assert table.norm_const_bounds.shape == (2, 3)
+        for grid in (table.norm_const_bounds, table.gradient_bounds):
+            assert [len(row) for row in grid] == [3, 3]
         for a, d in enumerate(table.d_values):
             for b, m in enumerate(table.m_values):
-                assert table.norm_const_bounds[a, b] == norm_const_tail_bound(
+                assert table.norm_const_bounds[a][b] == norm_const_tail_bound(
                     m, d, R_HALF
                 )
-                assert table.gradient_bounds[a, b] == gradient_tail_bound(m, d, R_HALF)
+                assert table.gradient_bounds[a][b] == gradient_tail_bound(m, d, R_HALF)
 
     def test_markdown_rendering(self, capsys):
         from binghamx.cli import run

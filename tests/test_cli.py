@@ -566,6 +566,12 @@ class TestBounds:
                           "--m", "3"])
         assert code == 2
 
+    def test_non_integer_list_named(self, capsys):
+        code, text = invoke(["bounds", "--gamma0", "1", "--r", "0.5", "--d", "20,x",
+                             "--m", "3"])
+        assert (code, text) == (2, "")
+        assert "expected comma-separated integers, got '20,x'" in capsys.readouterr().err
+
 
 COLD_START_SCRIPT = """
 import contextlib, io, sys
@@ -1155,6 +1161,20 @@ class TestSeriesOverflow:
         code, text = invoke(["psi", "--matrix", path, "--m", "3"])
         assert (code, text) == (2, "")
         assert f"(||Sigma||_F = {1e160:.17g})" in capsys.readouterr().err
+
+    def test_entries_near_dbl_max_load_finite(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows, yet every entry of the file is finite.
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1e308 0\n0 -1e308\n")
+        code, text = invoke(["psi", "--matrix", str(path), "--m", "3"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: psi at m = 3 is not finite in float64 "
+            "(||Sigma||_F = 1.4142135623730951e+308)\n"
+        )
+        code, text = invoke(["grad", "--matrix", str(path), "--m", "2"])
+        assert code == 0
+        assert np.array_equal(trailing_matrix(text, 2), np.eye(2) / 2)
 
 
 # Inputs that once escaped as a traceback, or as a false success: argv, with

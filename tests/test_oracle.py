@@ -356,6 +356,18 @@ class TestMcMoments:
                 for seed in (0, 2026):
                     self.assert_same(sigma, n, seed)
 
+    def test_norm_const_skips_the_mapping(self, monkeypatch):
+        sigma = random_trace_zero(np.random.default_rng(43), 12, norm=0.9)
+        expected = mc_moments(sigma, 5000, 7)[0]
+
+        def no_mapping(*args):
+            raise AssertionError("mc_norm_const mapped V diag(.) V'")
+
+        monkeypatch.setattr(oracle, "_eigen_map", no_mapping)
+        psi = mc_norm_const(sigma, 5000, 7)
+        assert psi == expected
+        assert psi.value == expected.value and psi.std_error == expected.std_error
+
     def test_zero_matrix(self):
         self.assert_same(np.zeros((4, 4)), 3000, seed=5)
         psi, cov = mc_moments(np.zeros((4, 4)), 3000, seed=5)
@@ -609,6 +621,10 @@ class TestMcEigenMoments:
         # Every shifted weight is 1; Psi = e^800 itself exceeds float64.
         with pytest.raises(SamplingOverflowError, match="Psi exceeds float64"):
             mc_eigen_moments(np.full(4, 800.0), 1000, seed=0)
+
+    def test_nan_eigenvalue(self):
+        with pytest.raises(SamplingOverflowError, match="non-finite weights"):
+            mc_eigen_moments(np.array([np.nan, 0.0]), 1000, seed=0)
 
     @pytest.mark.parametrize("d, top, seed", [(3, 400.0, 1), (200, 800.0, 1), (200, 1000.0, 1)])
     def test_shifted_weights_keep_every_estimate_finite(self, d, top, seed):

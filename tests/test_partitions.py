@@ -94,3 +94,5 @@ def test_half_pochhammer_values():
     # consistency with the rising-factorial recurrence
     for k in range(1, 25):
         assert half_pochhammer(k) == half_pochhammer(k - 1) * (Fraction(1, 2) + (k - 1))
+    with pytest.raises(OrderRangeError, match="k must be >= 0"):
+        half_pochhammer(-1)

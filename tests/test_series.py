@@ -22,6 +22,7 @@ import pytest
 from conftest import random_symmetric, random_trace_zero
 
 from binghamx import (
+    DimensionMismatchError,
     GradientPolynomial,
     GrowthRegime,
     InadmissibleDimensionError,
@@ -60,6 +61,28 @@ class TestPochhammerRatio:
                 lhs = pochhammer_ratio(k, d)
                 rhs = pochhammer_ratio(k - 1, d) * (0.5 + k - 1) / (d / 2.0 + k - 1)
                 assert lhs == pytest.approx(rhs, rel=1e-14)
+
+    def test_rejects_negative_order_and_nonpositive_d(self):
+        with pytest.raises(OrderRangeError, match="k must be >= 0"):
+            pochhammer_ratio(-1, 5)
+        with pytest.raises(OrderRangeError, match="d must be positive"):
+            pochhammer_ratio(2, 0)
+
+
+class TestDimensionChecks:
+    def test_power_sums_of_another_dimension(self):
+        ps = power_sums(0.1 * np.eye(3), 4)
+        with pytest.raises(DimensionMismatchError, match="power sums are for d = 3"):
+            norm_const_truncated(ps, 3, 4)
+        with pytest.raises(DimensionMismatchError, match="power sums are for d = 3"):
+            norm_const_gradient_truncated(ps, 3, 4)
+
+    def test_matrix_of_another_dimension(self):
+        ps = power_sums(0.1 * np.eye(4), 4)
+        with pytest.raises(DimensionMismatchError, match="matrix has dimension 3"):
+            covariance_second_order(0.1 * np.eye(3), 4)
+        with pytest.raises(DimensionMismatchError, match="matrix has dimension 3"):
+            covariance_expansion(ps, 0.1 * np.eye(3), 2, 3, 4)
 
 
 class TestNormConstTruncated:
@@ -314,6 +337,8 @@ class TestAlphaExponent:
     def test_order_validation(self):
         with pytest.raises(OrderRangeError):
             alpha_exponent(1, GrowthRegime(1.0, 0.0))
+        with pytest.raises(OrderRangeError, match="m must be >= 2"):
+            alpha_descriptor(1, None)
 
 
 def materialized_derived_bound(ps, sigma, l, m, d, regime):

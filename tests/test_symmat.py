@@ -69,6 +69,27 @@ class TestLoadMatrix:
         with pytest.raises(MatrixValidationError, match="non-finite"):
             load_matrix("2\n1 inf\ninf 1")
 
+    def test_entries_near_dbl_max_stay_finite(self):
+        # a_ij + a_ji overflows for these pairs; the mean of each pair is finite.
+        top = float(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = load_matrix("2\n1e308 0\n0 -1e308")
+            assert np.array_equal(a, np.diag([1e308, -1e308]))
+            b = load_matrix(f"3\n{top!r} 1.5e308 0.1\n1.5000000000000001e308 -{top!r} 0\n"
+                            "0.1000000000000001 0 5e-324")
+        assert b[0, 0] == top and b[1, 1] == -top
+        assert b[0, 1] == b[1, 0] == 1.5e308 / 2 + 1.5000000000000001e308 / 2
+        # Pairs whose sum stays finite keep the bits of (a + a') / 2.
+        assert b[0, 2] == b[2, 0] == (0.1 + 0.1000000000000001) / 2
+        assert b[2, 2] == 5e-324 and b[1, 2] == b[2, 1] == 0.0
+
+    def test_asymmetry_past_dbl_max_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixValidationError, match="relative asymmetry inf"):
+                load_matrix("2\n0 1.7e308\n-1.7e308 0")
+
     def test_format_round_trip(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 7):
@@ -281,6 +302,8 @@ class TestPowerSums:
             power_sums(np.eye(3), 0)
         with pytest.raises(MatrixValidationError):
             power_sums(np.ones((2, 3)), 2)
+        with pytest.raises(MatrixValidationError, match=">= 2"):
+            power_sums(np.ones((1, 1)), 1)
         with pytest.raises(MatrixValidationError):
             power_sums(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
 

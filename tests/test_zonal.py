@@ -122,6 +122,10 @@ class TestZonalValue:
 
 
 class TestScaledValue:
+    def test_order_zero_is_one(self):
+        assert zonal_value_exact(0, [2]) == 1
+        assert scaled_zonal_value(0, power_table(np.array([2.0, 0.5]), 1)) == 1.0
+
     def test_consistent_with_zonal_value(self):
         rng = np.random.default_rng(13)
         s = random_symmetric(rng, 5)

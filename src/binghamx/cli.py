@@ -19,7 +19,8 @@ needs no spectral work runs first.
 
 Output formats: ``text`` (key = value lines, matrices in the ingestion
 text format, 17 significant digits), ``md`` (tables, 5 decimals rounded
-half-up), ``csv`` (comma-separated, 17 significant digits).  Output is
+half-up), ``csv`` (comma-separated, 17 significant digits).  Matrices in
+every format come from :func:`binghamx.symmat.format_matrix`.  Output is
 byte-stable for identical inputs on one numpy/BLAS build and thread count.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 # symmat, zonal, series and oracle are lazy modules (see the package
 # docstring): bounds and choose-m run without loading numpy.
@@ -44,9 +45,6 @@ from .errors import (
     SeriesOverflowError,
 )
 from .partitions import check_order
-
-if TYPE_CHECKING:
-    import numpy as np
 
 USAGE_ERROR = 2
 ADMISSIBILITY_ERROR = 1
@@ -82,25 +80,7 @@ def _emit_record(rows: list[tuple[str, object]], fmt: str, out) -> None:
         for key, v in rows:
             out.write(f"{key} = {_fmt(v, fmt)}\n")
     for a in matrices:
-        _emit_matrix(a, fmt, out)
-
-
-def _md_cells(values: list[float]) -> list[str]:
-    return [bounds_mod.round_half_up(x) for x in values]
-
-
-def _emit_matrix(a: np.ndarray, fmt: str, out) -> None:
-    """A matrix in ``fmt``; csv and md rows are written as they are rendered."""
-    if fmt == "text":
-        out.write(symmat.format_matrix(a))
-        return
-    if fmt == "csv":
-        cells, start, sep, end = symmat._g17, "", ",", "\n"
-    else:
-        cells, start, sep, end = _md_cells, "| ", " | ", " |\n"
-        out.write("|" + "---|" * a.shape[0] + "\n")
-    for row in symmat._matrix_rows(a, cells):
-        out.write(start + sep.join(row) + end)
+        out.write(symmat.format_matrix(a, fmt))
 
 
 def _int_list(text: str) -> list[int]:

@@ -12,9 +12,10 @@ significant beyond separating tokens.
 Text conversion costs far more than the arithmetic at large d, so both
 directions convert each distinct entry once.  :func:`load_matrix` parses
 the upper triangle and copies a value to its mirror when the two tokens
-are the same text; :func:`format_matrix` and the CLI's csv and md tables
-render the upper triangle and reuse a string for its mirror when the two
-values are bit-equal.  Results are the same as converting every entry.
+are the same text; :func:`format_matrix`, the one writer of the CLI's
+text, csv and md matrices, renders the upper triangle and reuses a string
+for its mirror when the two values are bit-equal.  Results are the same as
+converting every entry.
 
 Gradients are matrix polynomials g(Sigma), of degree L = m - 2 for m terms.
 :func:`materialize` evaluates dense ones by the Paterson-Stockmeyer
@@ -34,6 +35,7 @@ from itertools import islice
 
 import numpy as np
 
+from .bounds import round_half_up
 from .errors import (
     DimensionMismatchError,
     InsufficientPowersError,
@@ -197,16 +199,31 @@ def _matrix_rows(a: np.ndarray, cells):
         yield row
 
 
-def format_matrix(a: np.ndarray) -> str:
-    """Render a matrix in the same text format :func:`load_matrix` reads.
+#: For each output format: the cell renderer, the first line for a
+#: (rows, columns) shape, and each row's start, separator and end.
+_LAYOUTS = {
+    "text": (_g17, lambda rows, cols: f"{rows}\n", "", " ", "\n"),
+    "csv": (_g17, lambda rows, cols: "", "", ",", "\n"),
+    "md": (lambda values: list(map(round_half_up, values)),
+           lambda rows, cols: "|" + "---|" * cols + "\n", "| ", " | ", " |\n"),
+}
 
-    Entries are written with 17 significant digits so a round trip is
-    value-preserving, each distinct entry converted once: a mirror entry
-    bit-equal to its partner above the diagonal reuses its string.  The
-    output is that of formatting every entry.
+
+def format_matrix(a: np.ndarray, fmt: str = "text") -> str:
+    """Render a matrix in the CLI output format ``fmt``: text, csv or md.
+
+    ``text`` is the format :func:`load_matrix` reads, ``csv`` its rows
+    alone, comma-separated, and ``md`` a table of one column per matrix
+    column.  Entries have 17 significant digits, so a round trip is
+    value-preserving, except in md, which rounds to 5 decimals half-up.
+    Each distinct entry is converted once: a mirror entry bit-equal to
+    its partner above the diagonal reuses its string.  The output is
+    that of formatting every entry.
     """
-    rows = [str(a.shape[0])] + [" ".join(r) for r in _matrix_rows(a, _g17)]
-    return "\n".join(rows) + "\n"
+    cells, first, start, sep, end = _LAYOUTS[fmt]
+    lines = [first(*np.shape(a))]
+    lines += [start + sep.join(row) + end for row in _matrix_rows(a, cells)]
+    return "".join(lines)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

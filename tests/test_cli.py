@@ -28,7 +28,7 @@ from binghamx import (
     tail_bound_table,
 )
 from binghamx import oracle, series, symmat
-from binghamx.cli import _emit_matrix, _verify_series, run
+from binghamx.cli import _verify_series, run
 from binghamx.oracle import McEstimate
 
 
@@ -243,22 +243,195 @@ class TestSeventeenDigitMatrixOutput:
 
     def test_csv_matches_per_entry_format(self):
         for a in self.matrices():
-            buf = io.StringIO()
-            _emit_matrix(a, "csv", buf)
             expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in a)
-            assert buf.getvalue() == expected
+            assert format_matrix(a, "csv") == expected
 
     def test_md_matches_per_entry_format(self):
+        # The delimiter row has one cell per column: 5 for the 3 x 5 matrix.
         for a in self.matrices():
-            buf = io.StringIO()
-            _emit_matrix(a, "md", buf)
-            expected = "|" + "---|" * a.shape[0] + "\n" + "".join(
+            expected = "|" + "---|" * a.shape[1] + "\n" + "".join(
                 "| " + " | ".join(round_half_up(x) for x in row) + " |\n" for row in a)
-            assert buf.getvalue() == expected
+            assert format_matrix(a, "md") == expected
 
     def test_mirror_cases_differ_from_transpose_in_bits(self):
         for a in self.mirrors()[:3]:
             assert not np.array_equal(a.view(np.int64), a.T.view(np.int64))
+
+
+# Sigma is tridiagonal with a zero diagonal and power-of-two entries, and
+# not diagonal, so grad and cov take the eigvalsh and matrix-product path.
+# LAPACK's tridiagonal reduction leaves it as it is, and every entry of a
+# product is a sum of at most two exact terms: the bytes do not depend on
+# the BLAS kernel.
+GOLDEN_OFF_DIAGONAL = [0.5, -0.25, 0.5, -0.125]
+GOLDEN_SIGMA = {
+    "tridiagonal": np.diag(GOLDEN_OFF_DIAGONAL, 1) + np.diag(GOLDEN_OFF_DIAGONAL, -1),
+    "diagonal": np.diag([0.5, -0.25, 0.125, 0.375, -0.75]),
+}
+GOLDEN_ORDERS = {"grad": ["--m", "4"], "cov": ["--l", "3", "--m", "4"]}
+GOLDEN_MATRIX_OUTPUT = {
+    ("tridiagonal", "grad", "text"): (
+        "m = 4\n"
+        "d = 5\n"
+        "5\n"
+        "0.20684523809523811 0.028571428571428571 -0.0015873015873015873 0 0\n"
+        "0.028571428571428571 0.20763888888888893 -0.014285714285714285 -0.0015873015873015873 "
+        "0\n"
+        "-0.0015873015873015873 -0.014285714285714285 0.20763888888888893 0.028571428571428571 "
+        "-0.00079365079365079365\n"
+        "0 -0.0015873015873015873 0.028571428571428571 0.20704365079365081 -0.0071428571428571426\n"
+        "0 0 -0.00079365079365079365 -0.0071428571428571426 0.20386904761904764\n"
+    ),
+    ("tridiagonal", "grad", "csv"): (
+        "m,d\n"
+        "4,5\n"
+        "0.20684523809523811,0.028571428571428571,-0.0015873015873015873,0,0\n"
+        "0.028571428571428571,0.20763888888888893,-0.014285714285714285,-0.0015873015873015873,"
+        "0\n"
+        "-0.0015873015873015873,-0.014285714285714285,0.20763888888888893,0.028571428571428571,"
+        "-0.00079365079365079365\n"
+        "0,-0.0015873015873015873,0.028571428571428571,0.20704365079365081,-0.0071428571428571426\n"
+        "0,0,-0.00079365079365079365,-0.0071428571428571426,0.20386904761904764\n"
+    ),
+    ("tridiagonal", "grad", "md"): (
+        "| quantity | value |\n"
+        "|---|---|\n"
+        "| m | 4 |\n"
+        "| d | 5 |\n"
+        "|---|---|---|---|---|\n"
+        "| 0.20685 | 0.02857 | -0.00159 | 0.00000 | 0.00000 |\n"
+        "| 0.02857 | 0.20764 | -0.01429 | -0.00159 | 0.00000 |\n"
+        "| -0.00159 | -0.01429 | 0.20764 | 0.02857 | -0.00079 |\n"
+        "| 0.00000 | -0.00159 | 0.02857 | 0.20704 | -0.00714 |\n"
+        "| 0.00000 | 0.00000 | -0.00079 | -0.00714 | 0.20387 |\n"
+    ),
+    ("tridiagonal", "cov", "text"): (
+        "l = 3\n"
+        "m = 4\n"
+        "d = 5\n"
+        "alpha = remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
+        "r\n"
+        "5\n"
+        "0.20001195790816326 0.027627551020408158 -0.0015348639455782312 0 0\n"
+        "0.027627551020408158 0.2007793898809524 -0.013813775510204079 -0.0015348639455782312 "
+        "0\n"
+        "-0.0015348639455782312 -0.013813775510204079 0.2007793898809524 0.027627551020408158 "
+        "-0.0007674319727891156\n"
+        "0 -0.0015348639455782312 0.027627551020408158 0.20020381590136055 -0.0069068877551020395\n"
+        "0 0 -0.0007674319727891156 -0.0069068877551020395 0.19713408801020407\n"
+    ),
+    ("tridiagonal", "cov", "csv"): (
+        "l,m,d,alpha\n"
+        "3,4,5,remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
+        "r\n"
+        "0.20001195790816326,0.027627551020408158,-0.0015348639455782312,0,0\n"
+        "0.027627551020408158,0.2007793898809524,-0.013813775510204079,-0.0015348639455782312,"
+        "0\n"
+        "-0.0015348639455782312,-0.013813775510204079,0.2007793898809524,0.027627551020408158,"
+        "-0.0007674319727891156\n"
+        "0,-0.0015348639455782312,0.027627551020408158,0.20020381590136055,-0.0069068877551020395\n"
+        "0,0,-0.0007674319727891156,-0.0069068877551020395,0.19713408801020407\n"
+    ),
+    ("tridiagonal", "cov", "md"): (
+        "| quantity | value |\n"
+        "|---|---|\n"
+        "| l | 3 |\n"
+        "| m | 4 |\n"
+        "| d | 5 |\n"
+        "| alpha | remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
+        "r |\n"
+        "|---|---|---|---|---|\n"
+        "| 0.20001 | 0.02763 | -0.00153 | 0.00000 | 0.00000 |\n"
+        "| 0.02763 | 0.20078 | -0.01381 | -0.00153 | 0.00000 |\n"
+        "| -0.00153 | -0.01381 | 0.20078 | 0.02763 | -0.00077 |\n"
+        "| 0.00000 | -0.00153 | 0.02763 | 0.20020 | -0.00691 |\n"
+        "| 0.00000 | 0.00000 | -0.00077 | -0.00691 | 0.19713 |\n"
+    ),
+    ("diagonal", "grad", "text"): (
+        "m = 4\n"
+        "d = 5\n"
+        "5\n"
+        "0.23501984126984127 0 0 0 0\n"
+        "0 0.18978174603174602 0 0 0\n"
+        "0 0 0.21061507936507937 0 0\n"
+        "0 0 0 0.22648809523809524 0\n"
+        "0 0 0 0 0.16755952380952382\n"
+    ),
+    ("diagonal", "grad", "csv"): (
+        "m,d\n"
+        "4,5\n"
+        "0.23501984126984127,0,0,0,0\n"
+        "0,0.18978174603174602,0,0,0\n"
+        "0,0,0.21061507936507937,0,0\n"
+        "0,0,0,0.22648809523809524,0\n"
+        "0,0,0,0,0.16755952380952382\n"
+    ),
+    ("diagonal", "grad", "md"): (
+        "| quantity | value |\n"
+        "|---|---|\n"
+        "| m | 4 |\n"
+        "| d | 5 |\n"
+        "|---|---|---|---|---|\n"
+        "| 0.23502 | 0.00000 | 0.00000 | 0.00000 | 0.00000 |\n"
+        "| 0.00000 | 0.18978 | 0.00000 | 0.00000 | 0.00000 |\n"
+        "| 0.00000 | 0.00000 | 0.21062 | 0.00000 | 0.00000 |\n"
+        "| 0.00000 | 0.00000 | 0.00000 | 0.22649 | 0.00000 |\n"
+        "| 0.00000 | 0.00000 | 0.00000 | 0.00000 | 0.16756 |\n"
+    ),
+    ("diagonal", "cov", "text"): (
+        "l = 3\n"
+        "m = 4\n"
+        "d = 5\n"
+        "alpha = remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
+        "r\n"
+        "5\n"
+        "0.22809514951814058 0 0 0 0\n"
+        "0 0.18418996244331065 0 0 0\n"
+        "0 0 0.2044094564909297 0 0\n"
+        "0 0 0 0.21981478528911563 0\n"
+        "0 0 0 0 0.16262250212585036\n"
+    ),
+    ("diagonal", "cov", "csv"): (
+        "l,m,d,alpha\n"
+        "3,4,5,remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
+        "r\n"
+        "0.22809514951814058,0,0,0,0\n"
+        "0,0.18418996244331065,0,0,0\n"
+        "0,0,0.2044094564909297,0,0\n"
+        "0,0,0,0.21981478528911563,0\n"
+        "0,0,0,0,0.16262250212585036\n"
+    ),
+    ("diagonal", "cov", "md"): (
+        "| quantity | value |\n"
+        "|---|---|\n"
+        "| l | 3 |\n"
+        "| m | 4 |\n"
+        "| d | 5 |\n"
+        "| alpha | remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
+        "r |\n"
+        "|---|---|---|---|---|\n"
+        "| 0.22810 | 0.00000 | 0.00000 | 0.00000 | 0.00000 |\n"
+        "| 0.00000 | 0.18419 | 0.00000 | 0.00000 | 0.00000 |\n"
+        "| 0.00000 | 0.00000 | 0.20441 | 0.00000 | 0.00000 |\n"
+        "| 0.00000 | 0.00000 | 0.00000 | 0.21981 | 0.00000 |\n"
+        "| 0.00000 | 0.00000 | 0.00000 | 0.00000 | 0.16262 |\n"
+    ),
+
+}
+
+
+class TestGoldenMatrixOutput:
+    @pytest.mark.parametrize("sigma, command, fmt", GOLDEN_MATRIX_OUTPUT)
+    def test_golden_bytes(self, tmp_path, capsys, sigma, command, fmt):
+        path = write_matrix(tmp_path, GOLDEN_SIGMA[sigma])
+        argv = [command, "--matrix", path, *GOLDEN_ORDERS[command], "--format", fmt]
+        assert invoke(argv) == (0, GOLDEN_MATRIX_OUTPUT[sigma, command, fmt])
+        assert capsys.readouterr().err == ""
+        # d = 5 is below the admissible dimension of this regime.
+        assert invoke([*argv, "--gamma0", "1", "--r", "0.5"]) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: d = 5 is below the admissible dimension for the gradient tail "
+            "bound: need d >= 13.928203230275509\n")
 
 
 class TestZonal:

@@ -11,14 +11,18 @@ Oracles:
   error only);
 * the second-order covariance expansion has a hand-expanded closed form;
 * the derived covariance bound, which takes ||G||_F from the eigenvalues,
-  is checked against the same formula on the materialized G.
+  is checked against the same formula on the materialized G;
+* Psi_m of a spectrum with a few rational eigenvalues is checked against
+  its exact-rational partial sum (``spectral_reference``).
 """
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import spectral_reference
 from conftest import random_symmetric, random_trace_zero
 
 from binghamx import (
@@ -152,6 +156,58 @@ class TestNormConstTruncated:
             norm_const_truncated(ps, 0, 3)
         with pytest.raises(OrderRangeError):
             norm_const_truncated(ps, 41, 3)
+
+
+# (eigenvalue, multiplicity) pairs; d is the sum of the multiplicities.
+EXACT_SPECTRA = {
+    "trace-zero-200": [(Fraction(1, 2), 50), (Fraction(-1, 2), 50), (0, 100)],
+    "half-identity-1000": [(Fraction(1, 2), 1000)],
+    "rank-one-62501": [(Fraction(5, 2), 1), (0, 62500)],
+}
+
+
+def raise_largest(spectrum):
+    """The spectrum with one copy of its largest eigenvalue raised by 2^-20."""
+    (lam, mult), *rest = sorted(spectrum, reverse=True)
+    return [(lam + Fraction(1, 2**20), 1), (lam, mult - 1), *rest]
+
+
+def float_psi(spectrum, m):
+    """norm_const_truncated on the spectrum's power sums, each correctly rounded."""
+    d = spectral_reference.dimension(spectrum)
+    p = [float(x) for x in spectral_reference.power_sums(spectrum, m - 1)]
+    return norm_const_truncated(PowerSums(d=d, p=np.array(p)), m, d)
+
+
+class TestExactSpectralReference:
+    """Psi_m within 8 m 2^-53 sum |t_k| of the exact sum of its terms t_k."""
+
+    @staticmethod
+    def misses(value, terms, m):
+        tol = 8 * m * Fraction(1, 2**53) * sum(abs(t) for t in terms)
+        return abs(Fraction(value) - sum(terms)) > tol
+
+    @pytest.mark.parametrize("m", [6, 20, 40])
+    @pytest.mark.parametrize("name", EXACT_SPECTRA)
+    def test_within_rounding_of_exact(self, name, m):
+        spectrum = EXACT_SPECTRA[name]
+        terms = spectral_reference.series_terms(spectrum, m)
+        assert not self.misses(float_psi(spectrum, m), terms, m)
+
+    @pytest.mark.parametrize("m", [6, 20, 40])
+    @pytest.mark.parametrize("name", EXACT_SPECTRA)
+    def test_perturbed_spectrum_fails(self, name, m):
+        # The raised eigenvalue moves the exact Psi_m past the tolerance,
+        # and the check tells the float value of one from the exact other.
+        spectrum, raised = EXACT_SPECTRA[name], raise_largest(EXACT_SPECTRA[name])
+        terms = spectral_reference.series_terms(spectrum, m)
+        assert self.misses(float(sum(spectral_reference.series_terms(raised, m))), terms, m)
+        assert self.misses(float_psi(raised, m), terms, m)
+
+    def test_reference_terms(self):
+        # Sigma = I / 2 has t_k = 2^-k / k!, and Psi = e^(1/2).
+        terms = spectral_reference.series_terms([(Fraction(1, 2), 7)], 6)
+        assert terms == [Fraction(1, 2**k * math.factorial(k)) for k in range(6)]
 
 
 class TestGradient:

@@ -220,6 +220,8 @@ def format_matrix(a: np.ndarray, fmt: str = "text") -> str:
     its partner above the diagonal reuses its string.  The output is
     that of formatting every entry.
     """
+    if fmt not in _LAYOUTS:
+        raise ValueError(f"fmt must be one of {', '.join(_LAYOUTS)}, got {fmt!r}")
     cells, first, start, sep, end = _LAYOUTS[fmt]
     lines = [first(*np.shape(a))]
     lines += [start + sep.join(row) + end for row in _matrix_rows(a, cells)]

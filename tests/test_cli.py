@@ -253,6 +253,10 @@ class TestSeventeenDigitMatrixOutput:
                 "| " + " | ".join(round_half_up(x) for x in row) + " |\n" for row in a)
             assert format_matrix(a, "md") == expected
 
+    def test_unknown_format_named(self):
+        with pytest.raises(ValueError, match="one of text, csv, md, got 'json'"):
+            format_matrix(np.eye(2), "json")
+
     def test_mirror_cases_differ_from_transpose_in_bits(self):
         for a in self.mirrors()[:3]:
             assert not np.array_equal(a.view(np.int64), a.T.view(np.int64))

@@ -420,7 +420,6 @@ GOLDEN_MATRIX_OUTPUT = {
         "| 0.00000 | 0.00000 | 0.00000 | 0.21981 | 0.00000 |\n"
         "| 0.00000 | 0.00000 | 0.00000 | 0.00000 | 0.16262 |\n"
     ),
-
 }
 
 

@@ -14,14 +14,21 @@ Exit codes: 0 success, 1 inadmissible dimension / regime violation /
 failed verification (the computed threshold or margin is printed),
 2 usage or input errors with a one-line diagnosis, among them results
 that overflow float64 (the error names the quantity, the order and
-||Sigma||_F) and sample counts too large to allocate.  Every check that
-needs no spectral work runs first.
+||Sigma||_F) and sample counts too large to allocate.
 
 Output formats: ``text`` (key = value lines, matrices in the ingestion
 text format, 17 significant digits), ``md`` (tables, 5 decimals rounded
 half-up), ``csv`` (comma-separated, 17 significant digits).  Matrices in
 every format come from :func:`binghamx.symmat.format_matrix`.  Output is
 byte-stable for identical inputs on one numpy/BLAS build and thread count.
+
+Each subparser names its handler, which :func:`run` calls.  ``psi``,
+``grad``, ``cov`` and ``zonal`` are declared once each, in one loop of
+:func:`build_parser`: a rows function, the order flags with their ranges
+(read from ``MAX_ORDER``) and the tail bounds.  Every check that needs
+no spectral work runs first: their one handler checks the matrix, the
+orders, the regime and the tail bounds, then forms the power sums and
+calls the rows function.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .errors import (
     RegimeViolationError,
     SeriesOverflowError,
 )
-from .partitions import check_order
+from .partitions import MAX_ORDER, check_order
 
 USAGE_ERROR = 2
 ADMISSIBILITY_ERROR = 1
@@ -90,13 +97,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _add_regime_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma0", type=float, default=None,
-                   help="growth-regime scale (requires --r)")
-    p.add_argument("--r", type=float, default=None,
-                   help="growth-regime exponent in [0, 1) (requires --gamma0)")
-
-
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "md", "csv"), default="text",
                    help="output format (default text)")
@@ -111,23 +111,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, what, orders in (
-        ("psi", "truncated normalizing constant", [("--m", "number of series terms, 1..40")]),
-        ("grad", "materialized truncated gradient", [("--m", "number of series terms, 2..40")]),
-        ("cov", "covariance product", [("--l", "inverse truncation order, 2..40"),
-                                        ("--m", "gradient truncation order, 2..40")]),
+    # Each series subcommand: its rows function, its order flags as (flag,
+    # lowest value, description), and the tail bounds that a regime checks
+    # before any spectral work.  Only those with tail bounds take a regime.
+    for name, what, rows, orders, tails in (
+        ("psi", "truncated normalizing constant", _psi_rows,
+         [("m", 1, "number of series terms")], [("m", bounds_mod.norm_const_tail_bound)]),
+        ("grad", "materialized truncated gradient", _grad_rows,
+         [("m", 2, "number of series terms")], [("m", bounds_mod.gradient_tail_bound)]),
+        ("cov", "covariance product", _cov_rows,
+         [("l", 2, "inverse truncation order"), ("m", 2, "gradient truncation order")],
+         [("m", bounds_mod.gradient_tail_bound), ("l", bounds_mod.inverse_tail_bound)]),
+        ("zonal", "zonal polynomial value and gradient", _zonal_rows,
+         [("k", 0, "zonal order")], []),
     ):
         p = sub.add_parser(name, help=what)
         p.add_argument("--matrix", required=True, help="matrix file")
-        for flag, text in orders:
-            p.add_argument(flag, type=int, required=True, help=text)
-        _add_regime_flags(p)
+        for flag, low, text in orders:
+            p.add_argument(f"--{flag}", type=int, required=True, help=f"{text}, {low}..{MAX_ORDER}")
+        if tails:
+            p.add_argument("--gamma0", type=float, default=None,
+                           help="growth-regime scale (requires --r)")
+            p.add_argument("--r", type=float, default=None,
+                           help="growth-regime exponent in [0, 1) (requires --gamma0)")
         _add_format_flag(p)
-
-    p = sub.add_parser("zonal", help="zonal polynomial value and gradient")
-    p.add_argument("--matrix", required=True, help="matrix file")
-    p.add_argument("--k", type=int, required=True, help="zonal order, 0..40")
-    _add_format_flag(p)
+        p.set_defaults(handler=_cmd_series, rows=rows, tails=tails,
+                       orders=[(flag, low) for flag, low, _ in orders])
 
     p = sub.add_parser("bounds", help="tail-bound tables over a (d, m) grid")
     p.add_argument("--gamma0", type=float, required=True, help="growth-regime scale")
@@ -135,10 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_list, required=True,
                    help="comma-separated dimensions, each >= 2")
     p.add_argument("--m", type=_int_list, required=True,
-                   help="comma-separated orders, each 2..40")
+                   help=f"comma-separated orders, each 2..{MAX_ORDER}")
     p.add_argument("--out", default=None, metavar="PREFIX",
                    help="write PREFIX_psi.csv and PREFIX_grad.csv instead of stdout")
     _add_format_flag(p)
+    p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("choose-m", help="smallest order meeting a tolerance")
     p.add_argument("--gamma0", type=float, required=True, help="growth-regime scale")
@@ -146,20 +156,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="dimension, >= 2")
     p.add_argument("--eps", type=float, required=True, help="target bound")
     _add_format_flag(p)
+    p.set_defaults(handler=_cmd_choose_m)
 
     p = sub.add_parser("verify", help="Monte-Carlo cross-check of the series values")
     p.add_argument("--matrix", required=True, help="matrix file")
     p.add_argument("--samples", type=int, required=True, help="sample count, >= 1000")
     p.add_argument("--seed", type=int, required=True, help="nonnegative RNG seed")
-    p.add_argument("--l", type=int, default=3, help="inverse truncation order (default 3)")
-    p.add_argument("--m", type=int, default=12, help="series truncation order (default 12)")
+    p.add_argument("--l", type=int, default=3,
+                   help=f"inverse truncation order, 2..{MAX_ORDER} (default 3)")
+    p.add_argument("--m", type=int, default=12,
+                   help=f"series truncation order, 2..{MAX_ORDER} (default 12)")
     _add_format_flag(p)
+    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
-def _regime_rows(name: str, bound: float, regime: GrowthRegime) -> list[tuple[str, object]]:
-    return [(name, bound), ("gamma0", regime.scale), ("r", regime.exponent)]
+def _regime_rows(regime: GrowthRegime | None, name: str, *bound: float) -> list[tuple]:
+    """The rows (name, bound), gamma0 and r with a regime, none without."""
+    return [] if regime is None else [(name, *bound), ("gamma0", regime.scale),
+                                      ("r", regime.exponent)]
 
 
 def _read_text(path: str) -> str:
@@ -179,15 +195,15 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _checked_series(args, orders, powers, compute, tails=()):
+def _checked_series(args, orders, compute, tails=()):
     """The rows ``compute`` returns, after every check it needs.
 
     In order: load the matrix, check each ``(flag, low)`` of ``orders``,
     and with a regime check the fit and evaluate each ``(flag, bound)``
-    of ``tails``.  Only then form the power sums up to ``powers`` and
-    call ``compute(ps, sigma, regime, bound values)`` for ``(name,
-    value)`` rows with every number to print.  Numpy warnings are off:
-    a row that is not finite raises SeriesOverflowError instead.
+    of ``tails``.  Only then form the power sums up to the largest order
+    flag and call ``compute(args, ps, sigma, regime, bound values)`` for
+    ``(name, value)`` rows with every number to print.  Numpy warnings
+    are off: a row that is not finite raises SeriesOverflowError instead.
     """
     import numpy as np
 
@@ -210,8 +226,8 @@ def _checked_series(args, orders, powers, compute, tails=()):
                     norm=norm, cap=cap,
                 )
             tail = [bound(getattr(args, flag), float(d), regime) for flag, bound in tails]
-        ps = symmat.power_sums(sigma, max(powers, 1))
-        rows = compute(ps, sigma, regime, tail)
+        ps = symmat.power_sums(sigma, max(1, *(getattr(args, flag) for flag, _ in orders)))
+        rows = compute(args, ps, sigma, regime, tail)
         for key, value in rows:
             if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
                 at = ", ".join(f"{flag} = {getattr(args, flag)}" for flag, _ in orders)
@@ -222,65 +238,40 @@ def _checked_series(args, orders, powers, compute, tails=()):
     return rows
 
 
-def _cmd_psi(args, out) -> int:
-    def compute(ps, sigma, regime, tail):
-        rows = [("psi", series.norm_const_truncated(ps, args.m, ps.d)), ("m", args.m), ("d", ps.d)]
-        if regime is not None:
-            rows += _regime_rows("bound", tail[0], regime)
-        return rows
-
-    rows = _checked_series(args, [("m", 1)], args.m - 1, compute,
-                           [("m", bounds_mod.norm_const_tail_bound)])
-    _emit_record(rows, args.format, out)
-    return 0
+def _psi_rows(args, ps, sigma, regime, tail):
+    return [("psi", series.norm_const_truncated(ps, args.m, ps.d)), ("m", args.m), ("d", ps.d),
+            *_regime_rows(regime, "bound", *tail)]
 
 
-def _cmd_grad(args, out) -> int:
-    def compute(ps, sigma, regime, tail):
-        grad = series.norm_const_gradient_truncated(ps, args.m, ps.d)
-        rows = [("m", args.m), ("d", ps.d)]
-        if regime is not None:
-            rows += _regime_rows("bound", tail[0], regime)
-        return rows + [("grad", symmat.materialize(grad, sigma))]
-
-    rows = _checked_series(args, [("m", 2)], args.m - 1, compute,
-                           [("m", bounds_mod.gradient_tail_bound)])
-    _emit_record(rows, args.format, out)
-    return 0
+def _grad_rows(args, ps, sigma, regime, tail):
+    grad = series.norm_const_gradient_truncated(ps, args.m, ps.d)
+    return [("m", args.m), ("d", ps.d), *_regime_rows(regime, "bound", *tail),
+            ("grad", symmat.materialize(grad, sigma))]
 
 
-def _cmd_cov(args, out) -> int:
-    def compute(ps, sigma, regime, tail):
-        # One series pass feeds the product and the derived bound, whose
-        # ||G||_F is ||g(lambda)||_2 as in the library, not the printed matrix's.
-        scalar, grad, _ = series._covariance_factors(ps, args.l, args.m, ps.d)
-        rows = [("l", args.l), ("m", args.m), ("d", ps.d),
-                ("alpha", series.alpha_descriptor(args.m, regime))]
-        if regime is not None:
-            norm = series._gradient_norm(grad, ps, sigma)
-            rows += _regime_rows("derived_bound", series._derived_bound(scalar, norm, *tail),
-                                 regime)
-        cov = symmat.materialize(grad, sigma)
-        cov *= scalar
-        return rows + [("cov", cov)]
-
-    rows = _checked_series(args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1, compute,
-                           [("m", bounds_mod.gradient_tail_bound),
-                            ("l", bounds_mod.inverse_tail_bound)])
-    _emit_record(rows, args.format, out)
-    return 0
+def _cov_rows(args, ps, sigma, regime, tail):
+    # One series pass feeds the product and, with a regime (tail = B_g, B_i),
+    # the derived bound, whose ||G||_F is ||g(lambda)||_2 as in the library,
+    # not the printed matrix's.
+    scalar, grad, _ = series._covariance_factors(ps, args.l, args.m, ps.d)
+    bound = tail and [series._derived_bound(scalar, series._gradient_norm(grad, ps, sigma), *tail)]
+    cov = symmat.materialize(grad, sigma)
+    cov *= scalar
+    return [("l", args.l), ("m", args.m), ("d", ps.d),
+            ("alpha", series.alpha_descriptor(args.m, regime)),
+            *_regime_rows(regime, "derived_bound", *bound), ("cov", cov)]
 
 
-def _cmd_zonal(args, out) -> int:
-    def compute(ps, sigma, regime, tail):
-        rows = [("k", args.k), ("d", ps.d), ("zonal", zonal.zonal_value(args.k, ps))]
-        if args.k >= 1:
-            coeffs = zonal.zonal_gradient(args.k, ps).coeffs
-            rows += [(f"grad_coeff_{l}", float(c)) for l, c in enumerate(coeffs)]
-        return rows
+def _zonal_rows(args, ps, sigma, regime, tail):
+    rows = [("k", args.k), ("d", ps.d), ("zonal", zonal.zonal_value(args.k, ps))]
+    if args.k >= 1:
+        coeffs = zonal.zonal_gradient(args.k, ps).coeffs
+        rows += [(f"grad_coeff_{l}", float(c)) for l, c in enumerate(coeffs)]
+    return rows
 
-    rows = _checked_series(args, [("k", 0)], args.k, compute)
-    _emit_record(rows, args.format, out)
+
+def _cmd_series(args, out) -> int:
+    _emit_record(_checked_series(args, args.orders, args.rows, args.tails), args.format, out)
     return 0
 
 
@@ -424,8 +415,7 @@ def _cmd_verify(args, out) -> int:
     oracle._check_sampling_args(args.samples, args.seed)
 
     [(_, psi_series), (_, cov_series), (_, lam)] = _checked_series(
-        args, [("l", 2), ("m", 2)], max(args.l, args.m) - 1,
-        lambda ps, sigma, regime, tail: _verify_series(ps, args.l, args.m))
+        args, [("l", 2), ("m", 2)], lambda args, ps, *_: _verify_series(ps, args.l, args.m))
     psi_mc, cov_mc = oracle.mc_eigen_moments(lam, args.samples, args.seed)
     rows = _verify_checks(psi_series, cov_series, psi_mc, cov_mc)
     if rows[0][-1] == "inconclusive":
@@ -444,17 +434,6 @@ def _cmd_verify(args, out) -> int:
     return 0 if all(row[-1] == "pass" for row in rows) else 1
 
 
-_COMMANDS = {
-    "psi": _cmd_psi,
-    "grad": _cmd_grad,
-    "cov": _cmd_cov,
-    "zonal": _cmd_zonal,
-    "bounds": _cmd_bounds,
-    "choose-m": _cmd_choose_m,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: Sequence[str] | None = None, out=None) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
     out = out if out is not None else sys.stdout
@@ -464,7 +443,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, out)
+        return args.handler(args, out)
     except (InadmissibleDimensionError, RegimeViolationError, OrderSelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ADMISSIBILITY_ERROR

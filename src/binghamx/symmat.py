@@ -6,8 +6,8 @@ documented tolerance, and returns the exactly symmetrized matrix, so
 everything downstream may assume a finite symmetric array with d >= 2.
 
 The text format is whitespace-separated: the first token is the dimension
-d, followed by d*d entries read row by row.  Line breaks are not
-significant beyond separating tokens.
+d, followed by d*d entries read row by row, each an ASCII decimal number.
+Line breaks are not significant beyond separating tokens.
 
 Text conversion costs far more than the arithmetic at large d, so both
 directions convert each distinct entry once.  :func:`load_matrix` parses
@@ -62,8 +62,8 @@ def load_matrix(text: str) -> np.ndarray:
     Parameters
     ----------
     text : str
-        First token the dimension d (integer >= 2), then d*d decimal
-        reals in row-major order.
+        First token the dimension d (integer >= 2), then d*d ASCII
+        decimal numbers in row-major order.
 
     Returns
     -------
@@ -82,10 +82,15 @@ def load_matrix(text: str) -> np.ndarray:
         ``ASYMMETRY_TOL``.
     """
     tokens = text.split()
+    # Only such text can hold a token that int or float reads but the
+    # format does not have (see _is_number); isascii is O(1).
+    foreign = "_" in text or not text.isascii()
     del text  # freed here unless the caller holds it
     if not tokens:
         raise MatrixFormatError("empty input: expected dimension header")
     try:
+        if foreign and not _is_number(tokens[0], int):
+            raise ValueError
         d = int(tokens[0])
     except ValueError:
         raise MatrixFormatError(
@@ -103,13 +108,13 @@ def load_matrix(text: str) -> np.ndarray:
             f"(at row {row + 1}, column {col + 1})"
         )
     try:
+        if foreign and not all(map(_is_number, islice(tokens, 1, None))):
+            raise ValueError
         a = _parse_mirrored(tokens, d)
     except ValueError:
         # Name the first bad token in row-major order.
         for idx, tok in enumerate(islice(tokens, 1, None)):
-            try:
-                float(tok)
-            except ValueError:
+            if not _is_number(tok):
                 row, col = divmod(idx, d)
                 raise MatrixFormatError(
                     f"row {row + 1}, column {col + 1}: expected a number, got {tok!r}"
@@ -142,6 +147,17 @@ def load_matrix(text: str) -> np.ndarray:
         wide = np.isinf(out)
         out[wide] = a[wide] / 2.0 + a.T[wide] / 2.0
         return out
+
+
+def _is_number(tok: str, kind=float) -> bool:
+    """Whether ``tok`` is a number of the format: ``kind`` reads it, and it
+    has no "_" or non-ASCII character (int and float read "1_0" as 10 and
+    an Arabic-Indic digit as its value)."""
+    try:
+        kind(tok)
+    except ValueError:
+        return False
+    return tok.isascii() and "_" not in tok
 
 
 def _parse_mirrored(tokens: list[str], d: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact-rational partial sums of the series for Psi, from a spectrum.
+"""Exact-rational partial sums of the series for Psi and its gradient, from a spectrum.
 
 Psi depends on Sigma only through its eigenvalues.  For a spectrum of
 rational (eigenvalue, multiplicity) pairs in dimension d = sum of the
@@ -10,8 +10,14 @@ multiplicities, every term of the series is an exact rational:
 
 and Psi_m = t_0 + ... + t_(m-1).  The e_k are the coefficients of
 prod_i (1 - lambda_i z)^(-mult_i / 2), whose logarithmic derivative gives
-the recurrence.  The module uses ``fractions`` alone and shares no code
-with the library: it is the reference the float series is checked against.
+the recurrence.  Since de_k/dp_j = e_(k-j) / (2j) and dp_j/dSigma =
+j Sigma^(j-1), the gradient of Psi_m is the polynomial
+sum_l c_(l-1) Sigma^(l-1) with
+
+    c_(l-1) = sum_{k=l..m-1} e_(k-l) / (2 (d/2)_k),   l = 1..m-1.
+
+The module uses ``fractions`` alone and shares no code with the library:
+it is the reference the float series is checked against.
 """
 
 from __future__ import annotations
@@ -30,13 +36,28 @@ def power_sums(spectrum, order: int) -> list[Fraction]:
             for j in range(order + 1)]
 
 
-def series_terms(spectrum, m: int) -> list[Fraction]:
-    """t_0 .. t_(m-1), the terms of Psi_m."""
-    p = power_sums(spectrum, m - 1)
-    half_d = Fraction(dimension(spectrum), 2)
-    e, t, rising = [Fraction(1)], [Fraction(1)], Fraction(1)
+def _elementary(p, d: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
+    """e_0 .. e_(m-1) from p_1 .. p_(m-1), and (d/2)_0 .. (d/2)_(m-1)."""
+    half_d = Fraction(d, 2)
+    e, rising = [Fraction(1)], [Fraction(1)]
     for k in range(1, m):
         e.append(sum(p[j] * e[k - j] for j in range(1, k + 1)) / (2 * k))
-        rising *= half_d + k - 1
-        t.append(e[k] / rising)
-    return t
+        rising.append(rising[-1] * (half_d + k - 1))
+    return e, rising
+
+
+def series_terms(spectrum, m: int) -> list[Fraction]:
+    """t_0 .. t_(m-1), the terms of Psi_m."""
+    e, rising = _elementary(power_sums(spectrum, m - 1), dimension(spectrum), m)
+    return [ek / r for ek, r in zip(e, rising)]
+
+
+def gradient_coefficients(p, d: int, m: int) -> list[Fraction]:
+    """c_0 .. c_(m-2), the coefficients of grad Psi_m as a polynomial in Sigma.
+
+    ``p`` holds p_0 .. p_(m-1) (p_0 is not read); for a spectrum pass
+    ``power_sums(spectrum, m - 1)``, or other values, such as the |p_j|
+    that majorize every term.
+    """
+    e, rising = _elementary(p, d, m)
+    return [sum(e[k - l] / (2 * rising[k]) for k in range(l, m)) for l in range(1, m)]

@@ -3,6 +3,7 @@
 import codecs
 import io
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ from binghamx import (
 )
 from binghamx import oracle, series, symmat
 from binghamx.cli import _verify_series, run
+from binghamx.partitions import MAX_ORDER
 from binghamx.oracle import McEstimate
 
 
@@ -435,6 +437,61 @@ class TestGoldenMatrixOutput:
         assert capsys.readouterr().err == (
             "error: d = 5 is below the admissible dimension for the gradient tail "
             "bound: need d >= 13.928203230275509\n")
+
+
+def golden_diagonal(fmt):
+    """0.049916768 I_20, the cov matrix of sigma20 at l = 3, m = 4, as ``fmt`` writes it."""
+    first, start, sep, end, value, zero = {
+        "text": ("20\n", "", " ", "", "0.049916768", "0"),
+        "csv": ("", "", ",", "", "0.049916768", "0"),
+        "md": ("|---" * 20 + "|\n", "| ", " | ", " |", "0.04992", "0.00000"),
+    }[fmt]
+    return first + "".join(start + sep.join(value if j == i else zero for j in range(20))
+                           + end + "\n" for i in range(20))
+
+
+COV_RECORD = {
+    "text": "l = 3\nm = 4\nd = 20\n"
+            "alpha = remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0\n"
+            "derived_bound = 0.50480537017342753\ngamma0 = 1\nr = 0\n",
+    "csv": "l,m,d,alpha,derived_bound,gamma0,r\n"
+           "3,4,20,remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0,0.50480537017342753,1,0\n",
+    "md": "| quantity | value |\n|---|---|\n| l | 3 |\n| m | 4 |\n| d | 20 |\n"
+          "| alpha | remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0 |\n"
+          "| derived_bound | 0.50481 |\n| gamma0 | 1.00000 |\n| r | 0.00000 |\n",
+}
+
+# Golden bytes of the series subcommands on sigma20, 0.04 I_20: diagonal, so
+# no LAPACK bits enter, and admissible for the inverse expansion at r = 0.
+GOLDEN_SERIES_OUTPUT = {
+    ("psi --m 1", "text"): "psi = 1\nm = 1\nd = 20\n",
+    ("psi --m 4", "text"): "psi = 1.0408106666666666\nm = 4\nd = 20\n",
+    ("zonal --k 0", "text"): "k = 0\nd = 20\nzonal = 1\n",
+    ("zonal --k 0", "csv"): "k,d,zonal\n0,20,1\n",
+    ("zonal --k 0", "md"): "| quantity | value |\n|---|---|\n| k | 0 |\n| d | 20 |\n"
+                           "| zonal | 1.00000 |\n",
+    ("zonal --k 3", "text"): "k = 3\nd = 20\nzonal = 0.04505600000000002\n"
+                             "grad_coeff_0 = 0.14080000000000006\n"
+                             "grad_coeff_1 = 0.64000000000000012\n"
+                             "grad_coeff_2 = 1.6000000000000001\n",
+    ("zonal --k 3", "csv"): "k,d,zonal,grad_coeff_0,grad_coeff_1,grad_coeff_2\n"
+                            "3,20,0.04505600000000002,0.14080000000000006,"
+                            "0.64000000000000012,1.6000000000000001\n",
+    ("zonal --k 3", "md"): "| quantity | value |\n|---|---|\n| k | 3 |\n| d | 20 |\n"
+                           "| zonal | 0.04506 |\n| grad_coeff_0 | 0.14080 |\n"
+                           "| grad_coeff_1 | 0.64000 |\n| grad_coeff_2 | 1.60000 |\n",
+    **{("cov --l 3 --m 4 --gamma0 1 --r 0", fmt): COV_RECORD[fmt] + golden_diagonal(fmt)
+       for fmt in ("text", "csv", "md")},
+}
+
+
+class TestGoldenSeriesOutput:
+    @pytest.mark.parametrize("command, fmt", GOLDEN_SERIES_OUTPUT)
+    def test_golden_bytes(self, sigma20, capsys, command, fmt):
+        _, path = sigma20
+        argv = [*command.split(), "--matrix", path, "--format", fmt]
+        assert invoke(argv) == (0, GOLDEN_SERIES_OUTPUT[command, fmt])
+        assert capsys.readouterr().err == ""
 
 
 class TestZonal:
@@ -1242,6 +1299,39 @@ class TestErrorPaths:
         code, _ = invoke(["psi", "--matrix", path, "--m", "0"])
         assert code == 2
         assert "m must be" in capsys.readouterr().err
+
+
+# Each order flag: the subcommand line that sets it to {v}, every other flag valid.
+ORDER_FLAG_ARGV = {
+    ("psi", "m"): "psi --matrix {path} --m {v}",
+    ("grad", "m"): "grad --matrix {path} --m {v}",
+    ("cov", "l"): "cov --matrix {path} --l {v} --m 4",
+    ("cov", "m"): "cov --matrix {path} --l 3 --m {v}",
+    ("zonal", "k"): "zonal --matrix {path} --k {v}",
+    ("verify", "l"): "verify --matrix {path} --samples 1000 --seed 1 --l {v}",
+    ("verify", "m"): "verify --matrix {path} --samples 1000 --seed 1 --m {v}",
+    ("bounds", "m"): "bounds --gamma0 1 --r 0.5 --d 100 --m {v}",
+}
+
+
+class TestHelpRanges:
+    """Each order flag's --help states low..MAX_ORDER, the range its check names."""
+
+    @pytest.mark.parametrize("command, flag", ORDER_FLAG_ARGV)
+    def test_help_states_checked_range(self, sigma20, capsys, command, flag):
+        _, path = sigma20
+        argv = ORDER_FLAG_ARGV[command, flag].format
+        assert invoke(argv(path=path, v=MAX_ORDER + 1).split()) == (2, "")
+        low, high = re.fullmatch(rf"error: {flag} must be in (-?\d+)\.\.(\d+), got \d+\n",
+                                 capsys.readouterr().err).groups()
+        assert int(high) == MAX_ORDER
+        below = int(low) - 1
+        assert invoke(argv(path=path, v=below).split()) == (2, "")
+        assert capsys.readouterr().err == f"error: {flag} must be in {low}..{high}, got {below}\n"
+        assert invoke([command, "--help"]) == (0, "")
+        entry = re.search(rf"^  --{flag} {flag.upper()}\s(.*?)(?=^  -|\Z)",
+                          capsys.readouterr().out, re.M | re.S).group(1)
+        assert re.findall(r"\d+\.\.\d+", entry) == [f"{low}..{MAX_ORDER}"]
 
 
 # One row per fault or pair of faults: (faults, matrix, order, regime flags,

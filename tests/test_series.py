@@ -12,8 +12,9 @@ Oracles:
 * the second-order covariance expansion has a hand-expanded closed form;
 * the derived covariance bound, which takes ||G||_F from the eigenvalues,
   is checked against the same formula on the materialized G;
-* Psi_m of a spectrum with a few rational eigenvalues is checked against
-  its exact-rational partial sum (``spectral_reference``).
+* Psi_m of a spectrum with a few rational eigenvalues, and the
+  coefficients of its gradient, are checked against their exact-rational
+  values (``spectral_reference``).
 """
 
 import math
@@ -172,11 +173,17 @@ def raise_largest(spectrum):
     return [(lam + Fraction(1, 2**20), 1), (lam, mult - 1), *rest]
 
 
+def rounded_power_sums(spectrum, m):
+    """The spectrum's p_0 .. p_(m-1), each correctly rounded."""
+    d = spectral_reference.dimension(spectrum)
+    p = [float(x) for x in spectral_reference.power_sums(spectrum, m - 1)]
+    return PowerSums(d=d, p=np.array(p))
+
+
 def float_psi(spectrum, m):
     """norm_const_truncated on the spectrum's power sums, each correctly rounded."""
     d = spectral_reference.dimension(spectrum)
-    p = [float(x) for x in spectral_reference.power_sums(spectrum, m - 1)]
-    return norm_const_truncated(PowerSums(d=d, p=np.array(p)), m, d)
+    return norm_const_truncated(rounded_power_sums(spectrum, m), m, d)
 
 
 class TestExactSpectralReference:
@@ -208,6 +215,52 @@ class TestExactSpectralReference:
         # Sigma = I / 2 has t_k = 2^-k / k!, and Psi = e^(1/2).
         terms = spectral_reference.series_terms([(Fraction(1, 2), 7)], 6)
         assert terms == [Fraction(1, 2**k * math.factorial(k)) for k in range(6)]
+
+
+class TestExactGradientReference:
+    """Each coefficient c_l of grad Psi_m within 8 m 2^-53 of the exact c_l
+    computed from |p_j|, which majorizes every term of the sum."""
+
+    @staticmethod
+    def shares(coeffs, spectrum, m):
+        """|coeffs[l] - c_l| as a share of the tolerance, for each l."""
+        d = spectral_reference.dimension(spectrum)
+        p = spectral_reference.power_sums(spectrum, m - 1)
+        exact = spectral_reference.gradient_coefficients(p, d, m)
+        majorant = spectral_reference.gradient_coefficients([abs(x) for x in p], d, m)
+        return [abs(Fraction(c) - e) / (8 * m * Fraction(1, 2**53) * a)
+                for c, e, a in zip(coeffs, exact, majorant)]
+
+    @staticmethod
+    def float_coeffs(spectrum, m):
+        d = spectral_reference.dimension(spectrum)
+        return norm_const_gradient_truncated(rounded_power_sums(spectrum, m), m, d).coeffs
+
+    @pytest.mark.parametrize("m", [6, 20, 40])
+    @pytest.mark.parametrize("name", EXACT_SPECTRA)
+    def test_within_rounding_of_exact(self, name, m):
+        worst = max(self.shares(self.float_coeffs(EXACT_SPECTRA[name], m), EXACT_SPECTRA[name], m))
+        print(f"grad coefficients, {name}, m = {m}: worst error {float(worst):.3g} of the tolerance")
+        assert worst <= 1
+
+    @pytest.mark.parametrize("m", [6, 20, 40])
+    @pytest.mark.parametrize("name", EXACT_SPECTRA)
+    def test_perturbed_spectrum_fails(self, name, m):
+        # The raised eigenvalue moves some exact c_l past the tolerance, and
+        # the check tells the float coefficients of one from the exact other.
+        spectrum, raised = EXACT_SPECTRA[name], raise_largest(EXACT_SPECTRA[name])
+        d = spectral_reference.dimension(raised)
+        exact = spectral_reference.gradient_coefficients(
+            spectral_reference.power_sums(raised, m - 1), d, m)
+        assert max(self.shares(exact, spectrum, m)) > 1
+        assert max(self.shares(self.float_coeffs(raised, m), spectrum, m)) > 1
+
+    def test_reference_coefficients(self):
+        # Sigma = I / 2 in d = 2: Psi_3 = 1 + t1/2 + (t1^2 + 2 t2)/16 has
+        # gradient (1/2 + t1/8) I + Sigma/4, and t1 = 1 here.
+        p = spectral_reference.power_sums([(Fraction(1, 2), 2)], 2)
+        assert spectral_reference.gradient_coefficients(p, 2, 3) == [Fraction(5, 8),
+                                                                     Fraction(1, 4)]
 
 
 class TestGradient:

@@ -65,6 +65,20 @@ class TestLoadMatrix:
         with pytest.raises(MatrixFormatError, match=r"row 2, column 1.*'x'"):
             load_matrix("2\n1 0\nx 1")
 
+    @pytest.mark.parametrize("tok", ["1_0", "1e1_0", "\u0661", "1\u0660"])
+    def test_only_ascii_decimal_numbers(self, tok):
+        # float() reads these as 10, 1e10, 1 and 10; the format does not.
+        with pytest.raises(MatrixFormatError,
+                           match=rf"^row 1, column 2: expected a number, got '{tok}'$"):
+            load_matrix(f"2\n1 {tok}\n{tok} 1")
+        with pytest.raises(MatrixFormatError,
+                           match=rf"^dimension header must be an integer, got '{tok}'$"):
+            load_matrix(f"{tok}\n" + "0 " * 100)
+
+    def test_unicode_whitespace_separates(self):
+        a = load_matrix("2\u00a01\u20030\u2028 0\u30001\u0085")
+        assert np.array_equal(a, np.eye(2))
+
     def test_non_finite_rejected(self):
         with pytest.raises(MatrixValidationError, match="non-finite"):
             load_matrix("2\n1 inf\ninf 1")
@@ -98,13 +112,20 @@ class TestLoadMatrix:
             assert np.array_equal(again, s)
 
 
+def ascii_number(tok, kind=float):
+    """``kind(tok)``; a token with "_" or a non-ASCII character raises ValueError."""
+    if "_" in tok or not tok.isascii():
+        raise ValueError(tok)
+    return kind(tok)
+
+
 def reference_load_matrix(text):
     """Parse every token in row-major order: the loader before mirror sharing."""
     tokens = text.split()
     if not tokens:
         raise MatrixFormatError("empty input: expected dimension header")
     try:
-        d = int(tokens[0])
+        d = ascii_number(tokens[0], int)
     except ValueError:
         raise MatrixFormatError(
             f"dimension header must be an integer, got {tokens[0]!r}"
@@ -122,7 +143,7 @@ def reference_load_matrix(text):
     entries = np.empty(d * d, dtype=np.float64)
     for idx, tok in enumerate(body):
         try:
-            entries[idx] = float(tok)
+            entries[idx] = ascii_number(tok)
         except ValueError:
             row, col = divmod(idx, d)
             raise MatrixFormatError(
@@ -166,7 +187,11 @@ def benchmark_like(d):
 PARSE_CASES = [
     pytest.param("2\n0.5 -0.25\n-0.25 1\n", id="symmetric-d2"),
     pytest.param(repr_text(random_symmetric(np.random.default_rng(2), 6)), id="symmetric-d6"),
-    pytest.param("3\n1 0.1 -0\n1e-1 2 1_0\n0 10 3\n", id="mirror-spellings"),
+    pytest.param("3\n1 0.1 -0\n1e-1 2 1e1\n0 10 3\n", id="mirror-spellings"),
+    pytest.param("3\n1 0.1 0\n0.1 2 10\n0 1_0 3\n", id="underscore-below"),
+    pytest.param("3\n1 0.1 0\n0.1 2 \u0661\n0 1 3\n", id="arabic-indic-above"),
+    pytest.param("2\n1 1_0\n0 x\n", id="underscore-before-bad"),
+    pytest.param("2\n1 x\n1_0 1\n", id="bad-before-underscore"),
     pytest.param("3\n1 0 0\n-0 2 -0\n0 0 3\n", id="zero-signs-below"),
     pytest.param("2\n0 1\n1.0000000019 0\n", id="asymmetry-within"),
     pytest.param("2\n0 1\n1.0000000021 0\n", id="asymmetry-beyond"),

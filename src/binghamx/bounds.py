@@ -264,11 +264,15 @@ def tail_bound_table(
     )
 
 
-def round_half_up(x: float, places: int = 5) -> str:
-    """Decimal string with ``places`` digits, ties rounded away from zero."""
+#: The md cell quantum: 5 decimals.
+_MD_QUANTUM = Decimal("0.00001")
+#: A float64 has up to 309 integer digits; 309 + 5 digits keep them all.
+_MD_CONTEXT = Context(prec=314)
+
+
+def round_half_up(x: float) -> str:
+    """Decimal string with 5 decimals, ties rounded away from zero."""
     value = Decimal(repr(float(x)))
-    if value.is_infinite():  # "Infinity" / "-Infinity"; nan gives "NaN" below
-        return str(value)
-    # A float64 has up to 309 integer digits; the precision keeps them all.
-    wide = Context(prec=309 + max(places, 0))
-    return str(value.quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP, wide))
+    if value.is_finite():  # "Infinity", "-Infinity" and "NaN" print as they are
+        value = value.quantize(_MD_QUANTUM, ROUND_HALF_UP, _MD_CONTEXT)
+    return str(value)

@@ -18,7 +18,8 @@ that overflow float64 (the error names the quantity, the order and
 
 Output formats: ``text`` (key = value lines, matrices in the ingestion
 text format, 17 significant digits), ``md`` (tables, 5 decimals rounded
-half-up), ``csv`` (comma-separated, 17 significant digits).  Matrices in
+half-up), ``csv`` (comma-separated, 17 significant digits, a cell that
+holds a comma, quote or line break quoted as RFC 4180 says).  Matrices in
 every format come from :func:`binghamx.symmat.format_matrix`.  Output is
 byte-stable for identical inputs on one numpy/BLAS build and thread count.
 
@@ -67,10 +68,14 @@ def _table(header: Sequence[str], rows: list[Sequence], fmt: str) -> str:
     """A csv or md table: the header, then one line of cells per row."""
     cells = [[_fmt(v, fmt) for v in row] for row in [header, *rows]]
     if fmt == "csv":
-        lines = [",".join(row) for row in cells]
-    else:
-        lines = ["| " + " | ".join(row) + " |" for row in cells]
-        lines.insert(1, "|---" * len(header) + "|")
+        # RFC 4180: a cell holding a comma, quote or line break is quoted.
+        import csv
+        import io
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(cells)
+        return buf.getvalue()
+    lines = ["| " + " | ".join(row) + " |" for row in cells]
+    lines.insert(1, "|---" * len(header) + "|")
     return "\n".join(lines) + "\n"
 
 

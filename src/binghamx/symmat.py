@@ -4,6 +4,9 @@ Matrices are plain float64 numpy arrays.  :func:`load_matrix` is the only
 ingestion point: it parses the text format, enforces symmetry to the
 documented tolerance, and returns the exactly symmetrized matrix, so
 everything downstream may assume a finite symmetric array with d >= 2.
+:func:`symmetrize` forms that symmetric part for :func:`load_matrix` and
+for dense :func:`materialize` alike: a pair whose sum overflows is halved
+before it is added, so finite entries up to DBL_MAX stay finite.
 
 The text format is whitespace-separated: the first token is the dimension
 d, followed by d*d entries read row by row, each an ASCII decimal number.
@@ -68,9 +71,9 @@ def load_matrix(text: str) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        The exactly symmetrized matrix (A + A.T) / 2, shape (d, d); a
-        pair whose sum overflows is halved before it is added, so finite
-        entries up to DBL_MAX stay finite.
+        ``symmetrize(A)``, the exactly symmetrized matrix (A + A.T) / 2,
+        shape (d, d), finite: a pair whose sum overflows is halved before
+        it is added.
 
     Raises
     ------
@@ -137,16 +140,7 @@ def load_matrix(text: str) -> np.ndarray:
             f"({j + 1},{i + 1}) differ, relative asymmetry {worst:.3e} "
             f"exceeds {ASYMMETRY_TOL:.0e}"
         )
-    try:
-        with np.errstate(over="raise"):
-            return symmetrize(a)
-    except FloatingPointError:
-        # Some a_ij + a_ji overflowed: halve those pairs before adding them.
-        with np.errstate(over="ignore"):
-            out = symmetrize(a)
-        wide = np.isinf(out)
-        out[wide] = a[wide] / 2.0 + a.T[wide] / 2.0
-        return out
+    return symmetrize(a)
 
 
 def _is_number(tok: str, kind=float) -> bool:
@@ -245,8 +239,22 @@ def format_matrix(a: np.ndarray, fmt: str = "text") -> str:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A.T) / 2 as a new array."""
-    return (a + a.T) / 2.0
+    """Return (A + A.T) / 2 as a new array.
+
+    A pair whose sum overflows is halved before it is added, so finite
+    entries up to DBL_MAX stay finite; every other entry has the bits of
+    (a_ij + a_ji) / 2, subnormals and signed zeros included.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return (a + a.T) / 2.0
+    except FloatingPointError:
+        # Some a_ij + a_ji overflowed: halve those pairs before adding them.
+        with np.errstate(over="ignore"):
+            out = (a + a.T) / 2.0
+        wide = np.isinf(out)
+        out[wide] = a[wide] / 2.0 + a.T[wide] / 2.0
+        return out
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -415,14 +423,15 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     beyond Sigma are alive at once: the s - 1 powers, the accumulator,
     the product and one term.  Exact zeros of a product are +0.0, as in
     dense Horner; for L <= 2 the split is s = 1 and the steps are
-    Horner's.  The result is symmetrized to remove accumulation
-    asymmetry.
+    Horner's.  The result goes through :func:`symmetrize` to remove
+    accumulation asymmetry, so a finite entry above DBL_MAX / 2 stays
+    finite.
 
     Diagonal Sigma runs Horner's rule on its diagonal in O(d m) through
     :func:`polynomial_values`.  Its off-diagonal entries are exact zeros,
-    also past overflow, where dense products would turn them to nan.  A
-    diagonal result is symmetric as it stands and is returned without
-    the mirror sum, so an entry above DBL_MAX / 2 stays finite.
+    also past overflow, where dense products would turn them to nan.
+    Diagonal results and degree 0's c_0 I are symmetric as they stand
+    and are returned without the mirror sum.
     """
     if sigma.shape[0] != g.d:
         raise DimensionMismatchError(
@@ -431,7 +440,7 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     c = g.coeffs
     # Degree 0 takes no product, and c_0 I keeps the sign of its zeros.
     if len(c) == 1:
-        return symmetrize(c[0] * np.eye(g.d))
+        return c[0] * np.eye(g.d)
     diag = _diagonal(sigma)
     if diag is not None:
         return np.diag(polynomial_values(c, diag))

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, stability."""
 
 import codecs
+import csv
 import io
 import math
 import re
@@ -328,8 +329,8 @@ GOLDEN_MATRIX_OUTPUT = {
     ),
     ("tridiagonal", "cov", "csv"): (
         "l,m,d,alpha\n"
-        "3,4,5,remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
-        "r\n"
+        '3,4,5,"remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent '
+        'r"\n'
         "0.20001195790816326,0.027627551020408158,-0.0015348639455782312,0,0\n"
         "0.027627551020408158,0.2007793898809524,-0.013813775510204079,-0.0015348639455782312,"
         "0\n"
@@ -399,8 +400,8 @@ GOLDEN_MATRIX_OUTPUT = {
     ),
     ("diagonal", "cov", "csv"): (
         "l,m,d,alpha\n"
-        "3,4,5,remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent "
-        "r\n"
+        '3,4,5,"remainder O(d^-alpha), alpha = (3 - 2r)/2 in the growth exponent '
+        'r"\n'
         "0.22809514951814058,0,0,0,0\n"
         "0,0.18418996244331065,0,0,0\n"
         "0,0,0.2044094564909297,0,0\n"
@@ -455,7 +456,7 @@ COV_RECORD = {
             "alpha = remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0\n"
             "derived_bound = 0.50480537017342753\ngamma0 = 1\nr = 0\n",
     "csv": "l,m,d,alpha,derived_bound,gamma0,r\n"
-           "3,4,20,remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0,0.50480537017342753,1,0\n",
+           '3,4,20,"remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0",0.50480537017342753,1,0\n',
     "md": "| quantity | value |\n|---|---|\n| l | 3 |\n| m | 4 |\n| d | 20 |\n"
           "| alpha | remainder O(d^-1.5), alpha = (3 - 2r)/2 at r = 0 |\n"
           "| derived_bound | 0.50481 |\n| gamma0 | 1.00000 |\n| r | 0.00000 |\n",
@@ -492,6 +493,35 @@ class TestGoldenSeriesOutput:
         argv = [*command.split(), "--matrix", path, "--format", fmt]
         assert invoke(argv) == (0, GOLDEN_SERIES_OUTPUT[command, fmt])
         assert capsys.readouterr().err == ""
+
+
+REGIME = ["--gamma0", "1", "--r", "0"]
+CSV_RECORDS = [
+    ["psi", "--m", "4"], ["psi", "--m", "4", *REGIME],
+    ["grad", "--m", "4"], ["grad", "--m", "4", *REGIME],
+    ["cov", "--l", "3", "--m", "4"], ["cov", "--l", "3", "--m", "4", *REGIME],
+    ["zonal", "--k", "3"],
+]
+
+
+class TestCsvRecords:
+    # The cov record's alpha cell holds a comma, so RFC 4180 quotes it.
+    @pytest.mark.parametrize("argv", CSV_RECORDS, ids=" ".join)
+    def test_one_field_per_header_name(self, sigma20, argv):
+        code, text = invoke([*argv, "--matrix", sigma20[1], "--format", "csv"])
+        assert code == 0
+        header, values, *matrix = csv.reader(io.StringIO(text))
+        assert len(values) == len(header)
+        assert all(math.isfinite(float(v)) for key, v in zip(header, values) if key != "alpha")
+        assert all(len(row) == 20 for row in matrix)
+
+    def test_choose_m(self):
+        code, text = invoke(["choose-m", "--gamma0", "1", "--r", "0.5", "--d", "20",
+                             "--eps", "0.01", "--format", "csv"])
+        assert code == 0
+        header, values = csv.reader(io.StringIO(text))
+        assert len(values) == len(header)
+        assert all(math.isfinite(float(v)) for v in values)
 
 
 class TestZonal:

@@ -25,6 +25,7 @@ from binghamx import (
     load_matrix,
     materialize,
     power_sums,
+    symmetrize,
 )
 
 
@@ -110,6 +111,56 @@ class TestLoadMatrix:
             s = random_symmetric(rng, d)
             again = load_matrix(format_matrix(s))
             assert np.array_equal(again, s)
+
+
+class TestSymmetrize:
+    HALF_MAX = float(np.finfo(float).max) / 2.0
+
+    @classmethod
+    def edge_matrix(cls, rng, d):
+        """Entries up to DBL_MAX / 2 in size, so no pair sum overflows: a
+        quarter near +-DBL_MAX / 2, a quarter subnormal, some +-0.0, the rest O(1)."""
+        a = rng.standard_normal((d, d))
+        kind = rng.integers(0, 8, (d, d))
+        near = kind < 2
+        a[near] = np.sign(a[near]) * cls.HALF_MAX * rng.uniform(0.999, 1.0, near.sum())
+        a[kind == 2] = cls.HALF_MAX
+        tiny = (kind == 3) | (kind == 4)
+        a[tiny] = rng.integers(-2**52, 2**52, tiny.sum()) * 5e-324
+        a[kind == 5] = rng.choice([0.0, -0.0], (kind == 5).sum())
+        return a
+
+    @staticmethod
+    def mirror_sum(a):
+        return (a + a.T) / 2.0
+
+    def test_bits_of_the_mirror_sum(self):
+        rng = np.random.default_rng(29)
+        for d in (2, 3, 17, 64):
+            a = self.edge_matrix(rng, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = symmetrize(a)
+            assert np.array_equal(got.view(np.int64), self.mirror_sum(a).view(np.int64))
+
+    def test_overflowing_pair_halved_before_adding(self):
+        rng = np.random.default_rng(31)
+        top = float(np.finfo(float).max)
+        a = self.edge_matrix(rng, 9)
+        pairs = {(0, 1): (1.5e308, 1.7e308), (2, 7): (-top, -1.2e308), (8, 3): (top, top)}
+        for (i, j), (x, y) in pairs.items():
+            a[i, j], a[j, i] = x, y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symmetrize(a)
+        for (i, j), (x, y) in pairs.items():
+            assert got[i, j] == got[j, i] == x / 2.0 + y / 2.0
+        # Every pair whose sum is finite keeps the bits of the plain mirror sum.
+        with np.errstate(over="ignore"):
+            ref = self.mirror_sum(a)
+        finite = np.isfinite(ref)
+        assert finite.sum() == 81 - 2 * len(pairs)
+        assert np.array_equal(got.view(np.int64)[finite], ref.view(np.int64)[finite])
 
 
 def ascii_number(tok, kind=float):
@@ -562,8 +613,8 @@ class TestMaterialize:
             got = materialize(g, s)
         assert np.array_equal(np.diag(got), [np.inf, 15.0, 0.0])
         assert np.array_equal(got[~np.eye(3, dtype=bool)], np.zeros(6))
-        # Symmetrizing doubles first, so the dense path turns an entry above
-        # max/2 into inf; a diagonal result is not symmetrized and keeps it.
+        # Dense Horner's plain mirror sum doubles first and turns an entry
+        # above max/2 into inf; materialize keeps it.
         s = np.diag([1e308, 2.0, -1.0])
         g = GradientPolynomial(d=3, coeffs=np.array([0.0, 1.0]))
         with np.errstate(over="ignore"):
@@ -571,6 +622,15 @@ class TestMaterialize:
         assert np.array_equal(np.diag(ref), [np.inf, 2.0, -1.0])
         assert np.array_equal(got, s)
         assert np.array_equal(got[~np.isinf(ref)], ref[~np.isinf(ref)])
+
+    def test_dense_result_above_half_dbl_max_stays_finite(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            linear = materialize(GradientPolynomial(2, np.array([0.0, 1.5e308])), swap)
+            constant = materialize(GradientPolynomial(2, np.array([1.7e308])), swap)
+        assert np.array_equal(linear, 1.5e308 * swap)
+        assert np.array_equal(constant, 1.7e308 * np.eye(2))
 
     def test_output_symmetric(self):
         rng = np.random.default_rng(9)

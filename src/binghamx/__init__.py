@@ -71,7 +71,6 @@ _EXPORTS = {
     ),
     "errors": (
         "BinghamxError",
-        "ConvergenceError",
         "DimensionMismatchError",
         "InadmissibleDimensionError",
         "InsufficientPowersError",
@@ -87,7 +86,6 @@ _EXPORTS = {
         "McEstimate",
         "fd_gradient",
         "kummer_partial_sum",
-        "kummer_series",
         "mc_covariance",
         "mc_eigen_moments",
         "mc_moments",
@@ -109,7 +107,6 @@ _EXPORTS = {
         "inverse_norm_const_truncated",
         "norm_const_gradient_truncated",
         "norm_const_truncated",
-        "pochhammer_ratio",
     ),
     "symmat": (
         "GradientPolynomial",

@@ -55,7 +55,7 @@ class GrowthRegime:
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise OrderRangeError(f"regime scale must be positive, got {self.scale}")
+            raise OrderRangeError(f"regime scale must be finite and positive, got {self.scale}")
         if not (0.0 <= self.exponent < 1.0):
             raise OrderRangeError(
                 f"regime exponent must lie in [0, 1), got {self.exponent}"
@@ -214,7 +214,7 @@ def select_order(regime: GrowthRegime, d: float, eps: float) -> int:
     the bound at MAX_ORDER is the best achievable.
     """
     if not (math.isfinite(eps) and eps > 0):
-        raise OrderRangeError(f"eps must be positive, got {eps}")
+        raise OrderRangeError(f"eps must be finite and positive, got {eps}")
     _require_admissible(d, admissible_dimension(regime), "order selection", False)
     for m in range(2, MAX_ORDER + 1):
         worst = max(

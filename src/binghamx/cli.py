@@ -223,11 +223,11 @@ def _checked_series(args, orders, compute, tails=()):
             check_order(flag, getattr(args, flag), low)
         tail = []
         if regime is not None:
-            norm, cap = symmat.frobenius_norm(sigma), regime.cap(d)
-            if norm > cap:
+            if not bounds_mod.regime_check(sigma, regime, d):
+                norm, cap = symmat.frobenius_norm(sigma), regime.cap(d)
                 raise RegimeViolationError(
                     f"||Sigma||_F = {norm:.17g} exceeds the regime cap "
-                    f"{cap:.17g} = {regime.scale:g} * d^({regime.exponent:g}/2)",
+                    f"{cap:.17g} = {regime.scale:.17g} * d^({regime.exponent:.17g}/2)",
                     norm=norm, cap=cap,
                 )
             tail = [bound(getattr(args, flag), float(d), regime) for flag, bound in tails]

@@ -82,10 +82,6 @@ class OrderSelectionError(BinghamxError):
         self.best_order = best_order
 
 
-class ConvergenceError(BinghamxError):
-    """An iterative evaluation failed to reach its tolerance."""
-
-
 class SamplingOverflowError(BinghamxError):
     """A sampled matrix, the Monte-Carlo weights or the estimate of Psi is not finite in float64."""
 

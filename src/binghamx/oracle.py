@@ -1,8 +1,9 @@
 """Independent ground-truth generators used to validate the series code.
 
 Nothing here shares evaluation machinery with the series modules: the
-Monte-Carlo integrators sample the sphere directly, the scalar
-hypergeometric series uses its own term recurrence, and the
+Monte-Carlo integrators sample the sphere directly, the scalar-series
+oracle :func:`kummer_partial_sum`, the rank-one Psi
+1F1(1/2; d/2; theta), uses its own term recurrence, and the
 finite-difference gradient only calls the scalar function it is given.
 
 Block b of a run draws from PCG64(SeedSequence([seed, b])) with numpy's
@@ -65,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, OrderRangeError, SamplingOverflowError
+from .errors import OrderRangeError, SamplingOverflowError
 
 #: Number of sampling blocks; also the jackknife group count.
 BLOCKS = 50
@@ -430,30 +431,6 @@ def family_threshold(checks: int) -> float:
     if checks < 1:
         raise OrderRangeError(f"need at least one check, got {checks}")
     return t_upper_quantile(FAMILY_ALPHA / (2.0 * checks), BLOCKS - 1)
-
-
-def kummer_series(
-    b: float, theta: float, rel_tol: float = 1e-16, max_terms: int = 500
-) -> float:
-    """The scalar series sum_k (1/2)_k / (b)_k * theta^k / k!.
-
-    Terms follow the recurrence t_{k+1} = t_k (1/2 + k)/(b + k) *
-    theta/(k + 1); summation stops when a term falls below ``rel_tol``
-    relative to the running sum.
-    """
-    if not b > 0:
-        raise OrderRangeError(f"b must be positive, got {b}")
-    total = 1.0
-    term = 1.0
-    for k in range(max_terms):
-        term *= (0.5 + k) / (b + k) * theta / (k + 1)
-        if abs(term) <= rel_tol * abs(total):
-            return total + term
-        total += term
-    raise ConvergenceError(
-        f"scalar series did not converge within {max_terms} terms "
-        f"(b = {b:g}, theta = {theta:g})"
-    )
 
 
 def kummer_partial_sum(b: float, theta: float, terms: int) -> float:

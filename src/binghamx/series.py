@@ -51,22 +51,6 @@ from .symmat import (
 from .zonal import _series_pass
 
 
-def pochhammer_ratio(k: int, d: float) -> float:
-    """(1/2)_k / (d/2)_k as a product of factor ratios.
-
-    Stable for every supported k and d: each factor lies in (0, 1] for
-    d >= 1, so no intermediate value overflows.
-    """
-    if k < 0:
-        raise OrderRangeError(f"k must be >= 0, got {k}")
-    if not d > 0:
-        raise OrderRangeError(f"d must be positive, got {d}")
-    out = 1.0
-    for i in range(k):
-        out *= (0.5 + i) / (d / 2.0 + i)
-    return out
-
-
 def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
     if ps.d != d:
         raise DimensionMismatchError(

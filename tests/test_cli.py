@@ -1316,6 +1316,31 @@ class TestErrorPaths:
         assert code == 1
         assert "exceeds the regime cap" in capsys.readouterr().err
 
+    def test_regime_boundary(self, tmp_path, capsys):
+        # diag(3, 0, ..., 0) at d = 40: ||Sigma||_F = 3 exactly.  gamma0 = 3
+        # puts the cap on the norm, which the regime allows; one ulp below,
+        # the message names that gamma0 to every digit.
+        sigma = np.zeros((40, 40))
+        sigma[0, 0] = 3.0
+        argv = ["psi", "--matrix", write_matrix(tmp_path, sigma), "--m", "3", "--r", "0"]
+        code, text = invoke([*argv, "--gamma0", "3"])
+        assert code == 0
+        assert float(record_value(text, "bound")) > 0.0
+        code, _ = invoke([*argv, "--gamma0", "2.9999999999999996"])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "exceeds the regime cap 2.9999999999999996 = 2.9999999999999996 * d^(0/2)\n"
+        )
+
+    @pytest.mark.parametrize("argv, quantity", [
+        ("choose-m --gamma0 1 --r 0.5 --d 100 --eps inf", "eps"),
+        ("bounds --gamma0 inf --r 0.5 --d 100 --m 3", "regime scale"),
+    ], ids=["eps", "gamma0"])
+    def test_infinite_positive_input(self, argv, quantity, capsys):
+        code, _ = invoke(argv.split())
+        assert code == 2
+        assert f"{quantity} must be finite and positive, got inf" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         code, _ = invoke(["frobnicate"])
         assert code == 2

@@ -25,12 +25,10 @@ from conftest import random_trace_zero
 
 import binghamx
 from binghamx import (
-    ConvergenceError,
     OrderRangeError,
     SamplingOverflowError,
     fd_gradient,
     kummer_partial_sum,
-    kummer_series,
     mc_covariance,
     mc_eigen_moments,
     mc_moments,
@@ -54,32 +52,40 @@ from binghamx.oracle import (
 
 
 class TestKummerSeries:
+    """The full series, as ``kummer_partial_sum`` at a term count past convergence."""
+
     def test_against_scipy(self):
         scipy_special = pytest.importorskip("scipy.special")
         for d in (3, 10, 41):
             for theta in (-3.0, -0.7, 0.0, 0.4, 1.5, 5.0):
                 ref = float(scipy_special.hyp1f1(0.5, d / 2.0, theta))
-                assert kummer_series(d / 2.0, theta) == pytest.approx(ref, rel=1e-12)
+                got = kummer_partial_sum(d / 2.0, theta, 500)
+                assert got == pytest.approx(ref, rel=1e-12)
 
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for b, theta in ((1.5, 2.0), (10.0, -4.0), (31.25, 0.9)):
+        with mpmath.workdps(40):
+            for b, theta in ((1.5, 2.0), (10.0, -4.0), (31.25, 0.9)):
+                ref = float(mpmath.hyp1f1(mpmath.mpf(1) / 2, b, theta))
+                assert kummer_partial_sum(b, theta, 500) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("b, theta, terms", [(1.5, 400.0, 2000), (3.0, 1.2, 200)])
+    def test_monte_carlo_truths(self, b, theta, terms):
+        # The values the Monte-Carlo tests below take as Psi: matching
+        # mpmath at 40 digits, and converged, since twice the terms
+        # changes no bit.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
             ref = float(mpmath.hyp1f1(mpmath.mpf(1) / 2, b, theta))
-            assert kummer_series(b, theta) == pytest.approx(ref, rel=1e-13)
+        got = kummer_partial_sum(b, theta, terms)
+        assert got == pytest.approx(ref, rel=1e-13)
+        assert kummer_partial_sum(b, theta, 2 * terms) == got
 
     def test_identity_direction_equals_exp(self):
         # b = 1/2 makes every Pochhammer ratio 1: series = e^theta.
         for theta in (0.3, -1.2, 2.5):
-            assert kummer_series(0.5, theta) == pytest.approx(math.exp(theta), rel=1e-14)
-
-    def test_convergence_error(self):
-        with pytest.raises(ConvergenceError):
-            kummer_series(1.5, 50.0, max_terms=10)
-
-    def test_validation(self):
-        with pytest.raises(OrderRangeError):
-            kummer_series(0.0, 1.0)
+            got = kummer_partial_sum(0.5, theta, 500)
+            assert got == pytest.approx(math.exp(theta), rel=1e-14)
 
 
 class TestKummerPartialSum:
@@ -93,7 +99,7 @@ class TestKummerPartialSum:
 
     def test_converges_to_full_series(self):
         b, theta = 5.0, 1.3
-        full = kummer_series(b, theta)
+        full = kummer_partial_sum(b, theta, 500)
         errs = [abs(kummer_partial_sum(b, theta, t) - full) for t in (2, 4, 8, 16)]
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 1e-14
@@ -234,7 +240,7 @@ class TestMcNormConst:
         s = np.zeros((d, d))
         s[0, 0] = theta
         est = mc_norm_const(s, 200_000, seed=7)
-        truth = kummer_series(d / 2.0, theta)
+        truth = kummer_partial_sum(d / 2.0, theta, 200)
         assert est.std_error > 0.0
         assert abs(est.value - truth) <= 4.0 * est.std_error
 
@@ -380,7 +386,7 @@ class TestMcMoments:
 
     @pytest.mark.parametrize("estimator", [mc_moments, mc_norm_const, mc_covariance])
     @pytest.mark.parametrize("sigma, n, truth", [
-        (np.diag([400.0, 0.0, 0.0]), 20_000, kummer_series(1.5, 400.0, max_terms=2000)),
+        (np.diag([400.0, 0.0, 0.0]), 20_000, kummer_partial_sum(1.5, 400.0, 2000)),
         (349.5 * np.eye(3), 200_000, math.exp(349.5)),
     ], ids=["squares", "their-sum"])
     def test_squared_weights_stay_finite(self, estimator, sigma, n, truth):

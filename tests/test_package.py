@@ -1,6 +1,8 @@
 """The package namespace: its public names, lazy submodules and no-caching rule."""
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import fresh_python
@@ -8,6 +10,7 @@ from conftest import fresh_python
 import binghamx
 
 LAZY = ("symmat", "zonal", "series", "oracle")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_resolve_to_their_definitions():
@@ -19,6 +22,23 @@ def test_public_names_resolve_to_their_definitions():
         # Functions and classes name the module that defines them.
         assert getattr(value, "__module__", f"binghamx.{source}") == f"binghamx.{source}", name
         assert name in listed
+
+
+def test_public_names_are_used_by_program_code():
+    # A public name only tests call is test-only library code.  Program
+    # code is the package outside __init__.py, the benchmark, the tools
+    # and the acceptance tests; a name's own def or class line is no use.
+    files = [p for p in (ROOT / "src" / "binghamx").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py"),
+              ROOT / "tests" / "test_acceptance.py"]
+    lines = [line for p in files for line in p.read_text(encoding="utf-8").splitlines()]
+    unused = []
+    for name in binghamx.__all__:
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"\s*(def|class) {name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []
 
 
 def test_unknown_name_raises():

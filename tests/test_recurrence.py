@@ -8,7 +8,8 @@ none of which shares code with it:
   differentiation of the same sum) for k <= 12, on random rational power
   sums, one of them with an exact p_1 = 0;
 * the float64 partition sums ``scaled_zonal_value`` /
-  ``scaled_zonal_gradient`` times ``pochhammer_ratio``, for m <= 25;
+  ``scaled_zonal_gradient`` times (1/2)_k / (d/2)_k, formed here as the
+  sequential product of the factors (1/2 + i) / (d/2 + i), for m <= 25;
 * the recurrence itself run in exact rationals, at d = 10^6 and m = 40,
   on a diagonal input given by its power sums.
 
@@ -39,7 +40,6 @@ from binghamx import (
 )
 from binghamx import partitions, zonal
 from binghamx.partitions import enumerate_partitions
-from binghamx.series import pochhammer_ratio
 from binghamx.zonal import power_table, scaled_zonal_gradient, scaled_zonal_value
 
 RTOL = 1e-13
@@ -149,13 +149,11 @@ class TestAgainstFloatPartitionSums:
     @pytest.mark.parametrize("d, ps", float_reference_cases())
     def test_series(self, d, ps):
         table = power_table(ps.p, 25)
-        terms = [1.0] + [
-            pochhammer_ratio(k, d) * scaled_zonal_value(k, table) for k in range(1, 25)
-        ]
-        grads = [
-            pochhammer_ratio(k, d) * scaled_zonal_gradient(k, table, ps.p)
-            for k in range(1, 25)
-        ]
+        ratios = [1.0]
+        for i in range(24):
+            ratios.append(ratios[-1] * ((0.5 + i) / (d / 2.0 + i)))
+        terms = [1.0] + [ratios[k] * scaled_zonal_value(k, table) for k in range(1, 25)]
+        grads = [ratios[k] * scaled_zonal_gradient(k, table, ps.p) for k in range(1, 25)]
         for m in (2, 3, 12, 25):
             scale = math.fsum(abs(t) for t in terms[:m])
             assert abs(norm_const_truncated(ps, m, d) - math.fsum(terms[:m])) <= RTOL * scale

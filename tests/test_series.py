@@ -48,30 +48,8 @@ from binghamx import (
 )
 from binghamx import series, symmat
 from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
-from binghamx.series import pochhammer_ratio
 from binghamx.symmat import frobenius_norm
 from binghamx.zonal import _series_pass
-
-
-class TestPochhammerRatio:
-    def test_values(self):
-        # (1/2)_k / (d/2)_k
-        assert pochhammer_ratio(0, 5) == 1.0
-        assert pochhammer_ratio(1, 5) == pytest.approx(0.5 / 2.5, rel=1e-15)
-        assert pochhammer_ratio(2, 4) == pytest.approx((0.5 * 1.5) / (2.0 * 3.0), rel=1e-15)
-
-    def test_recurrence(self):
-        for d in (3, 10, 101):
-            for k in range(1, 20):
-                lhs = pochhammer_ratio(k, d)
-                rhs = pochhammer_ratio(k - 1, d) * (0.5 + k - 1) / (d / 2.0 + k - 1)
-                assert lhs == pytest.approx(rhs, rel=1e-14)
-
-    def test_rejects_negative_order_and_nonpositive_d(self):
-        with pytest.raises(OrderRangeError, match="k must be >= 0"):
-            pochhammer_ratio(-1, 5)
-        with pytest.raises(OrderRangeError, match="d must be positive"):
-            pochhammer_ratio(2, 0)
 
 
 class TestDimensionChecks:

@@ -23,9 +23,12 @@ Series terms e_k / (d/2)_k, with e_k = (1/2)_k C_k / k!, and the gradient
 coefficients come from one O(m^2) pass of the generating-function
 recurrence over the power sums (see :mod:`binghamx.zonal`).  The
 Pochhammer division stays inside the recurrence, so (d/2)_k, e_k and k!,
-which grow without bound in k and d, are never formed on their own.  The
-covariance product takes T and the gradient coefficients from one pass
-at order max(l, m).
+which grow without bound in k and d, are never formed on their own.  Its
+Pochhammer-ratio table depends on (m, d) alone and is built once per
+order and dimension, in a bounded cache.  The truncated value and
+inverse run the terms alone and skip the gradient rows; the gradient
+and the covariance product take both.  The covariance product takes T,
+the gradient coefficients and Psi_m from one pass at order max(l, m).
 
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
@@ -48,7 +51,7 @@ from .symmat import (
     polynomial_values,
     power_sums,
 )
-from .zonal import _series_pass
+from .zonal import _series_pass, _series_terms
 
 
 def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
@@ -64,15 +67,13 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
 def norm_const_truncated(ps: PowerSums, m: int, d: int) -> float:
     """Sum of the first m series terms (orders 0..m-1)."""
     _check_dims(ps, d, m, 1, "m")
-    t, _ = _series_pass(ps.p, m, d / 2.0)
-    return float(t.sum())
+    return float(_series_terms(ps.p, m, d / 2.0).sum())
 
 
 def inverse_norm_const_truncated(ps: PowerSums, l: int, d: int) -> float:
     """Truncated inverse: 1 - sum of series terms of orders 1..l-1."""
     _check_dims(ps, d, l, 2, "l")
-    t, _ = _series_pass(ps.p, l, d / 2.0)
-    return 1.0 - float(t[1:].sum())
+    return 1.0 - float(_series_terms(ps.p, l, d / 2.0)[1:].sum())
 
 
 def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPolynomial:

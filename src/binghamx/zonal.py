@@ -17,7 +17,12 @@ cost O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
 constant, a = 1/2 gives C_k / k!.  The Pochhammer division stays inside the
 recurrence, through ratios (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor
 k! is ever formed on its own and no intermediate factor overflows even
-at the largest supported order.
+at the largest supported order.  Those ratios, and the index arrays that
+place them, depend on (m, a) alone: they are built once per (m, a) and
+kept in a bounded cache, so a pass on a new matrix runs only the O(m^2)
+recurrence.  Callers that need values alone (C_k here, Psi_m and the
+truncated inverse in :mod:`binghamx.series`) run the terms without the
+(m, m - 1) gradient rows.
 
 The partition sums remain as independent references: exactly in
 ``zonal_value_exact``, and in float64 from cached per-order partition
@@ -48,6 +53,46 @@ from .partitions import (
 from .symmat import GradientPolynomial, PowerSums
 
 
+@lru_cache(maxsize=8)
+def _series_tables(
+    m: int, a: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of the order-m recurrence at parameter a that no p_j enters.
+
+    Returns ``shift``, ``below``, ``ratio`` and ``half``, each of shape
+    (m, m - 1) and read-only: shift[k, j-1] = max(k - j, 0), below[k, j-1]
+    is k >= j, ratio[k, j-1] = (a)_{k-j} / (a)_k where k >= j (1 above),
+    and half = 0.5 * ratio.  Built once per (m, a) and kept in a cache
+    of at most 8 entries.  The largest order is m = MAX_ORDER + 1 = 41,
+    for ``zonal_value(40, ps)``, where an entry holds 41,000 bytes, so
+    the cache never holds more than 328,000 bytes.
+    """
+    shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
+    below = shift >= 0
+    shift = np.maximum(shift, 0)
+    inv = 1.0 / (a + np.arange(m - 1))
+    ratio = np.cumprod(np.where(below, inv[shift], 1.0), axis=1)
+    tables = shift, below, ratio, 0.5 * ratio
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _series_terms(p: np.ndarray, m: int, a: float) -> np.ndarray:
+    """Terms t[k] = e_k / (a)_k of orders k < m, without their gradients.
+
+    The first array :func:`_series_pass` returns, bit for bit, for the
+    callers that need only values.
+    """
+    _, _, ratio, _ = _series_tables(m, a)
+    weights = p[1:m] * ratio
+    t = np.empty(m)
+    t[0] = 1.0
+    for k in range(1, m):
+        t[k] = weights[k, :k] @ t[k - 1::-1] / (2 * k)
+    return t
+
+
 def _series_pass(p: np.ndarray, m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Terms e_k / (a)_k of orders k < m and their gradient contributions.
 
@@ -65,18 +110,14 @@ def _series_pass(p: np.ndarray, m: int, a: float) -> tuple[np.ndarray, np.ndarra
         g[k, l-1] = 1/2 ratio[k, l-1] t[k-l],
 
     and no Pochhammer symbol, e_k or factorial is formed on its own.
+    The ratio table and its index arrays depend on (m, a) alone and come
+    from the bounded cache of :func:`_series_tables`; ``t`` comes from
+    :func:`_series_terms`, which value-only callers use alone and so
+    never form ``g``.
     """
-    shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
-    below = shift >= 0
-    shift = np.maximum(shift, 0)
-    inv = 1.0 / (a + np.arange(m - 1))
-    ratio = np.cumprod(np.where(below, inv[shift], 1.0), axis=1)
-    weights = p[1:m] * ratio
-    t = np.empty(m)
-    t[0] = 1.0
-    for k in range(1, m):
-        t[k] = weights[k, :k] @ t[k - 1::-1] / (2 * k)
-    g = np.where(below, 0.5 * ratio * t[shift], 0.0)
+    shift, below, _, half = _series_tables(m, a)
+    t = _series_terms(p, m, a)
+    g = np.where(below, half * t[shift], 0.0)
     return t, g
 
 
@@ -149,7 +190,7 @@ def zonal_value(k: int, ps: PowerSums) -> float:
     """
     check_order("k", k, 0)
     ps.require(k)
-    t, _ = _series_pass(ps.p, k + 1, 0.5)
+    t = _series_terms(ps.p, k + 1, 0.5)
     return float(math.factorial(k) * t[k])
 
 

@@ -42,6 +42,21 @@ def dense_horner(g, sigma: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def count_series_passes(monkeypatch) -> list[int]:
+    """Record the order of every recurrence run that ``binghamx.series``
+    starts, through either entry point: the full pass or the terms alone."""
+    from binghamx import series
+
+    calls = []
+    for name in ("_series_pass", "_series_terms"):
+        def counted(p, m, a, real=getattr(series, name)):
+            calls.append(m)
+            return real(p, m, a)
+
+        monkeypatch.setattr(series, name, counted)
+    return calls
+
+
 def haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     """Orthogonal matrix from the QR factorization of a Gaussian matrix.
 

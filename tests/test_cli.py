@@ -11,7 +11,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_horner, fresh_python, random_symmetric, random_trace_zero
+from conftest import (
+    count_series_passes,
+    dense_horner,
+    fresh_python,
+    random_symmetric,
+    random_trace_zero,
+)
 
 from binghamx import (
     GradientPolynomial,
@@ -1043,14 +1049,7 @@ class TestVerify:
         # Psi, T and the gradient coefficients all come from one pass at
         # order max(l, m).
         path = write_matrix(tmp_path, random_trace_zero(np.random.default_rng(71), 12, norm=0.8))
-        calls = []
-        real = series._series_pass
-
-        def counted(p, m, a):
-            calls.append(m)
-            return real(p, m, a)
-
-        monkeypatch.setattr(series, "_series_pass", counted)
+        calls = count_series_passes(monkeypatch)
         for l, m in ((3, 12), (9, 4)):
             calls.clear()
             code, _ = invoke(["verify", "--matrix", path, "--samples", "2000", "--seed", "5",

@@ -16,6 +16,10 @@ none of which shares code with it:
 Every comparison is relative to the sum of the absolute values of the
 terms, so cancellation in the series cannot fail it.  A guard test keeps
 partition enumeration off the hot path.
+
+The recurrence keeps its (m, a) tables in a bounded cache.  Its terms
+and gradient rows are checked bit for bit against a copy that builds
+every table on each call, and the cached tables against in-place writes.
 """
 
 import math
@@ -26,6 +30,7 @@ import pytest
 from conftest import random_symmetric, random_trace_zero
 
 from binghamx import (
+    MAX_ORDER,
     PowerSums,
     covariance_expansion,
     half_pochhammer,
@@ -40,7 +45,14 @@ from binghamx import (
 )
 from binghamx import partitions, zonal
 from binghamx.partitions import enumerate_partitions
-from binghamx.zonal import power_table, scaled_zonal_gradient, scaled_zonal_value
+from binghamx.zonal import (
+    _series_pass,
+    _series_tables,
+    _series_terms,
+    power_table,
+    scaled_zonal_gradient,
+    scaled_zonal_value,
+)
 
 RTOL = 1e-13
 
@@ -239,3 +251,113 @@ class TestNoPartitionsOnHotPath:
         assert np.all(np.isfinite(covariance_expansion(ps, s, 40, 40, 20)))
         assert np.isfinite(zonal_value(40, ps))
         assert np.all(np.isfinite(zonal_gradient(40, ps).coeffs))
+
+
+def uncached_series_pass(p, m, a):
+    """The recurrence with every (m, a) table built on each call."""
+    shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
+    below = shift >= 0
+    shift = np.maximum(shift, 0)
+    inv = 1.0 / (a + np.arange(m - 1))
+    ratio = np.cumprod(np.where(below, inv[shift], 1.0), axis=1)
+    weights = p[1:m] * ratio
+    t = np.empty(m)
+    t[0] = 1.0
+    for k in range(1, m):
+        t[k] = weights[k, :k] @ t[k - 1::-1] / (2 * k)
+    g = np.where(below, 0.5 * ratio * t[shift], 0.0)
+    return t, g
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bytes: equal values, signs of zero and NaNs."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
+ORDERS = (1, 2, 3, 12, 40)
+PARAMETERS = (0.5, 1, 10, 50, 31250.5, 5e5)
+
+
+def bit_identity_inputs():
+    """p_0..p_40 of each kind: random, all zero, exact zeros of both signs
+    at chosen j, all negative, large, and so large that terms overflow."""
+    rng = np.random.default_rng(59)
+    random = rng.standard_normal(41)
+    zeros_at = random.copy()
+    zeros_at[[1, 2, 7]] = 0.0
+    zeros_at[[3, 11, 39]] = -0.0
+    return {
+        "random": random,
+        "zero": np.zeros(41),
+        "zeros_at": zeros_at,
+        "negative": -np.abs(rng.standard_normal(41)),
+        "large": 1e6 * rng.standard_normal(41),
+        "overflow": 1e200 * rng.standard_normal(41),
+    }
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("kind", sorted(bit_identity_inputs()))
+    def test_bit_identical_to_uncached_pass(self, kind):
+        p = bit_identity_inputs()[kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in ORDERS:
+                for a in PARAMETERS:
+                    want_t, want_g = uncached_series_pass(p, m, a)
+                    t, g = _series_pass(p, m, a)
+                    assert_same_bits(t, want_t)
+                    assert_same_bits(g, want_g)
+                    assert_same_bits(_series_terms(p, m, a), want_t)
+
+    def test_repeat_after_other_orders_and_parameters(self):
+        p = bit_identity_inputs()["random"]
+        keys = [(m, a) for m in ORDERS for a in PARAMETERS]
+        _series_tables.cache_clear()
+        first = {key: _series_pass(p, *key) for key in keys}
+        # More keys than the cache holds: every entry is evicted and rebuilt.
+        for key in reversed(keys):
+            t, g = _series_pass(p, *key)
+            assert_same_bits(t, first[key][0])
+            assert_same_bits(g, first[key][1])
+            assert_same_bits(_series_terms(p, *key), first[key][0])
+
+    def test_tables_are_read_only(self):
+        for table in _series_tables(12, 5.0):
+            with pytest.raises(ValueError):
+                table[1, 0] = 1
+            with pytest.raises(ValueError):
+                table *= 2
+
+    def test_writes_into_results_do_not_reach_the_next_call(self):
+        p = bit_identity_inputs()["random"]
+        ps = PowerSums(d=20, p=p)
+        want_t, want_g = (x.copy() for x in _series_pass(p, 40, 10.0))
+        want_grad = norm_const_gradient_truncated(ps, 40, 20).coeffs.copy()
+        want_zonal = zonal_gradient(40, ps).coeffs.copy()
+        for _ in range(2):
+            t, g = _series_pass(p, 40, 10.0)
+            assert_same_bits(t, want_t)
+            assert_same_bits(g, want_g)
+            t[:] = np.nan
+            g[:] = np.nan
+            terms = _series_terms(p, 40, 10.0)
+            assert_same_bits(terms, want_t)
+            terms[:] = np.nan
+            coeffs = norm_const_gradient_truncated(ps, 40, 20).coeffs
+            assert_same_bits(coeffs, want_grad)
+            coeffs[:] = np.nan
+            coeffs = zonal_gradient(40, ps).coeffs
+            assert_same_bits(coeffs, want_zonal)
+            coeffs[:] = np.nan
+
+    def test_cache_is_bounded_and_its_size_stated(self):
+        maxsize = _series_tables.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        # zonal_value(MAX_ORDER, ps) runs the largest order, MAX_ORDER + 1.
+        entry = sum(table.nbytes for table in _series_tables(MAX_ORDER + 1, 0.5))
+        doc = " ".join(_series_tables.__doc__.split())
+        assert f"{entry:,} bytes" in doc
+        assert f"{maxsize * entry:,} bytes" in doc

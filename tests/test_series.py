@@ -24,13 +24,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import spectral_reference
-from conftest import random_symmetric, random_trace_zero
+from conftest import count_series_passes, random_symmetric, random_trace_zero
 
 from binghamx import (
     DimensionMismatchError,
     GradientPolynomial,
     GrowthRegime,
     InadmissibleDimensionError,
+    InsufficientPowersError,
     OrderRangeError,
     PowerSums,
     alpha_descriptor,
@@ -50,6 +51,12 @@ from binghamx import series, symmat
 from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
 from binghamx.symmat import frobenius_norm
 from binghamx.zonal import _series_pass
+
+
+def raising(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return fail
 
 
 class TestDimensionChecks:
@@ -322,6 +329,37 @@ class TestInverse:
             assert inverse_norm_const_truncated(ps, 3, d) > 0.0
 
 
+VALUE_ONLY = {"psi": (norm_const_truncated, 1), "inverse": (inverse_norm_const_truncated, 2)}
+
+
+class TestValueOnlyCallers:
+    """Psi_m and the truncated inverse run the terms alone, once."""
+
+    @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
+    def test_one_series_pass(self, name, monkeypatch):
+        function, _ = VALUE_ONLY[name]
+        ps = power_sums(random_trace_zero(np.random.default_rng(37), 20, norm=0.8), 39)
+        calls = count_series_passes(monkeypatch)
+        for order in (2, 12, 40):
+            calls.clear()
+            function(ps, order, 20)
+            assert calls == [order]
+
+    @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
+    def test_checks_before_any_work(self, name, monkeypatch):
+        function, low = VALUE_ONLY[name]
+        ps = power_sums(np.diag([0.3, -0.3, 0.1, -0.1, 0.0]), 11)
+        for entry in ("_series_pass", "_series_terms"):
+            monkeypatch.setattr(series, entry, raising(entry))
+        for order in (low - 1, 41):
+            with pytest.raises(OrderRangeError):
+                function(ps, order, 5)
+        with pytest.raises(InsufficientPowersError):
+            function(ps, 13, 5)
+        with pytest.raises(DimensionMismatchError):
+            function(ps, 12, 6)
+
+
 class TestCovariance:
     def test_second_order_closed_form_general(self):
         rng = np.random.default_rng(16)
@@ -461,12 +499,6 @@ def spectral_test_matrix(kind, d, rng, norm=0.8):
     return norm * np.outer(e, e) / (e @ e)
 
 
-def raising(name):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
-    return fail
-
-
 class TestSpectralDerivedBound:
     """||G||_F = ||g(lambda)||_2 in the derived covariance bound."""
 
@@ -494,13 +526,7 @@ class TestSpectralDerivedBound:
         d = 20
         sigma = random_trace_zero(rng, d, norm=0.8)
         ps = power_sums(sigma, 39)
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return _series_pass(*args)
-
-        monkeypatch.setattr(series, "_series_pass", counted)
+        calls = count_series_passes(monkeypatch)
         covariance_derived_bound(ps, sigma, 3, 40, d, self.REGIME)
         assert calls == [40]
         calls.clear()
@@ -512,7 +538,8 @@ class TestSpectralDerivedBound:
         assert admissible_dimension_inverse(self.REGIME) > 5
         sigma = np.diag([0.3, -0.3, 0.1, -0.1, 0.0])
         ps = power_sums(sigma, 11)
-        for module, name in ((series, "_series_pass"), (series, "materialize"),
+        for module, name in ((series, "_series_pass"), (series, "_series_terms"),
+                             (series, "materialize"),
                              (symmat, "materialize"), (series, "power_sums"),
                              (symmat, "power_sums"), (np.linalg, "eigvalsh")):
             monkeypatch.setattr(module, name, raising(name))

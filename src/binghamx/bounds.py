@@ -33,6 +33,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
+    DimensionMismatchError,
     InadmissibleDimensionError,
     OrderRangeError,
     OrderSelectionError,
@@ -182,7 +183,7 @@ def regime_check(sigma: np.ndarray, regime: GrowthRegime, d: int) -> bool:
     from .symmat import frobenius_norm
 
     if sigma.shape[0] != d:
-        raise OrderRangeError(
+        raise DimensionMismatchError(
             f"matrix has dimension {sigma.shape[0]}, regime check asked for d = {d}"
         )
     return frobenius_norm(sigma) <= regime.cap(d)

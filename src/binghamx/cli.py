@@ -259,7 +259,7 @@ def _cov_rows(args, ps, sigma, regime, tail):
     # the derived bound, whose ||G||_F is ||g(lambda)||_2 as in the library,
     # not the printed matrix's.
     scalar, grad, _ = series._covariance_factors(ps, args.l, args.m, ps.d)
-    bound = tail and [series._derived_bound(scalar, series._gradient_norm(grad, ps, sigma), *tail)]
+    bound = tail and [series._derived_bound(ps, sigma, scalar, grad, *tail)]
     cov = symmat.materialize(grad, sigma)
     cov *= scalar
     return [("l", args.l), ("m", args.m), ("d", ps.d),

@@ -19,16 +19,15 @@ explicit constant is known for that covariance remainder; callers get
 the symbolic alpha descriptor, and optionally a conservative numeric
 bound assembled from the proved inequalities (clearly labeled derived).
 
-Series terms e_k / (d/2)_k, with e_k = (1/2)_k C_k / k!, and the gradient
-coefficients come from one O(m^2) pass of the generating-function
-recurrence over the power sums (see :mod:`binghamx.zonal`).  The
-Pochhammer division stays inside the recurrence, so (d/2)_k, e_k and k!,
-which grow without bound in k and d, are never formed on their own.  Its
-Pochhammer-ratio table depends on (m, d) alone and is built once per
-order and dimension, in a bounded cache.  The truncated value and
-inverse run the terms alone and skip the gradient rows; the gradient
-and the covariance product take both.  The covariance product takes T,
-the gradient coefficients and Psi_m from one pass at order max(l, m).
+Series terms e_k / (d/2)_k, with e_k = (1/2)_k C_k / k!, come from one
+O(m^2) pass of the generating-function recurrence over the power sums
+(see :mod:`binghamx.zonal`), and the gradient coefficients are a
+reduction of those terms.  The Pochhammer division stays inside the
+recurrence, so (d/2)_k, e_k and k!, which grow without bound in k and d,
+are never formed on their own.  Its Pochhammer-ratio table depends on
+(m, d) alone and is built once per order and dimension, in a bounded
+cache.  The covariance product takes T, the gradient coefficients and
+Psi_m from one pass at order max(l, m).
 
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
@@ -51,7 +50,7 @@ from .symmat import (
     polynomial_values,
     power_sums,
 )
-from .zonal import _series_pass, _series_terms
+from .zonal import _gradient_coeffs, _series_pass
 
 
 def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
@@ -67,13 +66,13 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
 def norm_const_truncated(ps: PowerSums, m: int, d: int) -> float:
     """Sum of the first m series terms (orders 0..m-1)."""
     _check_dims(ps, d, m, 1, "m")
-    return float(_series_terms(ps.p, m, d / 2.0).sum())
+    return float(_series_pass(ps.p, m, d / 2.0).sum())
 
 
 def inverse_norm_const_truncated(ps: PowerSums, l: int, d: int) -> float:
     """Truncated inverse: 1 - sum of series terms of orders 1..l-1."""
     _check_dims(ps, d, l, 2, "l")
-    return 1.0 - float(_series_terms(ps.p, l, d / 2.0)[1:].sum())
+    return 1.0 - float(_series_pass(ps.p, l, d / 2.0)[1:].sum())
 
 
 def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPolynomial:
@@ -83,8 +82,8 @@ def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPoly
     (1/d + tr(Sigma)/(d(d+2))) I + (2/(d(d+2))) Sigma.
     """
     _check_dims(ps, d, m, 2, "m")
-    _, g = _series_pass(ps.p, m, d / 2.0)
-    return GradientPolynomial(d=ps.d, coeffs=g.sum(axis=0))
+    t = _series_pass(ps.p, m, d / 2.0)
+    return GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
 
 
 def covariance_expansion(
@@ -112,14 +111,15 @@ def _covariance_factors(
     polynomial at order m, and Psi_m, the m-term truncation: the
     covariance product is T g(Sigma), and Cov(X) = grad Psi / Psi.
 
-    One series pass at order max(l, m) serves all three; its terms and
-    gradient rows below either order are bit-identical to a pass at
-    that order, so Psi_m equals :func:`norm_const_truncated` bit for bit.
+    One series pass at order max(l, m) serves all three; its terms
+    below either order are bit-identical to a pass at that order, so
+    Psi_m equals :func:`norm_const_truncated` and g equals
+    :func:`norm_const_gradient_truncated` bit for bit.
     """
     _check_dims(ps, d, l, 2, "l")
     _check_dims(ps, d, m, 2, "m")
-    t, g = _series_pass(ps.p, max(l, m), d / 2.0)
-    grad = GradientPolynomial(d=ps.d, coeffs=g[:m, :m - 1].sum(axis=0))
+    t = _series_pass(ps.p, max(l, m), d / 2.0)
+    grad = GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
     return 1.0 - float(t[1:l].sum()), grad, float(t[:m].sum())
 
 
@@ -186,16 +186,16 @@ def covariance_derived_bound(
     b_grad = gradient_tail_bound(m, d, regime)
     b_inv = inverse_tail_bound(l, d, regime)
     scalar, grad, _ = _covariance_factors(ps, l, m, d)
-    return _derived_bound(scalar, _gradient_norm(grad, ps, sigma), b_grad, b_inv)
+    return _derived_bound(ps, sigma, scalar, grad, b_grad, b_inv)
 
 
-def _gradient_norm(grad: GradientPolynomial, ps: PowerSums, sigma: np.ndarray) -> float:
-    """||g(Sigma)||_F as ||g(lambda)||_2, on the eigenvalues ``ps`` keeps
-    or, if it has none, on those of Sigma."""
+def _derived_bound(ps: PowerSums, sigma: np.ndarray, scalar: float,
+                   grad: GradientPolynomial, b_grad: float, b_inv: float) -> float:
+    """|T| B_g + B_i (||G||_F + B_g) for the product T G, G = g(Sigma).
+
+    ||G||_F is ||g(lambda)||_2, on the eigenvalues ``ps`` keeps or, if
+    it has none, on those of Sigma.
+    """
     lam = ps.eigenvalues if ps.eigenvalues is not None else power_sums(sigma, 1).eigenvalues
-    return frobenius_norm(polynomial_values(grad.coeffs, lam))
-
-
-def _derived_bound(scalar: float, grad_norm: float, b_grad: float, b_inv: float) -> float:
-    """|T| B_g + B_i (||G||_F + B_g) from T and ||G||_F of the product T G."""
+    grad_norm = frobenius_norm(polynomial_values(grad.coeffs, lam))
     return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)

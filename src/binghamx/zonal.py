@@ -12,17 +12,17 @@ ch. 7) gives e_k := (1/2)_k C_k / k! by the recurrence
 
     k e_k = 1/2 sum_{j=1..k} p_j e_{k-j},    d e_k / d p_l = e_{k-l} / (2l),
 
-so the terms e_k / (a)_k of every order below m, and their gradients,
-cost O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
-constant, a = 1/2 gives C_k / k!.  The Pochhammer division stays inside the
+so one pass gives the terms e_k / (a)_k of every order below m in
+O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
+constant, a = 1/2 gives C_k / k!.  Every gradient is a reduction of those
+terms, e_{k-l} / (2 (a)_k) summed over the orders it needs, so values and
+gradients share the one pass.  The Pochhammer division stays inside the
 recurrence, through ratios (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor
 k! is ever formed on its own and no intermediate factor overflows even
-at the largest supported order.  Those ratios, and the index arrays that
-place them, depend on (m, a) alone: they are built once per (m, a) and
-kept in a bounded cache, so a pass on a new matrix runs only the O(m^2)
-recurrence.  Callers that need values alone (C_k here, Psi_m and the
-truncated inverse in :mod:`binghamx.series`) run the terms without the
-(m, m - 1) gradient rows.
+at the largest supported order.  Those ratios, and the index array that
+places the terms in the gradient rows, depend on (m, a) alone: they are
+built once per (m, a) and kept in a bounded cache, so a pass on a new
+matrix runs only the O(m^2) recurrence.
 
 The partition sums remain as independent references: exactly in
 ``zonal_value_exact``, and in float64 from cached per-order partition
@@ -54,37 +54,47 @@ from .symmat import GradientPolynomial, PowerSums
 
 
 @lru_cache(maxsize=8)
-def _series_tables(
-    m: int, a: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _series_tables(m: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts of the order-m recurrence at parameter a that no p_j enters.
 
-    Returns ``shift``, ``below``, ``ratio`` and ``half``, each of shape
-    (m, m - 1) and read-only: shift[k, j-1] = max(k - j, 0), below[k, j-1]
-    is k >= j, ratio[k, j-1] = (a)_{k-j} / (a)_k where k >= j (1 above),
-    and half = 0.5 * ratio.  Built once per (m, a) and kept in a cache
-    of at most 8 entries.  The largest order is m = MAX_ORDER + 1 = 41,
-    for ``zonal_value(40, ps)``, where an entry holds 41,000 bytes, so
-    the cache never holds more than 328,000 bytes.
+    Returns ``shift``, ``ratio`` and ``half``, each of shape (m, m - 1)
+    and read-only: shift[k, j-1] = max(k - j, 0), ratio[k, j-1] =
+    (a)_{k-j} / (a)_k where k >= j, and half = 0.5 * ratio there and 0
+    above the diagonal, so that half * t[shift] is the gradient rows of
+    :func:`_gradient_coeffs` with no mask.  Built once per (m, a) and
+    kept in a cache of at most 8 entries.  The largest order is
+    m = MAX_ORDER + 1 = 41, for ``zonal_value(40, ps)``, where an entry
+    holds 39,360 bytes, so the cache never holds more than 314,880 bytes.
     """
     shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
     below = shift >= 0
     shift = np.maximum(shift, 0)
     inv = 1.0 / (a + np.arange(m - 1))
     ratio = np.cumprod(np.where(below, inv[shift], 1.0), axis=1)
-    tables = shift, below, ratio, 0.5 * ratio
+    tables = shift, ratio, np.where(below, 0.5 * ratio, 0.0)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _series_terms(p: np.ndarray, m: int, a: float) -> np.ndarray:
-    """Terms t[k] = e_k / (a)_k of orders k < m, without their gradients.
+def _series_pass(p: np.ndarray, m: int, a: float) -> np.ndarray:
+    """Terms t[k] = e_k / (a)_k of orders k < m: the one recurrence pass.
 
-    The first array :func:`_series_pass` returns, bit for bit, for the
-    callers that need only values.
+    ``p`` follows the :class:`~binghamx.symmat.PowerSums` convention and
+    must hold p_1..p_{m-1}.  With a = d/2 the t[k] are the series terms
+    of N(Sigma); with a = 1/2 they are C_k / k!.  Every product goes
+    through ratio[k, j-1] = (a)_{k-j} / (a)_k, a product of j factors
+    1 / (a + i), so that
+
+        t[k] = 1/(2k) sum_{j=1..k} p_j ratio[k, j-1] t[k-j],
+
+    and no Pochhammer symbol, e_k or factorial is formed on its own.
+    The ratio table depends on (m, a) alone and comes from the bounded
+    cache of :func:`_series_tables`.  Every gradient is a reduction of
+    these terms (:func:`_gradient_coeffs`), so value and gradient
+    callers share this one pass.
     """
-    _, _, ratio, _ = _series_tables(m, a)
+    _, ratio, _ = _series_tables(m, a)
     weights = p[1:m] * ratio
     t = np.empty(m)
     t[0] = 1.0
@@ -93,32 +103,16 @@ def _series_terms(p: np.ndarray, m: int, a: float) -> np.ndarray:
     return t
 
 
-def _series_pass(p: np.ndarray, m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Terms e_k / (a)_k of orders k < m and their gradient contributions.
+def _gradient_coeffs(t: np.ndarray, m: int, a: float) -> np.ndarray:
+    """Coefficients of grad sum_{k<m} t[k] as a polynomial in Sigma.
 
-    ``p`` follows the :class:`~binghamx.symmat.PowerSums` convention and
-    must hold p_1..p_{m-1}.  Returns ``t`` of length m with
-    t[k] = e_k / (a)_k, and ``g`` of shape (m, m - 1) with
-    g[k, l - 1] = e_{k-l} / (2 (a)_k) for 1 <= l <= k and 0 above: the
-    coefficient of Sigma^(l-1) in grad t[k].  With a = d/2 the t[k] are
-    the series terms of N(Sigma); with a = 1/2 they are C_k / k!.
-
-    Every product goes through ratio[k, j-1] = (a)_{k-j} / (a)_k, a
-    product of j factors 1 / (a + i), so that
-
-        t[k] = 1/(2k) sum_{j=1..k} p_j ratio[k, j-1] t[k-j],
-        g[k, l-1] = 1/2 ratio[k, l-1] t[k-l],
-
-    and no Pochhammer symbol, e_k or factorial is formed on its own.
-    The ratio table and its index arrays depend on (m, a) alone and come
-    from the bounded cache of :func:`_series_tables`; ``t`` comes from
-    :func:`_series_terms`, which value-only callers use alone and so
-    never form ``g``.
+    ``t`` holds the terms of :func:`_series_pass` at parameter a and any
+    order >= m; only t[:m - 1] enters.  The coefficient of Sigma^(l-1)
+    in grad t[k] is e_{k-l} / (2 (a)_k) = 1/2 ratio[k, l-1] t[k-l] for
+    1 <= l <= k, so the length-(m - 1) result sums those rows over k < m.
     """
-    shift, below, _, half = _series_tables(m, a)
-    t = _series_terms(p, m, a)
-    g = np.where(below, half * t[shift], 0.0)
-    return t, g
+    shift, _, half = _series_tables(m, a)
+    return (half * t[shift]).sum(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +184,7 @@ def zonal_value(k: int, ps: PowerSums) -> float:
     """
     check_order("k", k, 0)
     ps.require(k)
-    t = _series_terms(ps.p, k + 1, 0.5)
+    t = _series_pass(ps.p, k + 1, 0.5)
     return float(math.factorial(k) * t[k])
 
 
@@ -198,12 +192,14 @@ def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
     """Gradient of C_k as a :class:`GradientPolynomial` of degree k - 1.
 
     The gradient convention is G_ab = (1 + delta_ab)/2 * d/dsigma_ab, so
-    grad C_1 = I and grad C_2 = (2/3)((tr Sigma) I + 2 Sigma).
+    grad C_1 = I and grad C_2 = (2/3)((tr Sigma) I + 2 Sigma).  Only the
+    order-k row of the recurrence's gradient enters: half[k, l-1] t[k-l].
     """
     check_order("k", k, 1)
     ps.require(k)
-    _, g = _series_pass(ps.p, k + 1, 0.5)
-    return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * g[k])
+    t = _series_pass(ps.p, k + 1, 0.5)
+    row = _series_tables(k + 1, 0.5)[2][k] * t[k - 1::-1]
+    return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * row)
 
 
 def zonal_value_exact(k: int, powers: Sequence) -> Fraction:

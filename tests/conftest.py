@@ -43,17 +43,16 @@ def dense_horner(g, sigma: np.ndarray) -> np.ndarray:
 
 
 def count_series_passes(monkeypatch) -> list[int]:
-    """Record the order of every recurrence run that ``binghamx.series``
-    starts, through either entry point: the full pass or the terms alone."""
+    """Record the order of every recurrence pass that ``binghamx.series`` runs."""
     from binghamx import series
 
     calls = []
-    for name in ("_series_pass", "_series_terms"):
-        def counted(p, m, a, real=getattr(series, name)):
-            calls.append(m)
-            return real(p, m, a)
 
-        monkeypatch.setattr(series, name, counted)
+    def counted(p, m, a, real=series._series_pass):
+        calls.append(m)
+        return real(p, m, a)
+
+    monkeypatch.setattr(series, "_series_pass", counted)
     return calls
 
 

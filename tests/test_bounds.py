@@ -14,6 +14,7 @@ import pytest
 import binghamx.bounds as bounds
 from binghamx import (
     BASE_GROWTH,
+    DimensionMismatchError,
     GrowthRegime,
     InadmissibleDimensionError,
     OrderRangeError,
@@ -81,7 +82,7 @@ class TestGrowthRegime:
         assert regime_check(big, GrowthRegime(3.0, 0.0), d)  # boundary: norm == cap
         # Squaring 1e160 overflows; the norm stays finite and fits the cap.
         assert regime_check(np.diag([1e160, 0.0]), GrowthRegime(2e160, 0.0), 2)
-        with pytest.raises(OrderRangeError):
+        with pytest.raises(DimensionMismatchError):
             regime_check(big, GrowthRegime(1.0, 0.0), 8)
 
 

@@ -17,9 +17,10 @@ Every comparison is relative to the sum of the absolute values of the
 terms, so cancellation in the series cannot fail it.  A guard test keeps
 partition enumeration off the hot path.
 
-The recurrence keeps its (m, a) tables in a bounded cache.  Its terms
-and gradient rows are checked bit for bit against a copy that builds
-every table on each call, and the cached tables against in-place writes.
+The recurrence keeps its (m, a) tables in a bounded cache.  Its terms,
+and the gradient coefficients reduced from them, are checked bit for bit
+against a copy that builds every table on each call, and the cached
+tables against in-place writes.
 """
 
 import math
@@ -46,9 +47,9 @@ from binghamx import (
 from binghamx import partitions, zonal
 from binghamx.partitions import enumerate_partitions
 from binghamx.zonal import (
+    _gradient_coeffs,
     _series_pass,
     _series_tables,
-    _series_terms,
     power_table,
     scaled_zonal_gradient,
     scaled_zonal_value,
@@ -254,7 +255,9 @@ class TestNoPartitionsOnHotPath:
 
 
 def uncached_series_pass(p, m, a):
-    """The recurrence with every (m, a) table built on each call."""
+    """The recurrence with every (m, a) table built on each call: the terms
+    t and the gradient rows g, g[k, l-1] the coefficient of Sigma^(l-1) in
+    grad t[k]."""
     shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
     below = shift >= 0
     shift = np.maximum(shift, 0)
@@ -299,6 +302,12 @@ def bit_identity_inputs():
     }
 
 
+def pass_and_gradient(p, m, a):
+    """The terms of one pass at order m and the order-m gradient coefficients."""
+    t = _series_pass(p, m, a)
+    return t, _gradient_coeffs(t, m, a)
+
+
 class TestCachedTables:
     @pytest.mark.parametrize("kind", sorted(bit_identity_inputs()))
     def test_bit_identical_to_uncached_pass(self, kind):
@@ -307,22 +316,44 @@ class TestCachedTables:
             for m in ORDERS:
                 for a in PARAMETERS:
                     want_t, want_g = uncached_series_pass(p, m, a)
-                    t, g = _series_pass(p, m, a)
+                    t, coeffs = pass_and_gradient(p, m, a)
                     assert_same_bits(t, want_t)
-                    assert_same_bits(g, want_g)
-                    assert_same_bits(_series_terms(p, m, a), want_t)
+                    assert_same_bits(coeffs, want_g.sum(axis=0))
+
+    @pytest.mark.parametrize("kind", sorted(bit_identity_inputs()))
+    def test_zonal_gradient_is_the_reference_row(self, kind):
+        p = bit_identity_inputs()[kind]
+        ps = PowerSums(d=20, p=p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in ORDERS:
+                _, want_g = uncached_series_pass(p, k + 1, 0.5)
+                want = float(math.factorial(k)) * want_g[k]
+                assert_same_bits(zonal_gradient(k, ps).coeffs, want)
+
+    @pytest.mark.parametrize("kind", sorted(bit_identity_inputs()))
+    def test_higher_order_pass_gives_the_same_bits(self, kind):
+        # A pass to order M >= m holds the order-m terms and gradient
+        # coefficients bit for bit, so one pass serves every lower order.
+        p = bit_identity_inputs()[kind]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in PARAMETERS:
+                want = {m: pass_and_gradient(p, m, a) for m in range(1, MAX_ORDER + 2)}
+                for big in range(1, MAX_ORDER + 2):
+                    t = _series_pass(p, big, a)
+                    for m in range(1, big + 1):
+                        assert_same_bits(t[:m], want[m][0])
+                        assert_same_bits(_gradient_coeffs(t, m, a), want[m][1])
 
     def test_repeat_after_other_orders_and_parameters(self):
         p = bit_identity_inputs()["random"]
         keys = [(m, a) for m in ORDERS for a in PARAMETERS]
         _series_tables.cache_clear()
-        first = {key: _series_pass(p, *key) for key in keys}
+        first = {key: pass_and_gradient(p, *key) for key in keys}
         # More keys than the cache holds: every entry is evicted and rebuilt.
         for key in reversed(keys):
-            t, g = _series_pass(p, *key)
+            t, coeffs = pass_and_gradient(p, *key)
             assert_same_bits(t, first[key][0])
-            assert_same_bits(g, first[key][1])
-            assert_same_bits(_series_terms(p, *key), first[key][0])
+            assert_same_bits(coeffs, first[key][1])
 
     def test_tables_are_read_only(self):
         for table in _series_tables(12, 5.0):
@@ -334,18 +365,15 @@ class TestCachedTables:
     def test_writes_into_results_do_not_reach_the_next_call(self):
         p = bit_identity_inputs()["random"]
         ps = PowerSums(d=20, p=p)
-        want_t, want_g = (x.copy() for x in _series_pass(p, 40, 10.0))
+        want_t, want_g = (x.copy() for x in pass_and_gradient(p, 40, 10.0))
         want_grad = norm_const_gradient_truncated(ps, 40, 20).coeffs.copy()
         want_zonal = zonal_gradient(40, ps).coeffs.copy()
         for _ in range(2):
-            t, g = _series_pass(p, 40, 10.0)
+            t, g = pass_and_gradient(p, 40, 10.0)
             assert_same_bits(t, want_t)
             assert_same_bits(g, want_g)
             t[:] = np.nan
             g[:] = np.nan
-            terms = _series_terms(p, 40, 10.0)
-            assert_same_bits(terms, want_t)
-            terms[:] = np.nan
             coeffs = norm_const_gradient_truncated(ps, 40, 20).coeffs
             assert_same_bits(coeffs, want_grad)
             coeffs[:] = np.nan
@@ -357,7 +385,9 @@ class TestCachedTables:
         maxsize = _series_tables.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
         # zonal_value(MAX_ORDER, ps) runs the largest order, MAX_ORDER + 1.
-        entry = sum(table.nbytes for table in _series_tables(MAX_ORDER + 1, 0.5))
+        tables = _series_tables(MAX_ORDER + 1, 0.5)
+        assert [table.shape for table in tables] == [(MAX_ORDER + 1, MAX_ORDER)] * 3
+        entry = sum(table.nbytes for table in tables)
         doc = " ".join(_series_tables.__doc__.split())
         assert f"{entry:,} bytes" in doc
         assert f"{maxsize * entry:,} bytes" in doc

@@ -50,7 +50,7 @@ from binghamx import (
 from binghamx import series, symmat
 from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
 from binghamx.symmat import frobenius_norm
-from binghamx.zonal import _series_pass
+from binghamx.zonal import _gradient_coeffs, _series_pass
 
 
 def raising(name):
@@ -333,7 +333,7 @@ VALUE_ONLY = {"psi": (norm_const_truncated, 1), "inverse": (inverse_norm_const_t
 
 
 class TestValueOnlyCallers:
-    """Psi_m and the truncated inverse run the terms alone, once."""
+    """Psi_m and the truncated inverse run one series pass."""
 
     @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
     def test_one_series_pass(self, name, monkeypatch):
@@ -349,8 +349,7 @@ class TestValueOnlyCallers:
     def test_checks_before_any_work(self, name, monkeypatch):
         function, low = VALUE_ONLY[name]
         ps = power_sums(np.diag([0.3, -0.3, 0.1, -0.1, 0.0]), 11)
-        for entry in ("_series_pass", "_series_terms"):
-            monkeypatch.setattr(series, entry, raising(entry))
+        monkeypatch.setattr(series, "_series_pass", raising("_series_pass"))
         for order in (low - 1, 41):
             with pytest.raises(OrderRangeError):
                 function(ps, order, 5)
@@ -477,9 +476,9 @@ def materialized_derived_bound(ps, sigma, l, m, d, regime):
 
 def two_pass_factors(ps, l, m, d):
     """T at order l and the gradient coefficients at order m, one series pass each."""
-    t, _ = _series_pass(ps.p, l, d / 2.0)
-    _, g = _series_pass(ps.p, m, d / 2.0)
-    return 1.0 - float(t[1:].sum()), g.sum(axis=0)
+    t = _series_pass(ps.p, l, d / 2.0)
+    g = _gradient_coeffs(_series_pass(ps.p, m, d / 2.0), m, d / 2.0)
+    return 1.0 - float(t[1:].sum()), g
 
 
 def spectral_test_matrix(kind, d, rng, norm=0.8):
@@ -538,7 +537,7 @@ class TestSpectralDerivedBound:
         assert admissible_dimension_inverse(self.REGIME) > 5
         sigma = np.diag([0.3, -0.3, 0.1, -0.1, 0.0])
         ps = power_sums(sigma, 11)
-        for module, name in ((series, "_series_pass"), (series, "_series_terms"),
+        for module, name in ((series, "_series_pass"), (series, "_gradient_coeffs"),
                              (series, "materialize"),
                              (symmat, "materialize"), (series, "power_sums"),
                              (symmat, "power_sums"), (np.linalg, "eigvalsh")):

@@ -26,20 +26,21 @@ noise there, and no bias.
 One loop, :func:`_moments`, runs over the blocks.  A pool worker,
 :func:`_eigen_block`, evaluates a whole block: it draws z in chunks of
 about CHUNK_BYTES into one reused buffer, squares each in place, and
-returns only the weights exp(q @ lambda - s), one per row, shifted by the
-block's largest exponent s <= lambda_max, the d-vector numerator w @ q
-and s.  Two pool workers evaluate blocks b + 1 and b + 2 while the caller
-reduces block b; each block has its own generator and the reductions
-stay in index order, so the results do not depend on that overlap.  A
-block costs O(size * d), calls no BLAS routine, and no array of size * d
-entries exists: a draw in flight holds one chunk and the block's per-row
-vectors, 16 bytes a row with the caller's weights and their squares, so
-the memory of a pass does not grow with n * d.  The shift keeps every
-weight at most 1 and the largest weight of each block at exactly 1, so
-neither the weights nor their squares overflow, and a matrix fails only
-when Psi itself exceeds float64.  :func:`_moments` brings the blocks to a
-common shift and scales Psi and its standard error back; the covariance
-ratio does not change.
+returns only four results: the sum of the weights w = exp(q @ lambda - s),
+shifted by the block's largest exponent s <= lambda_max, the sum of their
+squares, the d-vector numerator w @ q, and s.  Two pool workers evaluate
+blocks b + 1 and b + 2 while the caller reduces block b; each block has
+its own generator and the reductions stay in index order, so the results
+do not depend on that overlap.  A block costs O(size * d), calls no BLAS
+routine, and no array of size * d entries exists: a draw in flight holds
+one chunk and 8 bytes per row of its block, the exponents that become the
+weights in place, and only O(d) values cross threads, so the memory of a
+pass does not grow with n * d.  The shift keeps every weight at most 1
+and the largest weight of each block at exactly 1, so neither the weights
+nor their squares overflow, and a matrix fails only when Psi itself
+exceeds float64.  :func:`_moments` brings the blocks to a common shift
+and scales Psi and its standard error back; the covariance ratio does not
+change.
 
 :func:`mc_eigen_moments` takes lambda alone.  ``verify`` runs it on the
 lambda that ``power_sums`` forms, and the series side of entry k is
@@ -123,11 +124,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
 
 
-def _normal_block(d: int, size: int, seed: int, block: int) -> np.ndarray:
-    """The standard Gaussians of block b, a (size, d) array."""
-    return _block_rng(seed, block).standard_normal((size, d))
-
-
 def _chunk_rows(d: int) -> int:
     """Rows of a chunk of about CHUNK_BYTES Gaussians, at least two."""
     return max(2, CHUNK_BYTES // (8 * d))
@@ -137,10 +133,12 @@ def _normal_chunks(d: int, size: int, seed: int, block: int, rows: int):
     """The Gaussians of block b as (start, chunk) pairs, chunks of ``rows`` rows.
 
     Each chunk is filled in place in one reused buffer, so it is
-    overwritten by the next; in order, the chunks are the rows of
-    :func:`_normal_block` bit for bit.  A last chunk of one row joins the
-    chunk before it: einsum reduces a lone row of more than 8192 entries
-    in another order than the same row inside a larger array.
+    overwritten by the next; in order, the chunks are bit for bit the rows
+    of the block generator's draw of the whole block at once,
+    ``_block_rng(seed, block).standard_normal((size, d))``.  A last chunk
+    of one row joins the chunk before it: einsum reduces a lone row of more
+    than 8192 entries in another order than the same row inside a larger
+    array.
     """
     rng = _block_rng(seed, block)
     rows = min(rows, size)
@@ -166,25 +164,27 @@ def _finite(w: np.ndarray) -> np.ndarray:
 
 def _eigen_block(
     eigenvalues: np.ndarray, size: int, seed: int, block: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Block b's weights, numerator and shift, evaluated in a pool worker.
+) -> tuple[float, float, np.ndarray, float]:
+    """Block b's sum of weights, sum of squared weights, numerator and shift.
 
-    With z the block's Gaussians and r = |z|^2 per row, the uniform
-    eigen-coordinates are y = z / sqrt(r) and q = y*y = (z*z) / r, and
-    the exponents are e = (z*z) @ lambda / r = x' Sigma x.  The weights
-    are exp(e - s), shifted by the block's largest exponent s <= lambda_max,
-    and the numerator is w @ q = (w / r) @ (z*z).
+    A pool worker evaluates the block.  With z the block's Gaussians and
+    r = |z|^2 per row, the uniform eigen-coordinates are y = z / sqrt(r)
+    and q = y*y = (z*z) / r, and the exponents are e = (z*z) @ lambda / r
+    = x' Sigma x.  The weights are exp(e - s), shifted by the block's
+    largest exponent s <= lambda_max, and the numerator is
+    w @ q = (w / r) @ (z*z).
 
     The Gaussians come in chunks of about CHUNK_BYTES (:func:`_normal_chunks`),
     squared in place in one reused buffer; only e, one value per row,
     outlives its chunk.  Chunk c forms its weights shifted by its own
     largest exponent s_c and adds their numerator, times e^(s_c - s), to a
     running sum kept at the largest shift s so far; at the end e becomes
-    the weights in place.  So a worker holds one chunk and 8 bytes per row
-    of the block, whatever d, and only w, the d-vector numerator and s
-    leave it.  Each e and s equal those of the whole block at once, so w
-    is bit for bit the same; the numerator moves in its last digits only
-    where a block has more than one chunk.
+    the weights in place, and then their squares, for sum w and sum w^2.
+    So a worker holds one chunk and 8 bytes per row of the block, whatever
+    d, and only those two floats, the d-vector numerator and s leave it.
+    Each e and s equal those of the whole block at once, so w and both
+    sums are bit for bit the same; the numerator moves in its last digits
+    only where a block has more than one chunk.
 
     The products run through einsum, not BLAS: with more than one BLAS
     thread a multithreaded matrix-vector product of a block is several
@@ -210,7 +210,10 @@ def _eigen_block(
         w /= r
         num += np.einsum("i,ij->j", w, z)
     e -= top
-    return np.exp(e, out=e), num, top
+    w = np.exp(e, out=e)
+    den = float(w.sum())
+    w *= w
+    return den, float(w.sum()), num, top
 
 
 def _moments(
@@ -222,7 +225,9 @@ def _moments(
     evaluate blocks b + 1 and b + 2 while block b is reduced, so exactly
     DRAWS_IN_FLIGHT draws are in flight; a block that raises, in a worker
     or in the reduction, waits for those draws and stops the workers on
-    leaving the pool.
+    leaving the pool.  Reducing block b is storing its four results: each
+    worker sums its own weights and their squares, so no per-row array
+    leaves it.
 
     At the end every block's sums are brought to the largest shift S by
     the factor e^(s - S), and Psi and its standard error are scaled back
@@ -253,9 +258,7 @@ def _moments(
             drawn = ahead.pop(0).result()
             if b + DRAWS_IN_FLIGHT < BLOCKS:
                 ahead.append(submit(b + DRAWS_IN_FLIGHT))
-            w, nums[b], shifts[b] = drawn
-            dens[b] = float(w.sum())
-            squares[b] = float((w * w).sum())
+            dens[b], squares[b], nums[b], shifts[b] = drawn
 
     top = float(shifts.max())
     scale = np.exp(shifts - top)
@@ -362,9 +365,12 @@ def mc_eigen_moments(
     block is read as the eigen-coordinates y, which is exact in law by
     rotation invariance, and weighted by exp(q @ lambda), q = y*y,
     computed shifted by the block's largest exponent so that no weight
-    overflows.  Returns the estimate of Psi and the d-vector E_w[q] with
-    jackknife errors: Cov(X) = V diag(E_w[q]) V', so entry k estimates
-    v_k' Cov(X) v_k.  The entries sum to 1 up to float roundoff.  Raises
+    overflows.  Each of the DRAWS_IN_FLIGHT draws in flight holds one chunk
+    of about CHUNK_BYTES Gaussians and 8 bytes per row of its block, and
+    the jackknife keeps BLOCKS numerators of d entries.  Returns the
+    estimate of Psi and the d-vector E_w[q] with jackknife errors:
+    Cov(X) = V diag(E_w[q]) V', so entry k estimates v_k' Cov(X) v_k.
+    The entries sum to 1 up to float roundoff.  Raises
     :class:`SamplingOverflowError` only when the estimate of Psi itself
     does not fit in float64, or when a weight is nan.
     """

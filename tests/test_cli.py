@@ -1521,7 +1521,8 @@ ESCAPE_TABLE = [
                  "bom_latin1.txt: not UTF-8 text: byte 0x93 at offset 5", id="psi-bom-latin1"),
     pytest.param(["psi", "--matrix", "{tiny}", "--m", "3", "--gamma0", "1e-200", "--r", "0"], 1,
                  f"||Sigma||_F = {1e-170:.17g} exceeds the regime cap", id="psi-norm-underflow"),
-    # One block of 2e15 samples needs 4.8e16 bytes, past any 64-bit address space.
+    # The first allocation of a block of 2e15 samples, its exponent array of 8 bytes
+    # per row, needs 1.6e16 bytes, far past any machine's memory.
     pytest.param(["verify", "--matrix", "{d3}", "--samples", str(10**17), "--seed", "0"], 2,
                  "Unable to allocate", id="verify-memory"),
     pytest.param(["bounds", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--m", "3"], 2,

@@ -44,7 +44,6 @@ from binghamx.oracle import (
     _block_sizes,
     _chunk_rows,
     _eigen_block,
-    _normal_block,
     _normal_chunks,
     family_threshold,
     t_upper_quantile,
@@ -124,9 +123,19 @@ def block_generator(seed, block):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block])))
 
 
+def normal_block(d, size, seed, block):
+    """The standard Gaussians of block b drawn at once, a (size, d) array."""
+    return block_generator(seed, block).standard_normal((size, d))
+
+
+def weight_sums(w):
+    """The sum of the weights w and of their squares, as the worker forms them."""
+    return float(w.sum()), float((w * w).sum())
+
+
 def whole_eigen_block(lam, size, seed, block):
     """The eigenbasis worker half on the whole block at once: (w, num, top)."""
-    zz = block_generator(seed, block).standard_normal((size, len(lam))) ** 2
+    zz = normal_block(len(lam), size, seed, block) ** 2
     r = np.einsum("ij->i", zz)
     e = np.einsum("ij,j->i", zz, lam) / r
     top = float(e.max())
@@ -153,10 +162,10 @@ def traced_peak(estimator, data, n):
 def dense_memory_bound(d, n):
     """Bytes a dense pass may hold: four d x d arrays (V, the sum of squares, a
     mapped deviation and the temporary it is formed from), the (BLOCKS, d)
-    deviations, per draw in flight one chunk and 16 bytes per row of a block,
+    deviations, per draw in flight one chunk and 8 bytes per row of a block,
     and 256 KiB of slack."""
     arrays = 4 * 8 * d * d + BLOCKS * 8 * d
-    return arrays + DRAWS_IN_FLIGHT * (CHUNK_BYTES + 16 * n // BLOCKS) + 256 * 1024
+    return arrays + DRAWS_IN_FLIGHT * (CHUNK_BYTES + 8 * n // BLOCKS) + 256 * 1024
 
 
 class TestNormalChunks:
@@ -179,9 +188,7 @@ class TestNormalChunks:
             assert start == sum(len(c) for c in got)
             assert np.shares_memory(chunk, first)  # one reused buffer
             got.append(chunk.copy())
-        ref = block_generator(2026, 7).standard_normal((size, d))
-        assert np.array_equal(np.concatenate(got), ref)
-        assert np.array_equal(ref, _normal_block(d, size, 2026, 7))
+        assert np.array_equal(np.concatenate(got), normal_block(d, size, 2026, 7))
         lengths = [len(c) for c in got]
         assert all(n == min(rows, size) for n in lengths[:-1])
         assert lengths[-1] <= rows + 1 and (rows == 1 or 1 not in lengths)
@@ -191,14 +198,16 @@ class TestNormalChunks:
         assert _chunk_rows(62501) == 2 and _chunk_rows(10**6) == 2
 
     def test_one_chunk_block_is_the_whole_block(self):
-        # At d = 2 a block of 2470 rows fits in one chunk: weights, numerator
-        # and shift are those of the whole block at once, bit for bit.
+        # At d = 2 a block of 2470 rows fits in one chunk: the sums of the
+        # weights and of their squares, numerator and shift are those of the
+        # whole block at once, bit for bit.
         lam = np.array([-0.4, 0.4])
         for b, size in enumerate(_block_sizes(123457)[:5]):
             assert size <= _chunk_rows(2)
-            got, ref = _eigen_block(lam, size, 2026, b), whole_eigen_block(lam, size, 2026, b)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-            assert got[2] == ref[2]
+            den, sq, num, top = _eigen_block(lam, size, 2026, b)
+            ref_w, ref_num, ref_top = whole_eigen_block(lam, size, 2026, b)
+            assert (den, sq) == weight_sums(ref_w)
+            assert np.array_equal(num, ref_num) and top == ref_top
 
     @pytest.mark.parametrize("d, size", [
         (200, 4001),
@@ -209,14 +218,14 @@ class TestNormalChunks:
         (70000, 21),
     ])
     def test_chunked_weights_are_the_whole_blocks(self, d, size):
-        # Every exponent, and so every weight and the shift, is that of the
-        # whole block; only the numerator's summation order moves.  At d = 9000
-        # and above, a lone last row, which einsum would reduce in another
-        # order, joins the chunk before it.
+        # Every exponent, and so every weight, both sums of them and the shift,
+        # is that of the whole block; only the numerator's summation order
+        # moves.  At d = 9000 and above, a lone last row, which einsum would
+        # reduce in another order, joins the chunk before it.
         lam = np.linspace(-2.0, 2.0, d)
-        w, num, top = _eigen_block(lam, size, 11, 3)
+        den, sq, num, top = _eigen_block(lam, size, 11, 3)
         ref_w, ref_num, ref_top = whole_eigen_block(lam, size, 11, 3)
-        assert np.array_equal(w, ref_w) and top == ref_top
+        assert (den, sq) == weight_sums(ref_w) and top == ref_top
         np.testing.assert_allclose(num, ref_num, rtol=1e-13, atol=0)
 
 
@@ -445,9 +454,10 @@ class TestBlockStream:
     @pytest.mark.parametrize("n", (1000, 123457))
     def test_stream_matches_serial_loop(self, monkeypatch, d, n):
         # The pool workers draw, block by block, the Gaussians of the serial
-        # loop over _normal_block, and weight them as that loop would.
+        # loop over whole blocks, and sum their weights and squared weights
+        # as that loop would.
         lam = np.linalg.eigvalsh(random_trace_zero(np.random.default_rng(43 + d), d, norm=0.9))
-        drawn, weights = {}, {}
+        drawn, sums = {}, {}
         real_chunks, real_block = oracle._normal_chunks, oracle._eigen_block
 
         def chunks(d, size, seed, block, rows):
@@ -456,18 +466,19 @@ class TestBlockStream:
                 yield start, chunk
 
         def record(eigenvalues, size, seed, b):
-            weights[b], num, top = real_block(eigenvalues, size, seed, b)
-            return weights[b], num, top
+            den, sq, num, top = real_block(eigenvalues, size, seed, b)
+            sums[b] = den, sq
+            return den, sq, num, top
 
         monkeypatch.setattr(oracle, "_normal_chunks", chunks)
         monkeypatch.setattr(oracle, "_eigen_block", record)
         mc_eigen_moments(lam, n, 2026)
-        assert sorted(drawn) == sorted(weights) == list(range(BLOCKS))
+        assert sorted(drawn) == sorted(sums) == list(range(BLOCKS))
         for b, size in enumerate(_block_sizes(n)):
-            z = _normal_block(d, size, 2026, b)
+            z = normal_block(d, size, 2026, b)
             assert np.array_equal(np.concatenate(drawn[b]), z)
             e = np.einsum("ij,j->i", z * z, lam) / np.einsum("ij->i", z * z)
-            assert np.array_equal(weights[b], np.exp(e - e.max()))
+            assert sums[b] == weight_sums(np.exp(e - e.max()))
 
     @pytest.mark.parametrize("d", (2, 30))
     @pytest.mark.parametrize("n", (1000, 123457))
@@ -487,16 +498,18 @@ class TestBlockStream:
         mc_eigen_moments(lam, n, 2026)
         assert sorted(seen) == list(range(BLOCKS))
         for b, size in enumerate(_block_sizes(n)):
-            w, num, top = seen[b]
-            ref_w, ref_num, ref_top = real(lam, size, 2026, b)
-            assert w.shape == (size,) and num.shape == (d,)
-            assert np.array_equal(w, ref_w)
+            den, sq, num, top = seen[b]
+            ref_den, ref_sq, ref_num, ref_top = real(lam, size, 2026, b)
+            assert type(den) is type(sq) is type(top) is float and num.shape == (d,)
+            assert (den, sq) == (ref_den, ref_sq)
             assert np.array_equal(num, ref_num)
-            assert top == ref_top and w.max() == 1.0
+            # Every weight is at most 1 and the block's largest is 1.
+            assert top == ref_top and 1.0 <= sq <= den <= size
 
     def test_in_place_jackknife_matches_out_of_place(self, monkeypatch):
-        # A synthetic worker returns block b's chosen numerator, one weight
-        # equal to its chosen denominator and its chosen shift.
+        # A synthetic worker returns block b's chosen denominator, its square
+        # as the sum of squared weights, its chosen numerator and its chosen
+        # shift.
         rng = np.random.default_rng(47)
         for d in (1, 5, 40):
             scale = np.exp(rng.normal(0.0, 3.0, (BLOCKS, 1)))
@@ -507,7 +520,7 @@ class TestBlockStream:
 
             def synthetic(eigenvalues, size, seed, b):
                 seen.append(b)
-                return np.array([dens[b]]), nums[b], shifts[b]
+                return dens[b], dens[b] ** 2, nums[b], shifts[b]
 
             monkeypatch.setattr(oracle, "_eigen_block", synthetic)
             _, est = mc_eigen_moments(np.zeros(d), 1000, 3)
@@ -663,27 +676,26 @@ class TestMcEigenMoments:
 
     def test_memory_one_chunk_per_draw(self):
         # A pool worker holds one chunk of Gaussians and 8 bytes per row of its
-        # block, and the caller a block's weights and their squares: per draw in
-        # flight one chunk and 16 bytes per row, whatever d.  Ten times the
-        # samples adds only those bytes per row; a whole block at n = 2e6 is
-        # 64 MB.
+        # block, and returns only sums of them: per draw in flight one chunk and
+        # 8 bytes per row, whatever d.  Ten times the samples adds only those
+        # bytes per row; a whole block at n = 2e6 is 64 MB.
         d = 200
         lam = np.linspace(-1.0, 1.0, d)
         peaks = {n: traced_peak(mc_eigen_moments, lam, n) for n in (200_000, 2_000_000)}
         for n, peak in peaks.items():
-            assert peak < DRAWS_IN_FLIGHT * (CHUNK_BYTES + 16 * n // BLOCKS) + 256 * 1024, n
+            assert peak < DRAWS_IN_FLIGHT * (CHUNK_BYTES + 8 * n // BLOCKS) + 256 * 1024, n
         rows_added = (2_000_000 - 200_000) // BLOCKS
-        assert peaks[2_000_000] - peaks[200_000] < DRAWS_IN_FLIGHT * 16 * rows_added + 64 * 1024
+        assert peaks[2_000_000] - peaks[200_000] < DRAWS_IN_FLIGHT * 8 * rows_added + 64 * 1024
 
     def test_memory_at_d62501(self):
         # The largest dimension of the paper's tables, diagonal Sigma.  Beyond
         # the (BLOCKS, d) numerators that the jackknife needs, a draw in flight
-        # holds one chunk (two rows) and two d-vectors; one block of the
-        # 20 x d Gaussians is 10 MB.
+        # holds one chunk (two rows), two d-vectors and 8 bytes per row; one
+        # block of the 20 x d Gaussians is 10 MB.
         d, n = 62501, 1000
         lam = np.linspace(-0.01, 0.01, d)
         peak = traced_peak(mc_eigen_moments, lam, n)
-        per_draw = CHUNK_BYTES + 2 * 8 * d + 16 * n // BLOCKS
+        per_draw = CHUNK_BYTES + 2 * 8 * d + 8 * n // BLOCKS
         assert peak < BLOCKS * 8 * d + DRAWS_IN_FLIGHT * per_draw + 1024 * 1024
 
     def test_effective_sample_size(self):
@@ -776,10 +788,10 @@ class TestHelperThread:
         real = oracle._eigen_block
 
         def failing(eigenvalues, size, seed, b):
-            w, num, shift = real(eigenvalues, size, seed, b)
+            den, sq, num, shift = real(eigenvalues, size, seed, b)
             time.sleep(0.02)  # time for the pool to start any queued draw
             seen[b] = threading.active_count()
-            return w, num[:-1] if b == 3 else num, shift
+            return den, sq, num[:-1] if b == 3 else num, shift
 
         self.meeting_draws(monkeypatch, started)
         monkeypatch.setattr(oracle, "_eigen_block", failing)

@@ -1,5 +1,6 @@
 """The package namespace: its public names, lazy submodules and no-caching rule."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -39,6 +40,41 @@ def test_public_names_are_used_by_program_code():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_private_names_are_used_by_program_code():
+    # A module-level private name of the package that only tests use is
+    # test-only library code.  Program code is the package, the benchmark
+    # and the tools.  A use is a name, an attribute or an import alias
+    # outside the module-level statement that defines the name, so neither
+    # a docstring nor the name's own body or assignment counts.
+    package = ROOT / "src" / "binghamx"
+    files = [*package.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+             *(ROOT / "tools").rglob("*.py")]
+    defined, used = set(), set()
+    for path in files:
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            if package in path.parents:
+                defined |= {name for name in own if re.fullmatch(r"_[^_]\w*", name)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                if name not in own:
+                    used.add(name)
+    assert sorted(defined - used) == []
 
 
 def test_unknown_name_raises():

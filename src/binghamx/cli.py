@@ -255,13 +255,12 @@ def _grad_rows(args, ps, sigma, regime, tail):
 
 
 def _cov_rows(args, ps, sigma, regime, tail):
-    # One series pass feeds the product and, with a regime (tail = B_g, B_i),
-    # the derived bound, whose ||G||_F is ||g(lambda)||_2 as in the library,
-    # not the printed matrix's.
-    scalar, grad, _ = series._covariance_factors(ps, args.l, args.m, ps.d)
-    bound = tail and [series._derived_bound(ps, sigma, scalar, grad, *tail)]
-    cov = symmat.materialize(grad, sigma)
-    cov *= scalar
+    # The product and, with a regime, the derived bound share the series
+    # pass ps keeps; the bound's ||G||_F is ||g(lambda)||_2, not the
+    # printed matrix's.
+    bound = [] if regime is None else [
+        series.covariance_derived_bound(ps, sigma, args.l, args.m, ps.d, regime)]
+    cov = series.covariance_expansion(ps, sigma, args.l, args.m, ps.d)
     return [("l", args.l), ("m", args.m), ("d", ps.d),
             ("alpha", series.alpha_descriptor(args.m, regime)),
             *_regime_rows(regime, "derived_bound", *bound), ("cov", cov)]

@@ -33,14 +33,16 @@ blocks b + 1 and b + 2 while the caller reduces block b; each block has
 its own generator and the reductions stay in index order, so the results
 do not depend on that overlap.  A block costs O(size * d), calls no BLAS
 routine, and no array of size * d entries exists: a draw in flight holds
-one chunk and 8 bytes per row of its block, the exponents that become the
-weights in place, and only O(d) values cross threads, so the memory of a
-pass does not grow with n * d.  The shift keeps every weight at most 1
-and the largest weight of each block at exactly 1, so neither the weights
-nor their squares overflow, and a matrix fails only when Psi itself
-exceeds float64.  :func:`_moments` brings the blocks to a common shift
-and scales Psi and its standard error back; the covariance ratio does not
-change.
+one chunk, 8 bytes per row of its block (the exponents that become the
+weights in place) and, while a chunk is reduced, three vectors of one
+float per chunk row (r, the shifted exponents and their weights), about
+3 CHUNK_BYTES / d bytes, which is not small at small d.  Only O(d)
+values cross threads, so the memory of a pass does not grow with n * d.
+The shift keeps every weight at most 1 and the largest weight of each
+block at exactly 1, so neither the weights nor their squares overflow,
+and a matrix fails only when Psi itself exceeds float64.
+:func:`_moments` brings the blocks to a common shift and scales Psi and
+its standard error back; the covariance ratio does not change.
 
 :func:`mc_eigen_moments` takes lambda alone.  ``verify`` runs it on the
 lambda that ``power_sums`` forms, and the series side of entry k is
@@ -180,8 +182,10 @@ def _eigen_block(
     largest exponent s_c and adds their numerator, times e^(s_c - s), to a
     running sum kept at the largest shift s so far; at the end e becomes
     the weights in place, and then their squares, for sum w and sum w^2.
-    So a worker holds one chunk and 8 bytes per row of the block, whatever
-    d, and only those two floats, the d-vector numerator and s leave it.
+    So a worker holds one chunk, 8 bytes per row of the block and, while
+    a chunk is reduced, r, part - shift and w: 24 bytes per chunk row,
+    about 3 CHUNK_BYTES / d.  Only those two floats, the d-vector
+    numerator and s leave it.
     Each e and s equal those of the whole block at once, so w and both
     sums are bit for bit the same; the numerator moves in its last digits
     only where a block has more than one chunk.
@@ -366,9 +370,10 @@ def mc_eigen_moments(
     rotation invariance, and weighted by exp(q @ lambda), q = y*y,
     computed shifted by the block's largest exponent so that no weight
     overflows.  Each of the DRAWS_IN_FLIGHT draws in flight holds one chunk
-    of about CHUNK_BYTES Gaussians and 8 bytes per row of its block, and
-    the jackknife keeps BLOCKS numerators of d entries.  Returns the
-    estimate of Psi and the d-vector E_w[q] with jackknife errors:
+    of about CHUNK_BYTES Gaussians, 8 bytes per row of its block and 24
+    bytes per row of its chunk, and the jackknife keeps BLOCKS numerators
+    of d entries.  Returns the estimate of Psi and the d-vector E_w[q]
+    with jackknife errors:
     Cov(X) = V diag(E_w[q]) V', so entry k estimates v_k' Cov(X) v_k.
     The entries sum to 1 up to float roundoff.  Raises
     :class:`SamplingOverflowError` only when the estimate of Psi itself

@@ -26,8 +26,15 @@ reduction of those terms.  The Pochhammer division stays inside the
 recurrence, so (d/2)_k, e_k and k!, which grow without bound in k and d,
 are never formed on their own.  Its Pochhammer-ratio table depends on
 (m, d) alone and is built once per order and dimension, in a bounded
-cache.  The covariance product takes T, the gradient coefficients and
-Psi_m from one pass at order max(l, m).
+cache.
+
+The terms live with the :class:`~binghamx.symmat.PowerSums` they come
+from: every call reads them through :func:`_terms`, which keeps the
+longest pass run so far on that instance, read-only, and runs a new one
+only for a higher order.  A pass to order M >= m holds the order-m terms
+bit for bit, so Psi, 1/Psi, grad Psi, the covariance product and the
+derived bound share one pass per matrix, at the highest order asked, and
+every value keeps the bits of a pass at its own order.
 
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
@@ -63,16 +70,33 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
         ps.require(order - 1)
 
 
+def _terms(ps: PowerSums, m: int, a: float) -> np.ndarray:
+    """The terms t[k] = e_k / (a)_k of orders k < m, read-only.
+
+    A slice of the longest pass ``ps`` keeps for a; :func:`_series_pass`
+    runs only when none is that long, and its terms replace the shorter
+    pass.  The caller has checked that ``ps`` holds p_1..p_{m-1}.  Calls
+    racing on one ``ps`` may each run a pass; every pass gives the same
+    bits, so the values do not depend on which one is kept.
+    """
+    t = ps._terms.get(a)
+    if t is None or len(t) < m:
+        t = _series_pass(ps.p, m, a)
+        t.flags.writeable = False
+        ps._terms[a] = t
+    return t[:m]
+
+
 def norm_const_truncated(ps: PowerSums, m: int, d: int) -> float:
     """Sum of the first m series terms (orders 0..m-1)."""
     _check_dims(ps, d, m, 1, "m")
-    return float(_series_pass(ps.p, m, d / 2.0).sum())
+    return float(_terms(ps, m, d / 2.0).sum())
 
 
 def inverse_norm_const_truncated(ps: PowerSums, l: int, d: int) -> float:
     """Truncated inverse: 1 - sum of series terms of orders 1..l-1."""
     _check_dims(ps, d, l, 2, "l")
-    return 1.0 - float(_series_pass(ps.p, l, d / 2.0)[1:].sum())
+    return 1.0 - float(_terms(ps, l, d / 2.0)[1:].sum())
 
 
 def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPolynomial:
@@ -82,7 +106,7 @@ def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPoly
     (1/d + tr(Sigma)/(d(d+2))) I + (2/(d(d+2))) Sigma.
     """
     _check_dims(ps, d, m, 2, "m")
-    t = _series_pass(ps.p, m, d / 2.0)
+    t = _terms(ps, m, d / 2.0)
     return GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
 
 
@@ -111,14 +135,15 @@ def _covariance_factors(
     polynomial at order m, and Psi_m, the m-term truncation: the
     covariance product is T g(Sigma), and Cov(X) = grad Psi / Psi.
 
-    One series pass at order max(l, m) serves all three; its terms
-    below either order are bit-identical to a pass at that order, so
-    Psi_m equals :func:`norm_const_truncated` and g equals
+    The terms of order max(l, m) serve all three; those below either
+    order are bit-identical to a pass at that order, so T equals
+    :func:`inverse_norm_const_truncated`, Psi_m equals
+    :func:`norm_const_truncated` and g equals
     :func:`norm_const_gradient_truncated` bit for bit.
     """
     _check_dims(ps, d, l, 2, "l")
     _check_dims(ps, d, m, 2, "m")
-    t = _series_pass(ps.p, max(l, m), d / 2.0)
+    t = _terms(ps, max(l, m), d / 2.0)
     grad = GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
     return 1.0 - float(t[1:l].sum()), grad, float(t[:m].sum())
 
@@ -186,16 +211,6 @@ def covariance_derived_bound(
     b_grad = gradient_tail_bound(m, d, regime)
     b_inv = inverse_tail_bound(l, d, regime)
     scalar, grad, _ = _covariance_factors(ps, l, m, d)
-    return _derived_bound(ps, sigma, scalar, grad, b_grad, b_inv)
-
-
-def _derived_bound(ps: PowerSums, sigma: np.ndarray, scalar: float,
-                   grad: GradientPolynomial, b_grad: float, b_inv: float) -> float:
-    """|T| B_g + B_i (||G||_F + B_g) for the product T G, G = g(Sigma).
-
-    ||G||_F is ||g(lambda)||_2, on the eigenvalues ``ps`` keeps or, if
-    it has none, on those of Sigma.
-    """
     lam = ps.eigenvalues if ps.eigenvalues is not None else power_sums(sigma, 1).eigenvalues
     grad_norm = frobenius_norm(polynomial_values(grad.coeffs, lam))
     return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)

@@ -274,12 +274,26 @@ class PowerSums:
 
     ``p[j]`` holds tr(Sigma^j) for j = 0..K, so ``p[0]`` is the ambient
     dimension d and ``p[1]`` the trace; ``eigenvalues`` is the lambda they
-    sum, or None if p was given directly.  Instances are immutable.
+    sum, or None if p was given directly.
+
+    Instances are immutable.  ``p`` and ``eigenvalues`` are read-only
+    float64 arrays that no other name can write: an array the caller
+    passes is copied, unless it already is read-only and owns its memory.
+    The series terms of ``p`` live with the instance, in a private memo
+    keyed by the Pochhammer parameter a that holds the longest recurrence
+    pass run so far for each a, read-only (see :mod:`binghamx.series`).
+    Two instances never share that memo, whatever their p.
     """
 
     d: int
     p: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray | None = field(default=None, repr=False)
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _read_only(self.p))
+        if self.eigenvalues is not None:
+            object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
 
     @property
     def K(self) -> int:
@@ -292,6 +306,16 @@ class PowerSums:
             raise InsufficientPowersError(
                 f"power sums available up to order {self.K}, need {k}"
             )
+
+
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float64 array that no other name can write:
+    ``a`` itself if it already is one that owns its memory, else a copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+    return a
 
 
 def _diagonal(sigma: np.ndarray) -> np.ndarray | None:
@@ -348,6 +372,8 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
         p[j] = pw.sum()
         if j < K:
             pw *= eig
+    # Both arrays are this call's own: read-only, the instance keeps them.
+    p.flags.writeable = eig.flags.writeable = False
     return PowerSums(d=d, p=p, eigenvalues=eig)
 
 

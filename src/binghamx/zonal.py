@@ -16,10 +16,14 @@ so one pass gives the terms e_k / (a)_k of every order below m in
 O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
 constant, a = 1/2 gives C_k / k!.  Every gradient is a reduction of those
 terms, e_{k-l} / (2 (a)_k) summed over the orders it needs, so values and
-gradients share the one pass.  The Pochhammer division stays inside the
-recurrence, through ratios (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor
-k! is ever formed on its own and no intermediate factor overflows even
-at the largest supported order.  Those ratios, and the index array that
+gradients share the one pass.  The calls of :mod:`binghamx.series` keep
+the terms at a = d/2 with their :class:`PowerSums`, read-only, and rerun
+the pass only for a higher order, so one pass per matrix serves them
+all; ``zonal_value`` and ``zonal_gradient`` run their own at a = 1/2.
+The Pochhammer division stays inside the recurrence, through ratios
+(a)_{k-j} / (a)_k, so neither (a)_k, e_k nor k! is ever formed on its
+own and no intermediate factor overflows even at the largest supported
+order.  Those ratios, and the index array that
 places the terms in the gradient rows, depend on (m, a) alone: they are
 built once per (m, a) and kept in a bounded cache, so a pass on a new
 matrix runs only the O(m^2) recurrence.
@@ -91,8 +95,9 @@ def _series_pass(p: np.ndarray, m: int, a: float) -> np.ndarray:
     and no Pochhammer symbol, e_k or factorial is formed on its own.
     The ratio table depends on (m, a) alone and comes from the bounded
     cache of :func:`_series_tables`.  Every gradient is a reduction of
-    these terms (:func:`_gradient_coeffs`), so value and gradient
-    callers share this one pass.
+    these terms (:func:`_gradient_coeffs`).  The callers in
+    :mod:`binghamx.series` share this one pass: ``series._terms`` keeps
+    it, read-only, on the :class:`PowerSums` it was run for.
     """
     _, ratio, _ = _series_tables(m, a)
     weights = p[1:m] * ratio

@@ -163,7 +163,10 @@ def dense_memory_bound(d, n):
     """Bytes a dense pass may hold: four d x d arrays (V, the sum of squares, a
     mapped deviation and the temporary it is formed from), the (BLOCKS, d)
     deviations, per draw in flight one chunk and 8 bytes per row of a block,
-    and 256 KiB of slack."""
+    and 256 KiB of slack.  A draw in flight also holds three vectors of one
+    float per row of its chunk (r, the shifted exponents and their weights),
+    about 3 CHUNK_BYTES / d bytes; the slack covers them only at larger d,
+    about 25 and up at n = 2e6."""
     arrays = 4 * 8 * d * d + BLOCKS * 8 * d
     return arrays + DRAWS_IN_FLIGHT * (CHUNK_BYTES + 8 * n // BLOCKS) + 256 * 1024
 
@@ -431,6 +434,20 @@ class TestMcMoments:
         sigma = random_trace_zero(np.random.default_rng(71), d, norm=0.9)
         assert traced_peak(mc_moments, sigma, n) < dense_memory_bound(d, n)
 
+    def test_memory_per_row_of_a_draw(self):
+        # At n = 2e6 a draw in flight holds 8 bytes per row of its block,
+        # 320 KB, and 4 * 8 * d^2 is small at d = 50, so the bound sees 8 more
+        # bytes per row: they would add 0.64 MB.
+        n = 2_000_000
+        sigma = random_trace_zero(np.random.default_rng(73), 50, norm=0.9)
+        assert traced_peak(mc_moments, sigma, n) < dense_memory_bound(50, n)
+        # A chunk of d = 20 has 6553 rows, and each draw in flight also holds
+        # three vectors of one float per chunk row: r, the shifted exponents
+        # and their weights.
+        sigma = random_trace_zero(np.random.default_rng(79), 20, norm=0.9)
+        chunk_vectors = DRAWS_IN_FLIGHT * 3 * 8 * _chunk_rows(20)
+        assert traced_peak(mc_moments, sigma, n) < dense_memory_bound(20, n) + chunk_vectors
+
     def test_effective_sample_size(self):
         # Constant weights: every sample counts.  diag(4, 0, 0) concentrates
         # the weights, and both estimates carry the one ESS of their weights.
@@ -677,8 +694,9 @@ class TestMcEigenMoments:
     def test_memory_one_chunk_per_draw(self):
         # A pool worker holds one chunk of Gaussians and 8 bytes per row of its
         # block, and returns only sums of them: per draw in flight one chunk and
-        # 8 bytes per row, whatever d.  Ten times the samples adds only those
-        # bytes per row; a whole block at n = 2e6 is 64 MB.
+        # 8 bytes per row, plus 24 bytes per chunk row (16 KB at d = 200).  Ten
+        # times the samples adds only the bytes per block row; a whole block at
+        # n = 2e6 is 64 MB.
         d = 200
         lam = np.linspace(-1.0, 1.0, d)
         peaks = {n: traced_peak(mc_eigen_moments, lam, n) for n in (200_000, 2_000_000)}

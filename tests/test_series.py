@@ -359,6 +359,77 @@ class TestValueOnlyCallers:
             function(ps, 12, 6)
 
 
+def series_calls(ps, sigma, l, m, d, regime):
+    """The five series calls of one matrix, in the benchmark's order."""
+    return [
+        norm_const_truncated(ps, m, d),
+        inverse_norm_const_truncated(ps, m, d),
+        norm_const_gradient_truncated(ps, m, d).coeffs,
+        covariance_expansion(ps, sigma, l, m, d),
+        covariance_derived_bound(ps, sigma, l, m, d, regime),
+    ]
+
+
+class TestOnePassPerPowerSums:
+    """A PowerSums keeps its series terms: one pass per matrix and order."""
+
+    REGIME = GrowthRegime(scale=0.9, exponent=0.0)
+
+    def test_five_calls_run_one_pass(self, monkeypatch):
+        d = 20
+        sigma = random_trace_zero(np.random.default_rng(53), d, norm=0.8)
+        ps = power_sums(sigma, 39)
+        calls = count_series_passes(monkeypatch)
+        series_calls(ps, sigma, 3, 40, d, self.REGIME)
+        assert calls == [40]
+
+    def test_a_higher_order_runs_one_more_pass(self, monkeypatch):
+        d = 20
+        sigma = random_trace_zero(np.random.default_rng(59), d, norm=0.8)
+        ps = power_sums(sigma, 39)
+        calls = count_series_passes(monkeypatch)
+        series_calls(ps, sigma, 3, 12, d, self.REGIME)
+        assert calls == [12]
+        norm_const_truncated(ps, 40, d)
+        assert calls == [12, 40]
+        for order in (2, 12, 39, 40):
+            series_calls(ps, sigma, min(order, 3), order, d, self.REGIME)
+        assert calls == [12, 40]
+
+    def test_equal_power_sums_share_no_terms(self, monkeypatch):
+        ps = power_sums(random_trace_zero(np.random.default_rng(61), 20, norm=0.8), 39)
+        twins = [PowerSums(ps.d, ps.p, ps.eigenvalues), PowerSums(ps.d, ps.p)]
+        calls = count_series_passes(monkeypatch)
+        for p in (ps, *twins):
+            norm_const_truncated(p, 40, 20)
+        assert calls == [40, 40, 40]
+        assert len({id(p._terms[10.0]) for p in (ps, *twins)}) == 3
+
+    def test_kept_terms_are_read_only(self):
+        ps = power_sums(random_trace_zero(np.random.default_rng(67), 20, norm=0.8), 39)
+        psi = norm_const_truncated(ps, 40, 20)
+        t = ps._terms[10.0]
+        with pytest.raises(ValueError):
+            t[1] = 5.0
+        assert norm_const_truncated(ps, 40, 20) == psi
+
+    @pytest.mark.parametrize("kind", ("dense", "diagonal", "rank_one"))
+    def test_shared_pass_keeps_the_bits(self, kind):
+        # Each call on a shared PowerSums, in a shuffled order of orders,
+        # gives the bits of the same call on a fresh one.
+        rng = np.random.default_rng(71)
+        d = 30
+        sigma = spectral_test_matrix(kind, d, rng, norm=1.5)
+        shared = power_sums(sigma, 39)
+        orders = [(l, m) for l in (2, 3, 12, 40) for m in (2, 5, 12, 40)]
+        for k in rng.permutation(len(orders)):
+            l, m = orders[k]
+            got = series_calls(shared, sigma, l, m, d, self.REGIME)
+            want = series_calls(power_sums(sigma, 39), sigma, l, m, d, self.REGIME)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (l, m)
+
+
 class TestCovariance:
     def test_second_order_closed_form_general(self):
         rng = np.random.default_rng(16)
@@ -529,7 +600,10 @@ class TestSpectralDerivedBound:
         covariance_derived_bound(ps, sigma, 3, 40, d, self.REGIME)
         assert calls == [40]
         calls.clear()
+        # The pass at order 40 that ps keeps serves the lower order.
         covariance_derived_bound(ps, sigma, 12, 4, d, self.REGIME)
+        assert calls == []
+        covariance_derived_bound(power_sums(sigma, 39), sigma, 12, 4, d, self.REGIME)
         assert calls == [12]
 
     def test_checks_before_any_work(self, monkeypatch):

@@ -16,14 +16,17 @@ import binghamx.symmat as symmat
 from binghamx import (
     DimensionMismatchError,
     GradientPolynomial,
+    GrowthRegime,
     InsufficientPowersError,
     MatrixFormatError,
     MatrixValidationError,
     PowerSums,
+    covariance_derived_bound,
     format_matrix,
     frobenius_norm,
     load_matrix,
     materialize,
+    norm_const_truncated,
     power_sums,
     symmetrize,
 )
@@ -366,6 +369,38 @@ class TestPowerSums:
                 pw *= lam
             assert np.array_equal(ps.p, p)
         assert PowerSums(d=2, p=np.array([2.0, 0.0])).eigenvalues is None
+
+    def test_arrays_are_read_only(self):
+        # A write to p or lambda would leave the series terms the instance
+        # keeps stale, so there is none.
+        ps = power_sums(random_symmetric(np.random.default_rng(41), 6), 5)
+        for a in (ps.p, ps.eigenvalues):
+            with pytest.raises(ValueError):
+                a[1] = 5.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+
+    def test_callers_arrays_are_not_aliased(self):
+        d = 12
+        sigma = random_symmetric(np.random.default_rng(43), d, norm=0.8)
+        ps = power_sums(sigma, 11)
+        regime = GrowthRegime(scale=0.9, exponent=0.0)
+        want = (norm_const_truncated(ps, 12, d),
+                covariance_derived_bound(ps, sigma, 3, 12, d, regime))
+        p, lam = ps.p.copy(), ps.eigenvalues.copy()
+        view = p.view()
+        view.flags.writeable = False  # read-only, but p can still write it
+        for own in (PowerSums(d, p, lam), PowerSums(d, view, lam)):
+            p[1], lam[0] = 5.0, 9.0
+            got = (norm_const_truncated(own, 12, d),
+                   covariance_derived_bound(own, sigma, 3, 12, d, regime))
+            assert got == want
+            assert own.p.tobytes() == ps.p.tobytes()
+            assert own.eigenvalues.tobytes() == ps.eigenvalues.tobytes()
+            p[:], lam[:] = ps.p, ps.eigenvalues
+        # A read-only array that owns its memory cannot change: it is kept.
+        assert PowerSums(d, ps.p, ps.eigenvalues).p is ps.p
+        assert PowerSums(d=2, p=[2.0, 0.0]).p.dtype == np.float64
 
     def test_require(self):
         ps = power_sums(np.eye(3), 4)

@@ -29,12 +29,12 @@ are never formed on their own.  Its Pochhammer-ratio table depends on
 cache.
 
 The terms live with the :class:`~binghamx.symmat.PowerSums` they come
-from: every call reads them through :func:`_terms`, which keeps the
-longest pass run so far on that instance, read-only, and runs a new one
-only for a higher order.  A pass to order M >= m holds the order-m terms
-bit for bit, so Psi, 1/Psi, grad Psi, the covariance product and the
-derived bound share one pass per matrix, at the highest order asked, and
-every value keeps the bits of a pass at its own order.
+from: every call reads them through :func:`binghamx.zonal._terms`, which
+keeps the longest pass run so far on that instance, read-only, and runs a
+new one only for a higher order.  A pass to order M >= m holds the
+order-m terms bit for bit, so Psi, 1/Psi, grad Psi, the covariance
+product and the derived bound share one pass per matrix, at the highest
+order asked, and every value keeps the bits of a pass at its own order.
 
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
@@ -57,7 +57,7 @@ from .symmat import (
     polynomial_values,
     power_sums,
 )
-from .zonal import _gradient_coeffs, _series_pass
+from .zonal import _gradient_coeffs, _terms
 
 
 def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
@@ -68,23 +68,6 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
     check_order(name, order, low)
     if order > 1:
         ps.require(order - 1)
-
-
-def _terms(ps: PowerSums, m: int, a: float) -> np.ndarray:
-    """The terms t[k] = e_k / (a)_k of orders k < m, read-only.
-
-    A slice of the longest pass ``ps`` keeps for a; :func:`_series_pass`
-    runs only when none is that long, and its terms replace the shorter
-    pass.  The caller has checked that ``ps`` holds p_1..p_{m-1}.  Calls
-    racing on one ``ps`` may each run a pass; every pass gives the same
-    bits, so the values do not depend on which one is kept.
-    """
-    t = ps._terms.get(a)
-    if t is None or len(t) < m:
-        t = _series_pass(ps.p, m, a)
-        t.flags.writeable = False
-        ps._terms[a] = t
-    return t[:m]
 
 
 def norm_const_truncated(ps: PowerSums, m: int, d: int) -> float:

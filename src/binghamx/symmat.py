@@ -24,9 +24,10 @@ Gradients are matrix polynomials g(Sigma), of degree L = m - 2 for m terms.
 :func:`materialize` evaluates dense ones by the Paterson-Stockmeyer
 scheme: with block size s ~ sqrt(L) it takes (s - 1) + L // s products
 (11 at L = 38, 5 at L = 10) instead of Horner's L, and holds at most
-s + 2 d x d arrays beyond Sigma.  Only the products go through BLAS; the
-block sums and diagonal additions are elementwise, in a fixed order.
-Diagonal Sigma takes Horner's rule on the diagonal, O(d L).
+s + 2 d x d arrays beyond Sigma.  Each block sum is one BLAS gemv over the
+stacked powers and the carried product, so BLAS chooses the order of its
+additions as it does for the products; only the diagonal additions are
+elementwise.  Diagonal Sigma takes Horner's rule on the diagonal, O(d L).
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ class PowerSums:
     passes is copied, unless it already is read-only and owns its memory.
     The series terms of ``p`` live with the instance, in a private memo
     keyed by the Pochhammer parameter a that holds the longest recurrence
-    pass run so far for each a, read-only (see :mod:`binghamx.series`).
+    pass run so far for each a, read-only (see :mod:`binghamx.zonal`).
     Two instances never share that memo, whatever their p.
     """
 
@@ -420,21 +421,6 @@ def _split(degree: int) -> int:
     return min(range(1, math.isqrt(degree) + 2), key=lambda s: s - 1 + degree // s)
 
 
-def _block_terms(coeffs, powers: list[np.ndarray], out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = c_1 Sigma + ... + c_k Sigma^k for coeffs c_0 .. c_k, k <= len(powers).
-
-    The terms are rounded and added one at a time in order of i, each
-    product c_i Sigma^i formed in ``tmp``; c_0 is left to the caller.
-    """
-    if len(coeffs) == 1:
-        out.fill(0.0)
-        return
-    np.multiply(powers[0], coeffs[1], out=out)
-    for c, p in zip(coeffs[2:], powers[1:]):
-        np.multiply(p, c, out=tmp)
-        out += tmp
-
-
 def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     """Evaluate a :class:`GradientPolynomial` at Sigma.
 
@@ -443,15 +429,19 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     2008, sec. 4.2).  For degree L and block size s ~ sqrt(L) it forms
     Sigma^2 .. Sigma^s once and runs Horner's rule in Sigma^s over the
     blocks B_j = c_{js} I + c_{js+1} Sigma + ... + c_{js+s-1} Sigma^(s-1):
-    (s - 1) + L // s matrix products, 11 instead of 38 at L = 38.  Each
-    step is ``acc @ Sigma^s`` plus the block's terms, summed in order of
-    i, with c_{js} added to the diagonal last.  At most s + 2 d x d arrays
-    beyond Sigma are alive at once: the s - 1 powers, the accumulator,
-    the product and one term.  Exact zeros of a product are +0.0, as in
-    dense Horner; for L <= 2 the split is s = 1 and the steps are
-    Horner's.  The result goes through :func:`symmetrize` to remove
-    accumulation asymmetry, so a finite entry above DBL_MAX / 2 stays
-    finite.
+    (s - 1) + L // s matrix products, 11 instead of 38 at L = 38.
+    Sigma .. Sigma^(s-1) and a slot for the carried product share one
+    (s, d, d) array, so each step is ``acc @ Sigma^s`` into that slot, one
+    ``np.dot`` of (c_{js+1}, .., c_{js+s-1}, 1.0) over the stack into acc,
+    and c_{js} added to the diagonal; the top block is the same dot over
+    its own powers.  The order of each gemv's additions is the BLAS
+    kernel's, so results move in their last bits with the BLAS build and
+    thread count, as the products' do.  At most s + 2 d x d arrays beyond
+    Sigma are alive at once: the stack, Sigma^s and the accumulator.
+    Exact zeros of a product are +0.0, as in dense Horner; for L <= 2 the
+    split is s = 1, the dot's weight is 1.0 and the steps are Horner's.
+    The result goes through :func:`symmetrize` to remove accumulation
+    asymmetry, so a finite entry above DBL_MAX / 2 stays finite.
 
     Diagonal Sigma runs Horner's rule on its diagonal in O(d m) through
     :func:`polynomial_values`.  Its off-diagonal entries are exact zeros,
@@ -471,23 +461,30 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     if diag is not None:
         return np.diag(polynomial_values(c, diag))
     sigma = np.asanyarray(sigma, dtype=np.float64)
-    degree, c = len(c) - 1, c.tolist()
+    d, degree = g.d, len(c) - 1
     s = _split(degree)
-    powers = [sigma]
-    for _ in range(s - 1):
-        powers.append(powers[-1] @ sigma)
-    sigma_s = powers.pop()
-    acc, prod, tmp = (np.empty_like(sigma) for _ in range(3))
+    # stack[:s - 1] holds Sigma .. Sigma^(s-1), stack[s - 1] the carried product.
+    stack = np.empty((s, d, d))
+    sigma_s = sigma
+    if s > 1:
+        stack[0] = sigma
+        for i in range(1, s - 1):
+            np.matmul(stack[i - 1], sigma, out=stack[i])
+        sigma_s = stack[s - 2] @ sigma
+    terms = stack.reshape(s, -1)
+    acc = np.empty_like(sigma, order="C")
+    flat = acc.reshape(-1)  # C order makes this a view: np.dot writes acc through it
     last = degree // s * s
-    _block_terms(c[last:], powers, acc, tmp)
-    acc.flat[::g.d + 1] += c[last]
+    if degree > last:
+        np.dot(c[last + 1:], terms[:degree - last], out=flat)
+    else:
+        acc.fill(0.0)
+    flat[::d + 1] += c[last]
+    w = np.ones(s)
     for j in range(last - s, -1, -s):
-        np.matmul(acc, sigma_s, out=prod)
-        block = c[j:j + s]
-        if s > 1:
-            _block_terms(block, powers, acc, tmp)
-            prod += acc
-        prod.flat[::g.d + 1] += block[0]
-        acc, prod = prod, acc
-    del powers, sigma_s, prod, tmp
+        np.matmul(acc, sigma_s, out=stack[s - 1])
+        w[:-1] = c[j + 1:j + s]
+        np.dot(w, terms, out=flat)
+        flat[::d + 1] += c[j]
+    del stack, terms, sigma_s
     return symmetrize(acc)

@@ -16,10 +16,11 @@ so one pass gives the terms e_k / (a)_k of every order below m in
 O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
 constant, a = 1/2 gives C_k / k!.  Every gradient is a reduction of those
 terms, e_{k-l} / (2 (a)_k) summed over the orders it needs, so values and
-gradients share the one pass.  The calls of :mod:`binghamx.series` keep
-the terms at a = d/2 with their :class:`PowerSums`, read-only, and rerun
-the pass only for a higher order, so one pass per matrix serves them
-all; ``zonal_value`` and ``zonal_gradient`` run their own at a = 1/2.
+gradients share the one pass.  Every caller reads the terms through
+:func:`_terms`, which keeps them with their :class:`PowerSums` for each a,
+read-only, and reruns the pass only for a higher order: one pass per
+matrix serves the calls of :mod:`binghamx.series` at a = d/2, and one
+serves ``zonal_value`` and ``zonal_gradient`` at a = 1/2.
 The Pochhammer division stays inside the recurrence, through ratios
 (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor k! is ever formed on its
 own and no intermediate factor overflows even at the largest supported
@@ -95,9 +96,9 @@ def _series_pass(p: np.ndarray, m: int, a: float) -> np.ndarray:
     and no Pochhammer symbol, e_k or factorial is formed on its own.
     The ratio table depends on (m, a) alone and comes from the bounded
     cache of :func:`_series_tables`.  Every gradient is a reduction of
-    these terms (:func:`_gradient_coeffs`).  The callers in
-    :mod:`binghamx.series` share this one pass: ``series._terms`` keeps
-    it, read-only, on the :class:`PowerSums` it was run for.
+    these terms (:func:`_gradient_coeffs`).  Its callers share this one
+    pass: :func:`_terms` keeps it, read-only, on the :class:`PowerSums` it
+    was run for.
     """
     _, ratio, _ = _series_tables(m, a)
     weights = p[1:m] * ratio
@@ -106,6 +107,25 @@ def _series_pass(p: np.ndarray, m: int, a: float) -> np.ndarray:
     for k in range(1, m):
         t[k] = weights[k, :k] @ t[k - 1::-1] / (2 * k)
     return t
+
+
+def _terms(ps: PowerSums, m: int, a: float) -> np.ndarray:
+    """The terms t[k] = e_k / (a)_k of orders k < m, read-only.
+
+    A slice of the longest pass ``ps`` keeps for a; :func:`_series_pass`
+    runs only when none is that long, and its terms replace the shorter
+    pass.  Every caller reads the terms here: the series calls at a = d/2
+    and ``zonal_value`` and ``zonal_gradient`` at a = 1/2.  The caller has
+    checked that ``ps`` holds p_1..p_{m-1}.  Calls racing on one ``ps``
+    may each run a pass; every pass gives the same bits, so the values do
+    not depend on which one is kept.
+    """
+    t = ps._terms.get(a)
+    if t is None or len(t) < m:
+        t = _series_pass(ps.p, m, a)
+        t.flags.writeable = False
+        ps._terms[a] = t
+    return t[:m]
 
 
 def _gradient_coeffs(t: np.ndarray, m: int, a: float) -> np.ndarray:
@@ -189,7 +209,7 @@ def zonal_value(k: int, ps: PowerSums) -> float:
     """
     check_order("k", k, 0)
     ps.require(k)
-    t = _series_pass(ps.p, k + 1, 0.5)
+    t = _terms(ps, k + 1, 0.5)
     return float(math.factorial(k) * t[k])
 
 
@@ -202,7 +222,7 @@ def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
     """
     check_order("k", k, 1)
     ps.require(k)
-    t = _series_pass(ps.p, k + 1, 0.5)
+    t = _terms(ps, k + 1, 0.5)
     row = _series_tables(k + 1, 0.5)[2][k] * t[k - 1::-1]
     return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * row)
 

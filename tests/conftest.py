@@ -43,16 +43,20 @@ def dense_horner(g, sigma: np.ndarray) -> np.ndarray:
 
 
 def count_series_passes(monkeypatch) -> list[int]:
-    """Record the order of every recurrence pass that ``binghamx.series`` runs."""
-    from binghamx import series
+    """Record the order of every recurrence pass that ``binghamx.zonal._terms`` runs.
+
+    Every library call reads its series terms through ``_terms``, so
+    these are all the passes the series and zonal calls make.
+    """
+    from binghamx import zonal
 
     calls = []
 
-    def counted(p, m, a, real=series._series_pass):
+    def counted(p, m, a, real=zonal._series_pass):
         calls.append(m)
         return real(p, m, a)
 
-    monkeypatch.setattr(series, "_series_pass", counted)
+    monkeypatch.setattr(zonal, "_series_pass", counted)
     return calls
 
 

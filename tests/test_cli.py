@@ -555,6 +555,14 @@ class TestZonal:
         assert float(record_value(text, "zonal")) == 1.0
         assert "grad_coeff" not in text
 
+    def test_one_series_pass(self, tmp_path, monkeypatch):
+        # The value and the gradient read the one a = 1/2 pass.
+        path = write_matrix(tmp_path, random_trace_zero(np.random.default_rng(73), 8, norm=0.8))
+        calls = count_series_passes(monkeypatch)
+        code, _ = invoke(["zonal", "--matrix", path, "--k", "12"])
+        assert code == 0
+        assert calls == [13]
+
 
 # Golden bytes of `bounds`: each grid's two csv families and its md/text tables.
 # The CLI promises byte-stable output, so any change here is a change of format.

@@ -47,7 +47,7 @@ from binghamx import (
     norm_const_truncated,
     power_sums,
 )
-from binghamx import series, symmat
+from binghamx import series, symmat, zonal
 from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
 from binghamx.symmat import frobenius_norm
 from binghamx.zonal import _gradient_coeffs, _series_pass
@@ -349,7 +349,7 @@ class TestValueOnlyCallers:
     def test_checks_before_any_work(self, name, monkeypatch):
         function, low = VALUE_ONLY[name]
         ps = power_sums(np.diag([0.3, -0.3, 0.1, -0.1, 0.0]), 11)
-        monkeypatch.setattr(series, "_series_pass", raising("_series_pass"))
+        monkeypatch.setattr(zonal, "_series_pass", raising("_series_pass"))
         for order in (low - 1, 41):
             with pytest.raises(OrderRangeError):
                 function(ps, order, 5)
@@ -611,7 +611,7 @@ class TestSpectralDerivedBound:
         assert admissible_dimension_inverse(self.REGIME) > 5
         sigma = np.diag([0.3, -0.3, 0.1, -0.1, 0.0])
         ps = power_sums(sigma, 11)
-        for module, name in ((series, "_series_pass"), (series, "_gradient_coeffs"),
+        for module, name in ((zonal, "_series_pass"), (series, "_gradient_coeffs"),
                              (series, "materialize"),
                              (symmat, "materialize"), (series, "power_sums"),
                              (symmat, "power_sums"), (np.linalg, "eigvalsh")):

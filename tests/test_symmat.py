@@ -483,18 +483,52 @@ class TestMaterialize:
                 yield s, rng.standard_normal(degree + 1)
 
     @staticmethod
-    def serial_paterson_stockmeyer(g, s):
+    def block_size(degree):
+        """The smallest block size with the fewest products, (k - 1) + degree // k."""
+        products = {k: k - 1 + degree // k for k in range(1, degree + 1)}
+        return min(k for k in products if products[k] == min(products.values()))
+
+    @classmethod
+    def serial_paterson_stockmeyer(cls, g, s):
         """Paterson-Stockmeyer in plain loops, rounding as materialize is meant to.
 
-        Block size k: the smallest with the fewest products.  Powers
-        Sigma^1 .. Sigma^k by repeated products; then, from the top block
-        down, out @ Sigma^k plus the block's terms c_i Sigma^i (i >= 1)
-        summed left to right, then c_0 added to the diagonal.
+        Powers Sigma^1 .. Sigma^k by repeated products; then, from the top
+        block down, each block is one ``np.dot`` of its weights over a
+        stacked array of its own rows: the top block's c_i over Sigma^i
+        (i >= 1), every lower block's c_i over Sigma^i and 1.0 over
+        out @ Sigma^k; then c_0 is added to the diagonal.
         """
         c, d = g.coeffs, g.d
         degree = len(c) - 1
-        products = {k: k - 1 + degree // k for k in range(1, degree + 1)}
-        k = min(k for k in products if products[k] == min(products.values()))
+        k = cls.block_size(degree)
+        powers = [s]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ s)
+        out = None
+        for j in reversed(range(0, degree + 1, k)):
+            n = min(k, degree + 1 - j) - 1
+            if out is None:
+                rows, w = powers[:n], list(c[j + 1:j + 1 + n])
+            else:
+                rows, w = powers[:k - 1] + [out @ powers[k - 1]], list(c[j + 1:j + k]) + [1.0]
+            if rows:
+                stacked = np.array(rows).reshape(len(rows), -1)
+                out = np.dot(np.array(w), stacked).reshape(d, d)
+            else:
+                out = np.zeros((d, d))
+            for i in range(d):
+                out[i, i] += c[j]
+        return (out + out.T) / 2.0
+
+    @classmethod
+    def termwise_paterson_stockmeyer(cls, g, s):
+        """The same scheme with each block's terms c_i Sigma^i (i >= 1)
+        rounded one at a time, summed left to right and then added to
+        out @ Sigma^k: one fixed order of the additions that the gemv of
+        materialize leaves to the BLAS kernel."""
+        c, d = g.coeffs, g.d
+        degree = len(c) - 1
+        k = cls.block_size(degree)
         powers = [np.eye(d), s]
         for _ in range(k - 1):
             powers.append(powers[-1] @ s)
@@ -538,6 +572,58 @@ class TestMaterialize:
                 # The split has block size 1: the steps are Horner's.
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_close_to_termwise_block_sums(self):
+        # The block sums' order of additions is the BLAS kernel's; any order
+        # stays within rounding of the term-by-term sums.  The scale is the
+        # largest entry of sum_l |c_l| |Sigma|^l, which bounds every term: a
+        # result that cancels (d = 7, degree 30 here) can be far smaller.
+        rng = np.random.default_rng(12)
+        for d in (2, 7, 30, 100):
+            for degree in range(1, 40):
+                s = random_symmetric(rng, d, norm=2.0)
+                c = rng.standard_normal(degree + 1)
+                g = GradientPolynomial(d=d, coeffs=c)
+                got, ref = materialize(g, s), self.termwise_paterson_stockmeyer(g, s)
+                scale = self.termwise_paterson_stockmeyer(
+                    GradientPolynomial(d=d, coeffs=np.abs(c)), np.abs(s)).max()
+                assert np.abs(got - ref).max() <= 1e-15 * scale, (d, degree)
+
+    def test_one_dot_per_block(self, monkeypatch):
+        dots = []
+
+        def counted(*args, real=np.dot, **kwargs):
+            dots.append(np.shape(args[1]))
+            return real(*args, **kwargs)
+
+        rng = np.random.default_rng(5)
+        sigma = random_symmetric(rng, 5, norm=1.0)
+        # Blocks with a term: every lower block, and the top one unless it is c_L I.
+        want = {1: 1, 2: 2, 3: 2, 4: 2, 10: 4, 38: 8, 39: 8}
+        for degree, blocks in want.items():
+            g = GradientPolynomial(d=5, coeffs=rng.standard_normal(degree + 1))
+            ref = materialize(g, sigma)
+            dots.clear()
+            monkeypatch.setattr(np, "dot", counted)
+            got = materialize(g, sigma)
+            monkeypatch.undo()
+            assert len(dots) == blocks, degree
+            assert all(shape[1] == 25 for shape in dots)
+            assert np.array_equal(got, ref)
+
+    def test_any_memory_layout(self):
+        # The dots write the accumulator through a flat view, whatever the
+        # layout of Sigma: Fortran order, or a strided view.
+        rng = np.random.default_rng(8)
+        for degree in (1, 3, 10, 38):
+            s = random_symmetric(rng, 6, norm=1.0)
+            g = GradientPolynomial(d=6, coeffs=rng.standard_normal(degree + 1))
+            want = materialize(g, s)
+            wide = np.zeros((12, 12))
+            wide[::2, ::2] = s
+            for layout in (np.asfortranarray(s), wide[::2, ::2]):
+                got = materialize(g, layout)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), degree
 
     def test_product_count(self):
         class Counted(np.ndarray):

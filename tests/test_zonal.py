@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import haar_orthogonal, random_symmetric
+from conftest import count_series_passes, haar_orthogonal, random_symmetric
 
 from binghamx import (
     InsufficientPowersError,
@@ -200,6 +200,21 @@ class TestZonalGradient:
                         i,
                         j,
                     )
+
+    def test_value_and_gradient_share_one_pass(self, monkeypatch):
+        sigma = random_symmetric(np.random.default_rng(9), 6, norm=1.0)
+        # References, each from a PowerSums of its own: a pass at its own order.
+        value = zonal_value(12, power_sums(sigma, 20))
+        coeffs = zonal_gradient(12, power_sums(sigma, 20)).coeffs
+        low = zonal_value(5, power_sums(sigma, 20))
+        ps = power_sums(sigma, 20)
+        calls = count_series_passes(monkeypatch)
+        assert zonal_value(12, ps) == value
+        assert np.array_equal(zonal_gradient(12, ps).coeffs, coeffs)
+        assert calls == [13]
+        # A lower order reads the kept pass and keeps the bits of its own.
+        assert zonal_value(5, ps) == low
+        assert calls == [13]
 
     def test_trace_zero_second_order(self):
         # With p1 = 0 the leading coefficient vanishes.

@@ -34,9 +34,9 @@ its own generator and the reductions stay in index order, so the results
 do not depend on that overlap.  A block costs O(size * d), calls no BLAS
 routine, and no array of size * d entries exists: a draw in flight holds
 one chunk, 8 bytes per row of its block (the exponents that become the
-weights in place) and, while a chunk is reduced, three vectors of one
-float per chunk row (r, the shifted exponents and their weights), about
-3 CHUNK_BYTES / d bytes, which is not small at small d.  Only O(d)
+weights in place) and two vectors of one float per chunk row (r, and
+one reused buffer in which the shifted exponents become their weights),
+about 2 CHUNK_BYTES / d bytes, which is not small at small d.  Only O(d)
 values cross threads, so the memory of a pass does not grow with n * d.
 The shift keeps every weight at most 1 and the largest weight of each
 block at exactly 1, so neither the weights nor their squares overflow,
@@ -182,9 +182,9 @@ def _eigen_block(
     largest exponent s_c and adds their numerator, times e^(s_c - s), to a
     running sum kept at the largest shift s so far; at the end e becomes
     the weights in place, and then their squares, for sum w and sum w^2.
-    So a worker holds one chunk, 8 bytes per row of the block and, while
-    a chunk is reduced, r, part - shift and w: 24 bytes per chunk row,
-    about 3 CHUNK_BYTES / d.  Only those two floats, the d-vector
+    So a worker holds one chunk, 8 bytes per row of the block and 16 per
+    chunk row, about 2 CHUNK_BYTES / d: r, and one reused buffer in which
+    part - shift becomes w in place.  Only those two floats, the d-vector
     numerator and s leave it.
     Each e and s equal those of the whole block at once, so w and both
     sums are bit for bit the same; the numerator moves in its last digits
@@ -197,6 +197,7 @@ def _eigen_block(
     """
     d = len(eigenvalues)
     e = np.empty(size)
+    buf = np.empty(min(_chunk_rows(d), size) + 1)  # + 1: a lone last row joins its chunk
     top, num = -math.inf, np.zeros(d)
     for start, z in _normal_chunks(d, size, seed, block, _chunk_rows(d)):
         z *= z
@@ -205,8 +206,9 @@ def _eigen_block(
         np.einsum("ij,j->i", z, eigenvalues, out=part)
         part /= r
         shift = float(part.max())
+        w = buf[: len(z)]
         with np.errstate(invalid="ignore"):
-            w = _finite(np.exp(part - shift))
+            _finite(np.exp(np.subtract(part, shift, out=w), out=w))
         if shift > top:
             num *= math.exp(top - shift)
             top = shift

@@ -38,8 +38,8 @@ order asked, and every value keeps the bits of a pass at its own order.
 
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
-||G||_F = ||g(lambda)||_2.  The derived bound reads ||G||_F from the
-eigenvalues in O(d m) and never forms G.
+||G||_F = ||g(lambda)||_2.  A PowerSums is built from lambda, so the
+derived bound reads ||G||_F from it in O(d m) and never forms G.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .symmat import (
     frobenius_norm,
     materialize,
     polynomial_values,
-    power_sums,
 )
 from .zonal import _gradient_coeffs, _terms
 
@@ -179,11 +178,9 @@ def covariance_derived_bound(
         ||Cov - T G||_F <= |T| B_g + B_i (||G||_F + B_g).
 
     G = V g(Lambda) V' for Sigma = V Lambda V', so ||G||_F = ||g(lambda)||_2:
-    O(d m) on the eigenvalues ``ps`` keeps (or, when ``ps`` was built from
-    p alone, on those :func:`power_sums` finds for Sigma), and G itself is
-    never formed.  The orders, the dimensions and both tail bounds, with
-    the admissibility of d, are checked before any series or eigenvalue
-    work.
+    O(d m) on the eigenvalues ``ps`` is built from, and G itself is never
+    formed.  The orders, the dimensions and both tail bounds, with the
+    admissibility of d, are checked before any series work.
 
     Derived, not sharp; requires d above the inverse-expansion
     threshold.  The tight statement remains the alpha descriptor.
@@ -194,6 +191,5 @@ def covariance_derived_bound(
     b_grad = gradient_tail_bound(m, d, regime)
     b_inv = inverse_tail_bound(l, d, regime)
     scalar, grad, _ = _covariance_factors(ps, l, m, d)
-    lam = ps.eigenvalues if ps.eigenvalues is not None else power_sums(sigma, 1).eigenvalues
-    grad_norm = frobenius_norm(polynomial_values(grad.coeffs, lam))
+    grad_norm = frobenius_norm(polynomial_values(grad.coeffs, ps.eigenvalues))
     return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)

@@ -269,37 +269,46 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(squares))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSums:
-    """Traces of matrix powers, the sufficient statistics of the series.
+    """A spectrum lambda and its power sums, the sufficient statistics of the series.
 
-    ``p[j]`` holds tr(Sigma^j) for j = 0..K, so ``p[0]`` is the ambient
-    dimension d and ``p[1]`` the trace; ``eigenvalues`` is the lambda they
-    sum, or None if p was given directly.
+    ``PowerSums(eigenvalues, K)`` derives the rest from lambda alone:
+    ``p[j]`` = sum_i lambda_i^j = tr(Sigma^j) for j = 0..K, the sums of a
+    running product of lambda, so ``p[0]`` is d = ``len(eigenvalues)`` and
+    ``p[1]`` the trace.  No instance holds power sums of another spectrum.
 
-    Instances are immutable.  ``p`` and ``eigenvalues`` are read-only
-    float64 arrays that no other name can write: an array the caller
-    passes is copied, unless it already is read-only and owns its memory.
-    The series terms of ``p`` live with the instance, in a private memo
-    keyed by the Pochhammer parameter a that holds the longest recurrence
-    pass run so far for each a, read-only (see :mod:`binghamx.zonal`).
-    Two instances never share that memo, whatever their p.
+    Instances are immutable and equal only to themselves.  ``eigenvalues``
+    and ``p`` are read-only float64 arrays that no other name can write:
+    ``eigenvalues`` is copied unless it already is read-only and owns its
+    memory.  The series terms of ``p`` live with the instance, in a private
+    memo keyed by the Pochhammer parameter a that holds the longest pass run
+    so far for each a, read-only (:mod:`binghamx.zonal`); no two share it.
     """
 
-    d: int
-    p: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray | None = field(default=None, repr=False)
-    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(repr=False)
+    K: int
+    d: int = field(init=False)
+    p: np.ndarray = field(init=False, repr=False)
+    _terms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _read_only(self.p))
-        if self.eigenvalues is not None:
-            object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
-
-    @property
-    def K(self) -> int:
-        """Highest power available."""
-        return len(self.p) - 1
+        if self.K < 1:
+            raise InsufficientPowersError(f"K must be >= 1, got {self.K}")
+        lam = _read_only(self.eigenvalues)
+        if lam.ndim != 1:
+            raise MatrixValidationError(f"expected a 1-D spectrum, got shape {lam.shape}")
+        p = np.empty(self.K + 1)
+        p[0] = len(lam)
+        pw = lam.copy()
+        for j in range(1, self.K + 1):
+            p[j] = pw.sum()
+            if j < self.K:
+                pw *= lam
+        p.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "d", len(lam))
+        object.__setattr__(self, "p", p)
 
     def require(self, k: int) -> None:
         """Raise unless powers up to order ``k`` are available."""
@@ -330,8 +339,8 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
     """Compute tr(Sigma^j) for j = 1..K from the eigenvalues of Sigma.
 
     Dense matrices take one ``eigvalsh`` (lambda ascending), diagonal ones
-    their diagonal as it stands; the result keeps that lambda.  Dense ones
-    beyond ``DENSE_EIGEN_LIMIT`` are rejected; diagonal ones of any size are fine.
+    their diagonal as it stands; the result is ``PowerSums(lambda, K)``.  Dense
+    ones beyond ``DENSE_EIGEN_LIMIT`` are rejected; diagonal ones of any size are fine.
 
     Parameters
     ----------
@@ -353,10 +362,8 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
         raise InsufficientPowersError(f"K must be >= 1, got {K}")
     if not np.isfinite(sigma).all():
         raise MatrixValidationError("matrix has non-finite entries")
-    diag = _diagonal(sigma)
-    if diag is not None:
-        eig = diag.astype(np.float64, copy=True)
-    else:
+    eig = _diagonal(sigma)
+    if eig is None:
         if d > DENSE_EIGEN_LIMIT:
             raise MatrixValidationError(
                 f"dense matrices are limited to d <= {DENSE_EIGEN_LIMIT} "
@@ -366,16 +373,7 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
             eig = np.linalg.eigvalsh(sigma)
         except np.linalg.LinAlgError as exc:
             raise MatrixValidationError(f"eigenvalue decomposition failed: {exc}") from exc
-    p = np.empty(K + 1, dtype=np.float64)
-    p[0] = float(d)
-    pw = eig.copy()
-    for j in range(1, K + 1):
-        p[j] = pw.sum()
-        if j < K:
-            pw *= eig
-    # Both arrays are this call's own: read-only, the instance keeps them.
-    p.flags.writeable = eig.flags.writeable = False
-    return PowerSums(d=d, p=p, eigenvalues=eig)
+    return PowerSums(eig, K)
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,10 @@ def dense_memory_bound(d, n):
     """Bytes a dense pass may hold: four d x d arrays (V, the sum of squares, a
     mapped deviation and the temporary it is formed from), the (BLOCKS, d)
     deviations, per draw in flight one chunk and 8 bytes per row of a block,
-    and 256 KiB of slack.  A draw in flight also holds three vectors of one
-    float per row of its chunk (r, the shifted exponents and their weights),
-    about 3 CHUNK_BYTES / d bytes; the slack covers them only at larger d,
-    about 25 and up at n = 2e6."""
+    and 256 KiB of slack.  A draw in flight also holds two vectors of one
+    float per row of its chunk (r, and the buffer in which the shifted
+    exponents become their weights), about 2 CHUNK_BYTES / d bytes; the
+    slack covers them only at larger d, about 17 and up at n = 2e6."""
     arrays = 4 * 8 * d * d + BLOCKS * 8 * d
     return arrays + DRAWS_IN_FLIGHT * (CHUNK_BYTES + 8 * n // BLOCKS) + 256 * 1024
 
@@ -442,10 +442,10 @@ class TestMcMoments:
         sigma = random_trace_zero(np.random.default_rng(73), 50, norm=0.9)
         assert traced_peak(mc_moments, sigma, n) < dense_memory_bound(50, n)
         # A chunk of d = 20 has 6553 rows, and each draw in flight also holds
-        # three vectors of one float per chunk row: r, the shifted exponents
-        # and their weights.
+        # two vectors of one float per chunk row: r, and the buffer in which
+        # the shifted exponents become their weights.
         sigma = random_trace_zero(np.random.default_rng(79), 20, norm=0.9)
-        chunk_vectors = DRAWS_IN_FLIGHT * 3 * 8 * _chunk_rows(20)
+        chunk_vectors = DRAWS_IN_FLIGHT * 2 * 8 * _chunk_rows(20)
         assert traced_peak(mc_moments, sigma, n) < dense_memory_bound(20, n) + chunk_vectors
 
     def test_effective_sample_size(self):

@@ -5,13 +5,14 @@ recurrence k e_k = 1/2 sum_j p_j e_{k-j} over the power sums.  Oracles,
 none of which shares code with it:
 
 * exact partition sums in Fractions (``zonal_value_exact`` and a direct
-  differentiation of the same sum) for k <= 12, on random rational power
-  sums, one of them with an exact p_1 = 0;
+  differentiation of the same sum) for k <= 12, on the power sums of
+  random dyadic spectra, which float64 holds exactly, one of them with
+  p_1 = 0;
 * the float64 partition sums ``scaled_zonal_value`` /
   ``scaled_zonal_gradient`` times (1/2)_k / (d/2)_k, formed here as the
   sequential product of the factors (1/2 + i) / (d/2 + i), for m <= 25;
 * the recurrence itself run in exact rationals, at d = 10^6 and m = 40,
-  on a diagonal input given by its power sums.
+  on the power sums of a diagonal input given by its spectrum.
 
 Every comparison is relative to the sum of the absolute values of the
 terms, so cancellation in the series cannot fail it.  A guard test keeps
@@ -77,29 +78,40 @@ def exact_gradient_sum(k, powers):
     return out
 
 
-def random_rational_powers(rng, kmax, d):
-    """[d, p_1, ..., p_kmax] as Fractions with small random denominators."""
-    return [Fraction(d)] + [
-        Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 10)))
-        for _ in range(kmax)
-    ]
+def trace_zero_dyadic_spectrum(rng, d):
+    """d eigenvalues n/8 with |n| <= 16, as Fractions, summing to zero."""
+    while True:
+        n = rng.integers(-16, 17, d - 1)
+        if abs(n.sum()) <= 16:
+            return [Fraction(int(x), 8) for x in (*n, -n.sum())]
 
 
-def as_power_sums(powers, d):
-    return PowerSums(d=d, p=np.array([float(x) for x in powers]))
+def exact_power_sums(spectrum, d):
+    """The PowerSums of ``spectrum`` padded with zeros to dimension d, and its
+    p_0 .. p_12 as Fractions, which p equals: each of the seven nonzero
+    lambda_i^j (j <= 12) is a multiple of 2^-36 of size at most 2^12, so
+    every partial sum is exact in float64."""
+    ps = PowerSums([float(x) for x in spectrum] + [0.0] * (d - len(spectrum)), 12)
+    powers = [Fraction(d)] + [sum(x**j for x in spectrum) for j in range(1, 13)]
+    assert ps.p.tolist() == powers
+    return ps, powers
 
 
 def exact_cases():
+    """Three random dyadic spectra of dimension 7; the second has p_1 = 0."""
     rng = np.random.default_rng(41)
-    cases = [random_rational_powers(rng, 12, 7) for _ in range(3)]
-    cases[1][1] = Fraction(0)
+    cases = [[Fraction(int(n), 8) for n in rng.integers(-16, 17, 7)] for _ in range(3)]
+    cases[1] = trace_zero_dyadic_spectrum(rng, 7)
     return cases
 
 
+EXACT_IDS = [f"powers{i}" for i in range(3)]
+
+
 class TestAgainstExactPartitionSums:
-    @pytest.mark.parametrize("powers", exact_cases())
-    def test_zonal_value_and_gradient(self, powers):
-        ps = as_power_sums(powers, 7)
+    @pytest.mark.parametrize("spectrum", exact_cases(), ids=EXACT_IDS)
+    def test_zonal_value_and_gradient(self, spectrum):
+        ps, powers = exact_power_sums(spectrum, 7)
         magnitudes = [abs(x) for x in powers]
         for k in range(1, 13):
             scale = float(zonal_value_exact(k, magnitudes))
@@ -115,10 +127,10 @@ class TestAgainstExactPartitionSums:
             for l in range(k):
                 assert abs(coeffs[l] - want[l]) <= RTOL * bound[l], (k, l)
 
-    @pytest.mark.parametrize("powers", exact_cases())
+    @pytest.mark.parametrize("spectrum", exact_cases(), ids=EXACT_IDS)
     @pytest.mark.parametrize("d", [7, 100])
-    def test_series_value_inverse_gradient(self, powers, d):
-        ps = as_power_sums([Fraction(d)] + powers[1:], d)
+    def test_series_value_inverse_gradient(self, spectrum, d):
+        ps, powers = exact_power_sums(spectrum, d)
         magnitudes = [abs(x) for x in powers]
         terms, scales = [Fraction(1)], [Fraction(1)]
         grads, grad_scales = [], []
@@ -146,15 +158,29 @@ class TestAgainstExactPartitionSums:
                 assert abs(coeffs[l] - float(want)) <= RTOL * float(bound), (m, l)
 
 
+def plus_minus_spectrum(lam, d):
+    """lambda_1, -lambda_1, lambda_2, -lambda_2, ..., padded with zeros to d.
+
+    numpy sums each pair, and each block of pairs, to an exact zero, so
+    every odd power sum is an exact zero.
+    """
+    spectrum = np.zeros(d)
+    spectrum[0 : 2 * len(lam) : 2] = lam
+    spectrum[1 : 2 * len(lam) : 2] = -lam
+    return spectrum
+
+
 def float_reference_cases():
+    """A dense matrix's power sums and a +-lambda spectrum's, whose odd p_j
+    are exact zeros, at d = 5 and 100."""
     rng = np.random.default_rng(43)
     cases = []
     for d in (5, 100):
         cases.append((d, power_sums(random_symmetric(rng, d, norm=1.5), 25)))
-        ps = power_sums(random_trace_zero(rng, d, norm=1.5), 25)
-        p = ps.p.copy()
-        p[1] = 0.0
-        cases.append((d, PowerSums(d=d, p=p)))
+        lam = np.linalg.eigvalsh(random_symmetric(rng, d // 2, norm=1.5 / math.sqrt(2)))
+        ps = PowerSums(plus_minus_spectrum(lam, d), 25)
+        assert not ps.p[1::2].any()
+        cases.append((d, ps))
     return cases
 
 
@@ -196,15 +222,14 @@ class TestAgainstFloatPartitionSums:
 class TestHugeDimension:
     def test_diagonal_d_million_m40(self):
         # (d/2)_39 is about 10^222 at d = 10^6.  The diagonal takes 25
-        # dyadic values n/8 with random multiplicities, so its power sums
-        # are exact rationals; it is never materialized as a matrix.
+        # dyadic values n/8 with random multiplicities; it is never
+        # materialized as a matrix.  The exact recurrence runs on the
+        # exact values of the float power sums.
         d, m = 10**6, 40
-        values = [Fraction(n, 8) for n in range(-8, 17)]
+        values = np.arange(-8, 17) / 8
         counts = np.random.default_rng(47).multinomial(d, [1 / len(values)] * len(values))
-        q = [Fraction(d)] + [
-            sum(int(c) * v**j for c, v in zip(counts, values)) for j in range(1, m)
-        ]
-        ps = PowerSums(d=d, p=np.array([float(x) for x in q]))
+        ps = PowerSums(np.repeat(values, counts), m - 1)
+        q = [Fraction(x) for x in ps.p]
         e = [Fraction(1)]
         for k in range(1, m):
             e.append(sum(q[j] * e[k - j] for j in range(1, k + 1)) / (2 * k))
@@ -322,11 +347,17 @@ class TestCachedTables:
 
     @pytest.mark.parametrize("kind", sorted(bit_identity_inputs()))
     def test_zonal_gradient_is_the_reference_row(self, kind):
+        # zonal_gradient's row, the cached half[k] times the reversed terms
+        # of one a = 1/2 pass, is the reference's order-k gradient row on
+        # any p; on a spectrum's p, zonal_gradient returns k! times it.
         p = bit_identity_inputs()[kind]
-        ps = PowerSums(d=20, p=p)
+        ps = PowerSums(np.random.default_rng(61).standard_normal(20), 40)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in ORDERS:
                 _, want_g = uncached_series_pass(p, k + 1, 0.5)
+                t = _series_pass(p, k + 1, 0.5)
+                assert_same_bits(_series_tables(k + 1, 0.5)[2][k] * t[k - 1 :: -1], want_g[k])
+                _, want_g = uncached_series_pass(ps.p, k + 1, 0.5)
                 want = float(math.factorial(k)) * want_g[k]
                 assert_same_bits(zonal_gradient(k, ps).coeffs, want)
 
@@ -363,8 +394,8 @@ class TestCachedTables:
                 table *= 2
 
     def test_writes_into_results_do_not_reach_the_next_call(self):
-        p = bit_identity_inputs()["random"]
-        ps = PowerSums(d=20, p=p)
+        ps = PowerSums(np.random.default_rng(67).standard_normal(20), 40)
+        p = ps.p
         want_t, want_g = (x.copy() for x in pass_and_gradient(p, 40, 10.0))
         want_grad = norm_const_gradient_truncated(ps, 40, 20).coeffs.copy()
         want_zonal = zonal_gradient(40, ps).coeffs.copy()

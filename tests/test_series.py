@@ -158,17 +158,17 @@ def raise_largest(spectrum):
     return [(lam + Fraction(1, 2**20), 1), (lam, mult - 1), *rest]
 
 
-def rounded_power_sums(spectrum, m):
-    """The spectrum's p_0 .. p_(m-1), each correctly rounded."""
+def rounded_terms(spectrum, m):
+    """The recurrence's terms of orders below m at a = d/2, on the spectrum's
+    p_0 .. p_(m-1), each correctly rounded: the pass every series call runs."""
     d = spectral_reference.dimension(spectrum)
     p = [float(x) for x in spectral_reference.power_sums(spectrum, m - 1)]
-    return PowerSums(d=d, p=np.array(p))
+    return _series_pass(np.array(p), m, d / 2.0)
 
 
 def float_psi(spectrum, m):
-    """norm_const_truncated on the spectrum's power sums, each correctly rounded."""
-    d = spectral_reference.dimension(spectrum)
-    return norm_const_truncated(rounded_power_sums(spectrum, m), m, d)
+    """Psi_m as norm_const_truncated sums it, on the correctly rounded power sums."""
+    return float(rounded_terms(spectrum, m).sum())
 
 
 class TestExactSpectralReference:
@@ -218,8 +218,10 @@ class TestExactGradientReference:
 
     @staticmethod
     def float_coeffs(spectrum, m):
+        """grad Psi_m as norm_const_gradient_truncated reduces it, on the
+        correctly rounded power sums."""
         d = spectral_reference.dimension(spectrum)
-        return norm_const_gradient_truncated(rounded_power_sums(spectrum, m), m, d).coeffs
+        return _gradient_coeffs(rounded_terms(spectrum, m), m, d / 2.0)
 
     @pytest.mark.parametrize("m", [6, 20, 40])
     @pytest.mark.parametrize("name", EXACT_SPECTRA)
@@ -398,7 +400,7 @@ class TestOnePassPerPowerSums:
 
     def test_equal_power_sums_share_no_terms(self, monkeypatch):
         ps = power_sums(random_trace_zero(np.random.default_rng(61), 20, norm=0.8), 39)
-        twins = [PowerSums(ps.d, ps.p, ps.eigenvalues), PowerSums(ps.d, ps.p)]
+        twins = [PowerSums(ps.eigenvalues, ps.K), PowerSums(ps.eigenvalues.copy(), ps.K)]
         calls = count_series_passes(monkeypatch)
         for p in (ps, *twins):
             norm_const_truncated(p, 40, 20)
@@ -581,15 +583,13 @@ class TestSpectralDerivedBound:
         rng = np.random.default_rng(1000 + d)
         sigma = spectral_test_matrix(kind, d, rng)
         ps = power_sums(sigma, 39)
-        from_p = PowerSums(d, ps.p)  # no eigenvalues: the bound takes them from Sigma
         want = {lm: materialized_derived_bound(ps, sigma, *lm, d, self.REGIME)
                 for lm in self.ORDERS}
         monkeypatch.setattr(series, "materialize", raising("materialize"))
         monkeypatch.setattr(symmat, "materialize", raising("materialize"))
         for (l, m), ref in want.items():
-            for p in (ps, from_p):
-                got = covariance_derived_bound(p, sigma, l, m, d, self.REGIME)
-                assert abs(got - ref) <= 1e-15 * ref, (kind, d, l, m, p.eigenvalues is None)
+            got = covariance_derived_bound(ps, sigma, l, m, d, self.REGIME)
+            assert abs(got - ref) <= 1e-15 * ref, (kind, d, l, m)
 
     def test_one_series_pass(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -612,15 +612,13 @@ class TestSpectralDerivedBound:
         sigma = np.diag([0.3, -0.3, 0.1, -0.1, 0.0])
         ps = power_sums(sigma, 11)
         for module, name in ((zonal, "_series_pass"), (series, "_gradient_coeffs"),
-                             (series, "materialize"),
-                             (symmat, "materialize"), (series, "power_sums"),
+                             (series, "materialize"), (symmat, "materialize"),
                              (symmat, "power_sums"), (np.linalg, "eigvalsh")):
             monkeypatch.setattr(module, name, raising(name))
-        for p in (ps, PowerSums(5, ps.p)):
-            with pytest.raises(InadmissibleDimensionError):
-                covariance_derived_bound(p, sigma, 3, 12, 5, self.REGIME)
-            with pytest.raises(OrderRangeError):
-                covariance_derived_bound(p, sigma, 3, 41, 5, self.REGIME)
+        with pytest.raises(InadmissibleDimensionError):
+            covariance_derived_bound(ps, sigma, 3, 12, 5, self.REGIME)
+        with pytest.raises(OrderRangeError):
+            covariance_derived_bound(ps, sigma, 3, 41, 5, self.REGIME)
 
     @pytest.mark.parametrize("kind", ("dense", "diagonal", "rank_one"))
     def test_one_pass_factors_bit_identical(self, kind):

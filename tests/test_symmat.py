@@ -368,7 +368,42 @@ class TestPowerSums:
                 p.append(pw.sum())
                 pw *= lam
             assert np.array_equal(ps.p, p)
-        assert PowerSums(d=2, p=np.array([2.0, 0.0])).eigenvalues is None
+
+    def test_built_from_a_spectrum(self):
+        # PowerSums(lambda, K) has the bits of power_sums on a matrix of that
+        # lambda, dense or diagonal, signed zeros included.
+        rng = np.random.default_rng(39)
+        dense = random_symmetric(rng, 7)
+        diag = np.diag([0.3, -0.0, 0.0, -0.45, 1e-200, -0.0, 2.5])
+        for s, lam in ((dense, np.linalg.eigvalsh(dense)), (diag, np.diagonal(diag).copy())):
+            for K in (1, 2, 6, 40):
+                want, got = power_sums(s, K), PowerSums(lam, K)
+                assert got.d == want.d == 7 and got.K == want.K == K
+                assert got.p.tobytes() == want.p.tobytes()
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+    def test_spectrum_at_d_million_needs_no_matrix(self):
+        # The running product holds a copy of lambda and one power at a
+        # time: O(d) memory at any K, where a d x d array would take 8 TB.
+        d = 10**6
+        lam = np.random.default_rng(41).uniform(-1.0, 1.0, d)
+        tracemalloc.start()
+        try:
+            ps = PowerSums(lam, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.d == d and ps.K == 40 and np.isfinite(ps.p).all()
+        assert peak < 3 * 8 * d
+
+    def test_equality_is_identity(self):
+        # Each instance keeps its own series memo, so twins are not equal,
+        # and instances are hashable.
+        s = random_symmetric(np.random.default_rng(47), 5)
+        a, b = power_sums(s, 3), power_sums(s, 3)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_arrays_are_read_only(self):
         # A write to p or lambda would leave the series terms the instance
@@ -387,20 +422,20 @@ class TestPowerSums:
         regime = GrowthRegime(scale=0.9, exponent=0.0)
         want = (norm_const_truncated(ps, 12, d),
                 covariance_derived_bound(ps, sigma, 3, 12, d, regime))
-        p, lam = ps.p.copy(), ps.eigenvalues.copy()
-        view = p.view()
-        view.flags.writeable = False  # read-only, but p can still write it
-        for own in (PowerSums(d, p, lam), PowerSums(d, view, lam)):
-            p[1], lam[0] = 5.0, 9.0
+        lam = ps.eigenvalues.copy()
+        view = lam.view()
+        view.flags.writeable = False  # read-only, but lam can still write it
+        for own in (PowerSums(lam, 11), PowerSums(view, 11)):
+            lam[0] = 9.0
             got = (norm_const_truncated(own, 12, d),
                    covariance_derived_bound(own, sigma, 3, 12, d, regime))
             assert got == want
             assert own.p.tobytes() == ps.p.tobytes()
             assert own.eigenvalues.tobytes() == ps.eigenvalues.tobytes()
-            p[:], lam[:] = ps.p, ps.eigenvalues
+            lam[:] = ps.eigenvalues
         # A read-only array that owns its memory cannot change: it is kept.
-        assert PowerSums(d, ps.p, ps.eigenvalues).p is ps.p
-        assert PowerSums(d=2, p=[2.0, 0.0]).p.dtype == np.float64
+        assert PowerSums(ps.eigenvalues, 11).eigenvalues is ps.eigenvalues
+        assert PowerSums([2.0, 0.0], 1).eigenvalues.dtype == np.float64
 
     def test_require(self):
         ps = power_sums(np.eye(3), 4)
@@ -411,6 +446,11 @@ class TestPowerSums:
     def test_argument_validation(self):
         with pytest.raises(InsufficientPowersError):
             power_sums(np.eye(3), 0)
+        with pytest.raises(InsufficientPowersError, match=">= 1"):
+            PowerSums(np.array([0.5, -0.5]), 0)
+        # The sums of a matrix's entrywise powers are not its power sums.
+        with pytest.raises(MatrixValidationError, match="1-D spectrum"):
+            PowerSums(np.diag([0.5, -0.5]), 2)
         with pytest.raises(MatrixValidationError):
             power_sums(np.ones((2, 3)), 2)
         with pytest.raises(MatrixValidationError, match=">= 2"):

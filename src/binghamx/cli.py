@@ -368,13 +368,15 @@ def _verify_series(ps, l: int, m: int) -> list[tuple[str, object]]:
 
     Entry k of the sampled covariance V diag(E_w[y*y]) V' is compared with
     T g(lambda_k), lambda ascending: the eigenvalues of the series product
-    T g(Sigma), in O(d m) time and O(d) memory.  Psi, T and g come from
-    one series pass.
+    T g(Sigma), in O(d m) time and O(d) memory.  T, g and Psi read the
+    one series pass that ``ps`` keeps.
     """
     import numpy as np
 
     lam = np.sort(ps.eigenvalues)
-    scalar, grad, psi = series._covariance_factors(ps, l, m, ps.d)
+    scalar = series.inverse_norm_const_truncated(ps, l, ps.d)
+    grad = series.norm_const_gradient_truncated(ps, m, ps.d)
+    psi = series.norm_const_truncated(ps, m, ps.d)
     return [("psi", psi), ("cov", scalar * symmat.polynomial_values(grad.coeffs, lam)),
             ("eigenvalues", lam)]
 

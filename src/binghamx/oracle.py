@@ -372,7 +372,7 @@ def mc_eigen_moments(
     rotation invariance, and weighted by exp(q @ lambda), q = y*y,
     computed shifted by the block's largest exponent so that no weight
     overflows.  Each of the DRAWS_IN_FLIGHT draws in flight holds one chunk
-    of about CHUNK_BYTES Gaussians, 8 bytes per row of its block and 24
+    of about CHUNK_BYTES Gaussians, 8 bytes per row of its block and 16
     bytes per row of its chunk, and the jackknife keeps BLOCKS numerators
     of d entries.  Returns the estimate of Psi and the d-vector E_w[q]
     with jackknife errors:

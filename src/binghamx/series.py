@@ -30,11 +30,11 @@ cache.
 
 The terms live with the :class:`~binghamx.symmat.PowerSums` they come
 from: every call reads them through :func:`binghamx.zonal._terms`, which
-keeps the longest pass run so far on that instance, read-only, and runs a
-new one only for a higher order.  A pass to order M >= m holds the
-order-m terms bit for bit, so Psi, 1/Psi, grad Psi, the covariance
-product and the derived bound share one pass per matrix, at the highest
-order asked, and every value keeps the bits of a pass at its own order.
+runs one pass per instance, at the highest order its power sums allow,
+and keeps it read-only.  A pass to order M >= m holds the order-m terms
+bit for bit, so Psi, 1/Psi, grad Psi, the covariance product and the
+derived bound share one pass per matrix, each slices the orders it needs,
+and every value keeps the bits of a pass at its own order.
 
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
@@ -72,13 +72,13 @@ def _check_dims(ps: PowerSums, d: int, order: int, low: int, name: str) -> None:
 def norm_const_truncated(ps: PowerSums, m: int, d: int) -> float:
     """Sum of the first m series terms (orders 0..m-1)."""
     _check_dims(ps, d, m, 1, "m")
-    return float(_terms(ps, m, d / 2.0).sum())
+    return float(_terms(ps, d / 2.0)[:m].sum())
 
 
 def inverse_norm_const_truncated(ps: PowerSums, l: int, d: int) -> float:
     """Truncated inverse: 1 - sum of series terms of orders 1..l-1."""
     _check_dims(ps, d, l, 2, "l")
-    return 1.0 - float(_terms(ps, l, d / 2.0)[1:].sum())
+    return 1.0 - float(_terms(ps, d / 2.0)[1:l].sum())
 
 
 def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPolynomial:
@@ -88,7 +88,7 @@ def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPoly
     (1/d + tr(Sigma)/(d(d+2))) I + (2/(d(d+2))) Sigma.
     """
     _check_dims(ps, d, m, 2, "m")
-    t = _terms(ps, m, d / 2.0)
+    t = _terms(ps, d / 2.0)
     return GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
 
 
@@ -96,10 +96,9 @@ def covariance_expansion(
     ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int
 ) -> np.ndarray:
     """Covariance approximation: truncated inverse times truncated gradient."""
-    _check_sigma(sigma, d)
-    scalar, grad, _ = _covariance_factors(ps, l, m, d)
-    cov = materialize(grad, sigma)
-    cov *= scalar
+    _check_covariance(ps, sigma, l, m, d)
+    cov = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
+    cov *= inverse_norm_const_truncated(ps, l, d)
     return cov
 
 
@@ -110,24 +109,11 @@ def _check_sigma(sigma: np.ndarray, d: int) -> None:
         )
 
 
-def _covariance_factors(
-    ps: PowerSums, l: int, m: int, d: int
-) -> tuple[float, GradientPolynomial, float]:
-    """T, the truncated inverse at order l, g, the truncated gradient
-    polynomial at order m, and Psi_m, the m-term truncation: the
-    covariance product is T g(Sigma), and Cov(X) = grad Psi / Psi.
-
-    The terms of order max(l, m) serve all three; those below either
-    order are bit-identical to a pass at that order, so T equals
-    :func:`inverse_norm_const_truncated`, Psi_m equals
-    :func:`norm_const_truncated` and g equals
-    :func:`norm_const_gradient_truncated` bit for bit.
-    """
+def _check_covariance(ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int) -> None:
+    """The checks of both covariance calls, in their order: Sigma, l, m."""
+    _check_sigma(sigma, d)
     _check_dims(ps, d, l, 2, "l")
     _check_dims(ps, d, m, 2, "m")
-    t = _terms(ps, max(l, m), d / 2.0)
-    grad = GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
-    return 1.0 - float(t[1:l].sum()), grad, float(t[:m].sum())
 
 
 def covariance_second_order(sigma: np.ndarray, d: int) -> np.ndarray:
@@ -185,11 +171,10 @@ def covariance_derived_bound(
     Derived, not sharp; requires d above the inverse-expansion
     threshold.  The tight statement remains the alpha descriptor.
     """
-    _check_sigma(sigma, d)
-    _check_dims(ps, d, l, 2, "l")
-    _check_dims(ps, d, m, 2, "m")
+    _check_covariance(ps, sigma, l, m, d)
     b_grad = gradient_tail_bound(m, d, regime)
     b_inv = inverse_tail_bound(l, d, regime)
-    scalar, grad, _ = _covariance_factors(ps, l, m, d)
+    scalar = inverse_norm_const_truncated(ps, l, d)
+    grad = norm_const_gradient_truncated(ps, m, d)
     grad_norm = frobenius_norm(polynomial_values(grad.coeffs, ps.eigenvalues))
     return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)

@@ -277,13 +277,15 @@ class PowerSums:
     ``p[j]`` = sum_i lambda_i^j = tr(Sigma^j) for j = 0..K, the sums of a
     running product of lambda, so ``p[0]`` is d = ``len(eigenvalues)`` and
     ``p[1]`` the trace.  No instance holds power sums of another spectrum.
+    Like :func:`power_sums`, it rejects fewer than 2 eigenvalues and any
+    non-finite one with :class:`MatrixValidationError`.
 
     Instances are immutable and equal only to themselves.  ``eigenvalues``
     and ``p`` are read-only float64 arrays that no other name can write:
     ``eigenvalues`` is copied unless it already is read-only and owns its
     memory.  The series terms of ``p`` live with the instance, in a private
-    memo keyed by the Pochhammer parameter a that holds the longest pass run
-    so far for each a, read-only (:mod:`binghamx.zonal`); no two share it.
+    memo that holds one pass per Pochhammer parameter a, to order
+    min(K, MAX_ORDER) + 1, read-only (:mod:`binghamx.zonal`); no two share it.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -298,6 +300,10 @@ class PowerSums:
         lam = _read_only(self.eigenvalues)
         if lam.ndim != 1:
             raise MatrixValidationError(f"expected a 1-D spectrum, got shape {lam.shape}")
+        if len(lam) < 2:
+            raise MatrixValidationError(f"dimension must be >= 2, got {len(lam)}")
+        if not np.isfinite(lam).all():
+            raise MatrixValidationError("spectrum has non-finite entries")
         p = np.empty(self.K + 1)
         p[0] = len(lam)
         pw = lam.copy()

@@ -17,10 +17,11 @@ O(m^2) per matrix: a = d/2 gives the series terms of the normalizing
 constant, a = 1/2 gives C_k / k!.  Every gradient is a reduction of those
 terms, e_{k-l} / (2 (a)_k) summed over the orders it needs, so values and
 gradients share the one pass.  Every caller reads the terms through
-:func:`_terms`, which keeps them with their :class:`PowerSums` for each a,
-read-only, and reruns the pass only for a higher order: one pass per
-matrix serves the calls of :mod:`binghamx.series` at a = d/2, and one
-serves ``zonal_value`` and ``zonal_gradient`` at a = 1/2.
+:func:`_terms`, which runs one pass per :class:`PowerSums` and a, at the
+highest order its power sums allow, and keeps it read-only; each caller
+slices the orders it needs.  One pass per matrix serves the calls of
+:mod:`binghamx.series` at a = d/2, and one serves ``zonal_value`` and
+``zonal_gradient`` at a = 1/2.
 The Pochhammer division stays inside the recurrence, through ratios
 (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor k! is ever formed on its
 own and no intermediate factor overflows even at the largest supported
@@ -50,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import (
+    MAX_ORDER,
     check_order,
     enumerate_partitions,
     half_pochhammer,
@@ -68,8 +70,9 @@ def _series_tables(m: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     above the diagonal, so that half * t[shift] is the gradient rows of
     :func:`_gradient_coeffs` with no mask.  Built once per (m, a) and
     kept in a cache of at most 8 entries.  The largest order is
-    m = MAX_ORDER + 1 = 41, for ``zonal_value(40, ps)``, where an entry
-    holds 39,360 bytes, so the cache never holds more than 314,880 bytes.
+    m = MAX_ORDER + 1 = 41, the pass of a PowerSums with K >= MAX_ORDER,
+    where an entry holds 39,360 bytes, so the cache never holds more than
+    314,880 bytes.
     """
     shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
     below = shift >= 0
@@ -109,23 +112,23 @@ def _series_pass(p: np.ndarray, m: int, a: float) -> np.ndarray:
     return t
 
 
-def _terms(ps: PowerSums, m: int, a: float) -> np.ndarray:
-    """The terms t[k] = e_k / (a)_k of orders k < m, read-only.
+def _terms(ps: PowerSums, a: float) -> np.ndarray:
+    """The terms t[k] = e_k / (a)_k of every order k <= min(K, MAX_ORDER), read-only.
 
-    A slice of the longest pass ``ps`` keeps for a; :func:`_series_pass`
-    runs only when none is that long, and its terms replace the shorter
-    pass.  Every caller reads the terms here: the series calls at a = d/2
-    and ``zonal_value`` and ``zonal_gradient`` at a = 1/2.  The caller has
-    checked that ``ps`` holds p_1..p_{m-1}.  Calls racing on one ``ps``
-    may each run a pass; every pass gives the same bits, so the values do
-    not depend on which one is kept.
+    The one :func:`_series_pass` that ``ps`` keeps for a, run on the first
+    call: its order min(K, MAX_ORDER) + 1 is the highest that the power
+    sums and :func:`~binghamx.partitions.check_order` allow.  A pass to a
+    higher order holds the lower orders' terms bit for bit, so every
+    caller slices its own prefix: the series calls at a = d/2, and
+    ``zonal_value`` and ``zonal_gradient`` at a = 1/2.  Calls racing on
+    one ``ps`` may each run the pass; every run gives the same bits.
     """
     t = ps._terms.get(a)
-    if t is None or len(t) < m:
-        t = _series_pass(ps.p, m, a)
+    if t is None:
+        t = _series_pass(ps.p, min(ps.K, MAX_ORDER) + 1, a)
         t.flags.writeable = False
         ps._terms[a] = t
-    return t[:m]
+    return t
 
 
 def _gradient_coeffs(t: np.ndarray, m: int, a: float) -> np.ndarray:
@@ -209,8 +212,7 @@ def zonal_value(k: int, ps: PowerSums) -> float:
     """
     check_order("k", k, 0)
     ps.require(k)
-    t = _terms(ps, k + 1, 0.5)
-    return float(math.factorial(k) * t[k])
+    return float(math.factorial(k) * _terms(ps, 0.5)[k])
 
 
 def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
@@ -222,7 +224,7 @@ def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
     """
     check_order("k", k, 1)
     ps.require(k)
-    t = _terms(ps, k + 1, 0.5)
+    t = _terms(ps, 0.5)
     row = _series_tables(k + 1, 0.5)[2][k] * t[k - 1::-1]
     return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * row)
 

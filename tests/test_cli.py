@@ -1055,7 +1055,7 @@ class TestVerify:
 
     def test_one_series_pass(self, tmp_path, monkeypatch):
         # Psi, T and the gradient coefficients all come from one pass at
-        # order max(l, m).
+        # order K + 1, with K = max(l, m) the highest power sum the CLI forms.
         path = write_matrix(tmp_path, random_trace_zero(np.random.default_rng(71), 12, norm=0.8))
         calls = count_series_passes(monkeypatch)
         for l, m in ((3, 12), (9, 4)):
@@ -1063,7 +1063,7 @@ class TestVerify:
             code, _ = invoke(["verify", "--matrix", path, "--samples", "2000", "--seed", "5",
                               "--l", str(l), "--m", str(m)])
             assert code in (0, 1)
-            assert calls == [max(l, m)]
+            assert calls == [max(l, m) + 1]
 
     @staticmethod
     def printed_series(monkeypatch, path, d, ks):
@@ -1151,13 +1151,13 @@ class TestVerifyDecision:
         path = write_matrix(tmp_path, sigma)
         n, seed = 20_000, 17
         psi, _ = oracle.mc_eigen_moments(np.linalg.eigvalsh(sigma), n, seed)
-        real = series._covariance_factors
+        real = series.norm_const_truncated
 
-        def scaled(ps, l, m, d):
-            scalar, grad, value = real(ps, l, m, d)
-            return scalar, grad, value * (1.0 + 12.0 * psi.std_error / value)
+        def scaled(ps, m, d):
+            value = real(ps, m, d)
+            return value * (1.0 + 12.0 * psi.std_error / value)
 
-        monkeypatch.setattr(series, "_covariance_factors", scaled)
+        monkeypatch.setattr(series, "norm_const_truncated", scaled)
         code, text = self.run_verify(path, n, seed)
         assert code == 1
         assert self.statuses(text)["psi"] == "FAIL"
@@ -1168,17 +1168,16 @@ class TestVerifyDecision:
         sigma = np.diag([1.0, -1.0, 0.5, -0.5, 0.0])
         path = write_matrix(tmp_path, sigma)
 
-        real = series._covariance_factors
+        real = series.norm_const_gradient_truncated
 
-        def flipped(ps, l, m, d):
-            scalar, grad, psi = real(ps, l, m, d)
-            coeffs = grad.coeffs.copy()
+        def flipped(ps, m, d):
+            coeffs = real(ps, m, d).coeffs.copy()
             coeffs[1] = -coeffs[1]
-            return scalar, GradientPolynomial(d=grad.d, coeffs=coeffs), psi
+            return GradientPolynomial(d=d, coeffs=coeffs)
 
         code, text = self.run_verify(path, 20_000, 19)
         assert code == 0
-        monkeypatch.setattr(series, "_covariance_factors", flipped)
+        monkeypatch.setattr(series, "norm_const_gradient_truncated", flipped)
         code, text = self.run_verify(path, 20_000, 19)
         assert code == 1
         status = self.statuses(text)

@@ -694,7 +694,7 @@ class TestMcEigenMoments:
     def test_memory_one_chunk_per_draw(self):
         # A pool worker holds one chunk of Gaussians and 8 bytes per row of its
         # block, and returns only sums of them: per draw in flight one chunk and
-        # 8 bytes per row, plus 24 bytes per chunk row (16 KB at d = 200).  Ten
+        # 8 bytes per row, plus 16 bytes per chunk row (about 10 KB at d = 200).  Ten
         # times the samples adds only the bytes per block row; a whole block at
         # n = 2e6 is 64 MB.
         d = 200

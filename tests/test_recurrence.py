@@ -415,7 +415,7 @@ class TestCachedTables:
     def test_cache_is_bounded_and_its_size_stated(self):
         maxsize = _series_tables.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
-        # zonal_value(MAX_ORDER, ps) runs the largest order, MAX_ORDER + 1.
+        # A PowerSums with K >= MAX_ORDER runs the largest order, MAX_ORDER + 1.
         tables = _series_tables(MAX_ORDER + 1, 0.5)
         assert [table.shape for table in tables] == [(MAX_ORDER + 1, MAX_ORDER)] * 3
         entry = sum(table.nbytes for table in tables)

@@ -49,8 +49,9 @@ from binghamx import (
 )
 from binghamx import series, symmat, zonal
 from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
+from binghamx.partitions import MAX_ORDER
 from binghamx.symmat import frobenius_norm
-from binghamx.zonal import _gradient_coeffs, _series_pass
+from binghamx.zonal import _gradient_coeffs, _series_pass, zonal_gradient, zonal_value
 
 
 def raising(name):
@@ -339,13 +340,16 @@ class TestValueOnlyCallers:
 
     @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
     def test_one_series_pass(self, name, monkeypatch):
+        # Every order reads the one pass at K + 1, whether or not K + 1
+        # is the order asked for.
         function, _ = VALUE_ONLY[name]
-        ps = power_sums(random_trace_zero(np.random.default_rng(37), 20, norm=0.8), 39)
+        sigma = random_trace_zero(np.random.default_rng(37), 20, norm=0.8)
         calls = count_series_passes(monkeypatch)
         for order in (2, 12, 40):
-            calls.clear()
-            function(ps, order, 20)
-            assert calls == [order]
+            for K in (order - 1, 39):
+                calls.clear()
+                function(power_sums(sigma, K), order, 20)
+                assert calls == [K + 1]
 
     @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
     def test_checks_before_any_work(self, name, monkeypatch):
@@ -373,7 +377,7 @@ def series_calls(ps, sigma, l, m, d, regime):
 
 
 class TestOnePassPerPowerSums:
-    """A PowerSums keeps its series terms: one pass per matrix and order."""
+    """A PowerSums keeps its series terms: one pass per matrix and a, at order K + 1."""
 
     REGIME = GrowthRegime(scale=0.9, exponent=0.0)
 
@@ -385,18 +389,60 @@ class TestOnePassPerPowerSums:
         series_calls(ps, sigma, 3, 40, d, self.REGIME)
         assert calls == [40]
 
-    def test_a_higher_order_runs_one_more_pass(self, monkeypatch):
+    def test_every_order_reads_the_one_pass(self, monkeypatch):
         d = 20
         sigma = random_trace_zero(np.random.default_rng(59), d, norm=0.8)
         ps = power_sums(sigma, 39)
         calls = count_series_passes(monkeypatch)
         series_calls(ps, sigma, 3, 12, d, self.REGIME)
-        assert calls == [12]
+        assert calls == [40]
         norm_const_truncated(ps, 40, d)
-        assert calls == [12, 40]
         for order in (2, 12, 39, 40):
             series_calls(ps, sigma, min(order, 3), order, d, self.REGIME)
-        assert calls == [12, 40]
+        assert calls == [40]
+
+    def test_one_pass_per_parameter(self, monkeypatch):
+        # zonal_value and zonal_gradient read the a = 1/2 pass, the five
+        # series calls the a = d/2 one, whatever their orders.
+        d = 20
+        sigma = random_trace_zero(np.random.default_rng(79), d, norm=0.8)
+        ps = power_sums(sigma, 39)
+        passes = []
+
+        def recorded(p, m, a, real=zonal._series_pass):
+            passes.append((m, a))
+            return real(p, m, a)
+
+        monkeypatch.setattr(zonal, "_series_pass", recorded)
+        zonal_value(12, ps)
+        series_calls(ps, sigma, 3, 12, d, self.REGIME)
+        zonal_gradient(39, ps)
+        series_calls(ps, sigma, 40, 2, d, self.REGIME)
+        zonal_value(0, ps)
+        assert passes == [(40, 0.5), (40, d / 2.0)]
+
+    def test_pass_order_stops_at_max_order_plus_one(self, monkeypatch):
+        # Power sums past MAX_ORDER enter no order a caller may ask for:
+        # K = 1000 runs one pass at MAX_ORDER + 1, and no table of the
+        # bounded cache is built for a higher order.
+        d = 20
+        sigma = random_trace_zero(np.random.default_rng(83), d, norm=0.8)
+        ps = power_sums(sigma, 1000)
+        orders = []
+
+        def recorded(m, a, real=zonal._series_tables):
+            orders.append(m)
+            return real(m, a)
+
+        monkeypatch.setattr(zonal, "_series_tables", recorded)
+        calls = count_series_passes(monkeypatch)
+        norm_const_truncated(ps, 2, d)
+        assert calls == [MAX_ORDER + 1]
+        series_calls(ps, sigma, 40, 40, d, self.REGIME)
+        zonal_value(40, ps)
+        zonal_gradient(40, ps)
+        assert calls == [MAX_ORDER + 1] * 2
+        assert max(orders) == MAX_ORDER + 1
 
     def test_equal_power_sums_share_no_terms(self, monkeypatch):
         ps = power_sums(random_trace_zero(np.random.default_rng(61), 20, norm=0.8), 39)
@@ -427,7 +473,8 @@ class TestOnePassPerPowerSums:
         for k in rng.permutation(len(orders)):
             l, m = orders[k]
             got = series_calls(shared, sigma, l, m, d, self.REGIME)
-            want = series_calls(power_sums(sigma, 39), sigma, l, m, d, self.REGIME)
+            fresh = power_sums(sigma, max(l, m) - 1)  # a pass at order max(l, m)
+            want = series_calls(fresh, sigma, l, m, d, self.REGIME)
             for g, w in zip(got, want):
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (l, m)
 
@@ -473,8 +520,8 @@ class TestCovariance:
         d = 200
         s = random_trace_zero(rng, d, norm=0.8)
         ps = power_sums(s, 11)
-        scalar, grad, _ = series._covariance_factors(ps, 3, 12, d)
-        g = materialize(grad, s)
+        scalar = inverse_norm_const_truncated(ps, 3, d)
+        g = materialize(norm_const_gradient_truncated(ps, 12, d), s)
         want = (scalar * g).tobytes()
         monkeypatch.setattr(series, "materialize", lambda *args: g)
         tracemalloc.start()
@@ -548,10 +595,11 @@ def materialized_derived_bound(ps, sigma, l, m, d, regime):
 
 
 def two_pass_factors(ps, l, m, d):
-    """T at order l and the gradient coefficients at order m, one series pass each."""
+    """T at order l, and the gradient coefficients and Psi_m at order m:
+    one series pass at each order."""
     t = _series_pass(ps.p, l, d / 2.0)
-    g = _gradient_coeffs(_series_pass(ps.p, m, d / 2.0), m, d / 2.0)
-    return 1.0 - float(t[1:].sum()), g
+    u = _series_pass(ps.p, m, d / 2.0)
+    return 1.0 - float(t[1:].sum()), _gradient_coeffs(u, m, d / 2.0), float(u.sum())
 
 
 def spectral_test_matrix(kind, d, rng, norm=0.8):
@@ -600,10 +648,10 @@ class TestSpectralDerivedBound:
         covariance_derived_bound(ps, sigma, 3, 40, d, self.REGIME)
         assert calls == [40]
         calls.clear()
-        # The pass at order 40 that ps keeps serves the lower order.
+        # The pass at order K + 1 = 40 that ps keeps serves the lower orders.
         covariance_derived_bound(ps, sigma, 12, 4, d, self.REGIME)
         assert calls == []
-        covariance_derived_bound(power_sums(sigma, 39), sigma, 12, 4, d, self.REGIME)
+        covariance_derived_bound(power_sums(sigma, 11), sigma, 12, 4, d, self.REGIME)
         assert calls == [12]
 
     def test_checks_before_any_work(self, monkeypatch):
@@ -622,16 +670,19 @@ class TestSpectralDerivedBound:
 
     @pytest.mark.parametrize("kind", ("dense", "diagonal", "rank_one"))
     def test_one_pass_factors_bit_identical(self, kind):
+        # T, g and Psi_m read the one pass ps keeps, at order 40, and have
+        # the bits of a pass at their own order.
         rng = np.random.default_rng(47)
         sigma = spectral_test_matrix(kind, 30, rng, norm=1.5)
         ps = power_sums(sigma, 39)
         for l in (2, 3, 4, 7, 12, 25, 40):
             for m in (2, 3, 4, 7, 12, 25, 40):
-                scalar, grad, psi = series._covariance_factors(ps, l, m, 30)
-                ref_scalar, ref_coeffs = two_pass_factors(ps, l, m, 30)
+                scalar = inverse_norm_const_truncated(ps, l, 30)
+                grad = norm_const_gradient_truncated(ps, m, 30)
+                psi = norm_const_truncated(ps, m, 30)
+                ref_scalar, ref_coeffs, ref_psi = two_pass_factors(ps, l, m, 30)
                 assert np.float64(scalar).tobytes() == np.float64(ref_scalar).tobytes()
                 assert grad.coeffs.tobytes() == ref_coeffs.tobytes(), (l, m)
-                ref_psi = norm_const_truncated(ps, m, 30)
                 assert np.float64(psi).tobytes() == np.float64(ref_psi).tobytes()
                 if m in (4, 12):
                     ref = materialize(GradientPolynomial(d=30, coeffs=ref_coeffs), sigma)

@@ -458,6 +458,21 @@ class TestPowerSums:
         with pytest.raises(MatrixValidationError):
             power_sums(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2)
 
+    @pytest.mark.parametrize("spectrum, message", [
+        ([], "dimension must be >= 2, got 0"),
+        ([0.5], "dimension must be >= 2, got 1"),
+        ([np.nan, 1.0], "spectrum has non-finite entries"),
+        ([np.inf, 0.0], "spectrum has non-finite entries"),
+    ], ids=["empty", "one", "nan", "inf"])
+    def test_rejects_what_power_sums_rejects(self, spectrum, message):
+        with pytest.raises(MatrixValidationError, match=message):
+            PowerSums(np.array(spectrum, dtype=np.float64), 3)
+
+    def test_overflowing_spectrum_is_rejected(self):
+        # Finite entries whose eigenvalue 3.4e308 overflows float64.
+        with pytest.raises(MatrixValidationError, match="spectrum has non-finite"):
+            power_sums(np.full((2, 2), 1.7e308), 3)
+
     def test_dense_limit_guard(self, monkeypatch):
         monkeypatch.setattr(symmat, "DENSE_EIGEN_LIMIT", 4)
         dense = random_symmetric(np.random.default_rng(0), 5)

@@ -25,8 +25,8 @@ O(m^2) pass of the generating-function recurrence over the power sums
 reduction of those terms.  The Pochhammer division stays inside the
 recurrence, so (d/2)_k, e_k and k!, which grow without bound in k and d,
 are never formed on their own.  Its Pochhammer-ratio table depends on
-(m, d) alone and is built once per order and dimension, in a bounded
-cache.
+the pass order and d alone: one table per (pass order, a = d/2), in a
+bounded cache, which the pass and every gradient reduction read.
 
 The terms live with the :class:`~binghamx.symmat.PowerSums` they come
 from: every call reads them through :func:`binghamx.zonal._terms`, which

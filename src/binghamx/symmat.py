@@ -379,6 +379,12 @@ def power_sums(sigma: np.ndarray, K: int) -> PowerSums:
             eig = np.linalg.eigvalsh(sigma)
         except np.linalg.LinAlgError as exc:
             raise MatrixValidationError(f"eigenvalue decomposition failed: {exc}") from exc
+        if not np.isfinite(eig).all():
+            raise MatrixValidationError(
+                f"eigenvalues overflow float64: max |sigma_ij| = {float(np.abs(sigma).max())!r} "
+                f"at d = {d}; they stay finite while d * max |sigma_ij| <= "
+                f"{float(np.finfo(float).max)!r}"
+            )
     return PowerSums(eig, K)
 
 

@@ -25,10 +25,10 @@ slices the orders it needs.  One pass per matrix serves the calls of
 The Pochhammer division stays inside the recurrence, through ratios
 (a)_{k-j} / (a)_k, so neither (a)_k, e_k nor k! is ever formed on its
 own and no intermediate factor overflows even at the largest supported
-order.  Those ratios, and the index array that
-places the terms in the gradient rows, depend on (m, a) alone: they are
-built once per (m, a) and kept in a bounded cache, so a pass on a new
-matrix runs only the O(m^2) recurrence.
+order.  Those ratios and the index array that places the terms in the
+gradient rows form one table per (pass order, a), in a bounded cache
+that the pass and its gradients read, so a new matrix costs only the
+O(m^2) recurrence.
 
 The partition sums remain as independent references: exactly in
 ``zonal_value_exact``, and in float64 from cached per-order partition
@@ -68,11 +68,11 @@ def _series_tables(m: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     and read-only: shift[k, j-1] = max(k - j, 0), ratio[k, j-1] =
     (a)_{k-j} / (a)_k where k >= j, and half = 0.5 * ratio there and 0
     above the diagonal, so that half * t[shift] is the gradient rows of
-    :func:`_gradient_coeffs` with no mask.  Built once per (m, a) and
-    kept in a cache of at most 8 entries.  The largest order is
-    m = MAX_ORDER + 1 = 41, the pass of a PowerSums with K >= MAX_ORDER,
-    where an entry holds 39,360 bytes, so the cache never holds more than
-    314,880 bytes.
+    :func:`_gradient_coeffs` with no mask.  Row k is the same at any
+    m > k, so there is one table per (pass order, a), which the pass's
+    gradients slice, in a cache of at most 8 entries.  The largest order,
+    MAX_ORDER + 1 = 41 (a PowerSums with K >= MAX_ORDER), takes 39,360
+    bytes an entry, so the cache never holds more than 314,880 bytes.
     """
     shift = np.arange(m)[:, None] - np.arange(1, m)[None, :]  # k - j
     below = shift >= 0
@@ -97,8 +97,8 @@ def _series_pass(p: np.ndarray, m: int, a: float) -> np.ndarray:
         t[k] = 1/(2k) sum_{j=1..k} p_j ratio[k, j-1] t[k-j],
 
     and no Pochhammer symbol, e_k or factorial is formed on its own.
-    The ratio table depends on (m, a) alone and comes from the bounded
-    cache of :func:`_series_tables`.  Every gradient is a reduction of
+    The ratio table is the one per (pass order, a) in the bounded cache
+    of :func:`_series_tables`.  Every gradient is a reduction of
     these terms (:func:`_gradient_coeffs`).  Its callers share this one
     pass: :func:`_terms` keeps it, read-only, on the :class:`PowerSums` it
     was run for.
@@ -134,13 +134,13 @@ def _terms(ps: PowerSums, a: float) -> np.ndarray:
 def _gradient_coeffs(t: np.ndarray, m: int, a: float) -> np.ndarray:
     """Coefficients of grad sum_{k<m} t[k] as a polynomial in Sigma.
 
-    ``t`` holds the terms of :func:`_series_pass` at parameter a and any
-    order >= m; only t[:m - 1] enters.  The coefficient of Sigma^(l-1)
-    in grad t[k] is e_{k-l} / (2 (a)_k) = 1/2 ratio[k, l-1] t[k-l] for
-    1 <= l <= k, so the length-(m - 1) result sums those rows over k < m.
+    ``t`` holds the terms of a :func:`_series_pass` at parameter a and
+    order len(t) >= m, whose table it reads; only t[:m - 1] enters.  The
+    coefficient of Sigma^(l-1) in grad t[k] is e_{k-l} / (2 (a)_k) =
+    1/2 ratio[k, l-1] t[k-l] for 1 <= l <= k, summed over k < m.
     """
-    shift, _, half = _series_tables(m, a)
-    return (half * t[shift]).sum(axis=0)
+    shift, _, half = _series_tables(len(t), a)
+    return (half[:m, :m - 1] * t[shift[:m, :m - 1]]).sum(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -219,13 +219,13 @@ def zonal_gradient(k: int, ps: PowerSums) -> GradientPolynomial:
     """Gradient of C_k as a :class:`GradientPolynomial` of degree k - 1.
 
     The gradient convention is G_ab = (1 + delta_ab)/2 * d/dsigma_ab, so
-    grad C_1 = I and grad C_2 = (2/3)((tr Sigma) I + 2 Sigma).  Only the
-    order-k row of the recurrence's gradient enters: half[k, l-1] t[k-l].
+    grad C_1 = I and grad C_2 = (2/3)((tr Sigma) I + 2 Sigma).  Only row
+    k of the a = 1/2 pass's table enters: half[k, l-1] t[k-l].
     """
     check_order("k", k, 1)
     ps.require(k)
     t = _terms(ps, 0.5)
-    row = _series_tables(k + 1, 0.5)[2][k] * t[k - 1::-1]
+    row = _series_tables(len(t), 0.5)[2][k, :k] * t[k - 1::-1]
     return GradientPolynomial(d=ps.d, coeffs=float(math.factorial(k)) * row)
 
 

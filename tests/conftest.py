@@ -60,6 +60,25 @@ def count_series_passes(monkeypatch) -> list[int]:
     return calls
 
 
+def record_table_orders(monkeypatch) -> list[int]:
+    """Record the order of every table that ``binghamx.zonal._series_tables`` is asked for.
+
+    The recurrence pass and every gradient reduction read their tables
+    through it.  Each lookup still goes through the cached function, so
+    its ``cache_info`` counts them.
+    """
+    from binghamx import zonal
+
+    orders = []
+
+    def recorded(m, a, real=zonal._series_tables):
+        orders.append(m)
+        return real(m, a)
+
+    monkeypatch.setattr(zonal, "_series_tables", recorded)
+    return orders
+
+
 def haar_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     """Orthogonal matrix from the QR factorization of a Gaussian matrix.
 

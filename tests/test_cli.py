@@ -1505,10 +1505,13 @@ class TestSeriesOverflow:
 
 
 # Inputs that once escaped as a traceback, or as a false success: argv, with
-# {zero}, {npy}, {latin1}, {bom_latin1}, {tiny} and {d3} standing for matrix
-# files, then the exit code and a fragment of the one stderr line.
+# {zero}, {npy}, {latin1}, {bom_latin1}, {tiny}, {d3} and {huge} standing for
+# matrix files, then the exit code and a fragment of the one stderr line.
 HUGE_D = "1" + "0" * 400
 OVERFLOWING_THRESHOLD = ["--gamma0", "1e150", "--r", "0.99"]
+# Finite entries of {huge}, whose eigenvalue 3.4e308 overflows float64.
+EIGEN_OVERFLOW = ("eigenvalues overflow float64: max |sigma_ij| = 1.7e+308 at d = 2; "
+                  "they stay finite while d * max |sigma_ij| <= 1.7976931348623157e+308")
 ESCAPE_TABLE = [
     pytest.param(["choose-m", *OVERFLOWING_THRESHOLD, "--d", "5", "--eps", "0.1"], 1,
                  "need d >= inf", id="choose-m-threshold"),
@@ -1536,6 +1539,9 @@ ESCAPE_TABLE = [
                  "must fit in float64, got a 401-digit integer", id="bounds-huge-d"),
     pytest.param(["choose-m", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--eps", "0.1"],
                  2, "must fit in float64, got a 401-digit integer", id="choose-m-huge-d"),
+    *(pytest.param([*argv, "--matrix", "{huge}"], 2, EIGEN_OVERFLOW, id=f"{argv[0]}-eigen-overflow")
+      for argv in (["psi", "--m", "3"], ["grad", "--m", "3"], ["cov", "--l", "2", "--m", "3"],
+                   ["zonal", "--k", "2"])),
 ]
 
 
@@ -1549,8 +1555,10 @@ class TestNoTraceback:
         (tmp_path / "bom_latin1.txt").write_bytes(codecs.BOM_UTF8 + b"2\n\x93")
         (tmp_path / "tiny.txt").write_text(format_matrix(np.diag([1e-170, 0.0])))
         (tmp_path / "d3.txt").write_text(format_matrix(0.04 * np.eye(3)))
+        (tmp_path / "huge.txt").write_text("2\n1.7e308 1.7e308\n1.7e308 1.7e308\n")
         files = {"zero": "zero.txt", "npy": "sigma.npy", "latin1": "latin1.txt",
-                 "bom_latin1": "bom_latin1.txt", "tiny": "tiny.txt", "d3": "d3.txt"}
+                 "bom_latin1": "bom_latin1.txt", "tiny": "tiny.txt", "d3": "d3.txt",
+                 "huge": "huge.txt"}
         argv = [arg.format(**{k: str(tmp_path / v) for k, v in files.items()}) for arg in argv]
         # Development mode with warnings as errors: an exception left unhandled
         # in a pool worker, or a leaked resource, fails the row.

@@ -18,10 +18,10 @@ Every comparison is relative to the sum of the absolute values of the
 terms, so cancellation in the series cannot fail it.  A guard test keeps
 partition enumeration off the hot path.
 
-The recurrence keeps its (m, a) tables in a bounded cache.  Its terms,
-and the gradient coefficients reduced from them, are checked bit for bit
-against a copy that builds every table on each call, and the cached
-tables against in-place writes.
+The recurrence keeps one table per (pass order, a) in a bounded cache.
+Its terms, and the gradient coefficients reduced from them, are checked
+bit for bit against a copy that builds every table on each call, and the
+cached tables against in-place writes.
 """
 
 import math

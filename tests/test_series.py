@@ -24,7 +24,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import spectral_reference
-from conftest import count_series_passes, random_symmetric, random_trace_zero
+from conftest import (
+    count_series_passes,
+    random_symmetric,
+    random_trace_zero,
+    record_table_orders,
+)
 
 from binghamx import (
     DimensionMismatchError,
@@ -51,7 +56,13 @@ from binghamx import series, symmat, zonal
 from binghamx.bounds import admissible_dimension_inverse, gradient_tail_bound, inverse_tail_bound
 from binghamx.partitions import MAX_ORDER
 from binghamx.symmat import frobenius_norm
-from binghamx.zonal import _gradient_coeffs, _series_pass, zonal_gradient, zonal_value
+from binghamx.zonal import (
+    _gradient_coeffs,
+    _series_pass,
+    _series_tables,
+    zonal_gradient,
+    zonal_value,
+)
 
 
 def raising(name):
@@ -428,13 +439,7 @@ class TestOnePassPerPowerSums:
         d = 20
         sigma = random_trace_zero(np.random.default_rng(83), d, norm=0.8)
         ps = power_sums(sigma, 1000)
-        orders = []
-
-        def recorded(m, a, real=zonal._series_tables):
-            orders.append(m)
-            return real(m, a)
-
-        monkeypatch.setattr(zonal, "_series_tables", recorded)
+        orders = record_table_orders(monkeypatch)
         calls = count_series_passes(monkeypatch)
         norm_const_truncated(ps, 2, d)
         assert calls == [MAX_ORDER + 1]
@@ -442,7 +447,24 @@ class TestOnePassPerPowerSums:
         zonal_value(40, ps)
         zonal_gradient(40, ps)
         assert calls == [MAX_ORDER + 1] * 2
-        assert max(orders) == MAX_ORDER + 1
+        assert set(orders) == {MAX_ORDER + 1}
+
+    @pytest.mark.parametrize("call", [
+        lambda ps, sigma, d: norm_const_gradient_truncated(ps, 12, d),
+        lambda ps, sigma, d: zonal_gradient(5, ps),
+        lambda ps, sigma, d: covariance_expansion(ps, sigma, 3, 12, d),
+    ], ids=["gradient", "zonal-gradient", "covariance"])
+    def test_one_table_per_pass(self, call, monkeypatch):
+        # K = 12 runs the pass at order 13, above each order asked for: the
+        # gradient reads the pass's own table, so an empty cache builds one.
+        d = 20
+        sigma = random_trace_zero(np.random.default_rng(89), d, norm=0.8)
+        ps = power_sums(sigma, 12)
+        _series_tables.cache_clear()
+        orders = record_table_orders(monkeypatch)
+        call(ps, sigma, d)
+        assert set(orders) == {13}
+        assert _series_tables.cache_info().misses == 1
 
     def test_equal_power_sums_share_no_terms(self, monkeypatch):
         ps = power_sums(random_trace_zero(np.random.default_rng(61), 20, norm=0.8), 39)

@@ -4,6 +4,7 @@ The power-sum oracle is repeated matrix multiplication, independent of
 the eigenvalue path used by the implementation.
 """
 
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -470,7 +471,10 @@ class TestPowerSums:
 
     def test_overflowing_spectrum_is_rejected(self):
         # Finite entries whose eigenvalue 3.4e308 overflows float64.
-        with pytest.raises(MatrixValidationError, match="spectrum has non-finite"):
+        # The message names max |sigma_ij|, d and the float64 limit.
+        message = ("eigenvalues overflow float64: max |sigma_ij| = 1.7e+308 at d = 2; "
+                   "they stay finite while d * max |sigma_ij| <= 1.7976931348623157e+308")
+        with pytest.raises(MatrixValidationError, match=f"^{re.escape(message)}$"):
             power_sums(np.full((2, 2), 1.7e308), 3)
 
     def test_dense_limit_guard(self, monkeypatch):

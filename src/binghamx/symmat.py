@@ -276,7 +276,11 @@ class PowerSums:
     ``PowerSums(eigenvalues, K)`` derives the rest from lambda alone:
     ``p[j]`` = sum_i lambda_i^j = tr(Sigma^j) for j = 0..K, the sums of a
     running product of lambda, so ``p[0]`` is d = ``len(eigenvalues)`` and
-    ``p[1]`` the trace.  No instance holds power sums of another spectrum.
+    ``p[1]`` the trace.  The product runs in blocks of max(1, 2^16 // d)
+    powers, one cumulative product and one row sum per block, with the
+    bits of a product taken one power at a time; beside its copy of lambda
+    it holds one block, at most 2^16 entries or one row of d, so memory
+    is O(d) at any K.  No instance holds power sums of another spectrum.
     Like :func:`power_sums`, it rejects fewer than 2 eigenvalues and any
     non-finite one with :class:`MatrixValidationError`.
 
@@ -306,11 +310,20 @@ class PowerSums:
             raise MatrixValidationError("spectrum has non-finite entries")
         p = np.empty(self.K + 1)
         p[0] = len(lam)
-        pw = lam.copy()
-        for j in range(1, self.K + 1):
-            p[j] = pw.sum()
-            if j < self.K:
-                pw *= lam
+        # lambda^j for a block of consecutive j by one cumprod down rows
+        # whose first is lambda^(j-1) * lambda and the rest lambda: the same
+        # products in the same order as a running product, and each row sum
+        # the same pairwise sum as a 1-D sum, so p keeps its bits.
+        rows = min(self.K, max(1, 2**16 // len(lam)))
+        block = np.empty((rows, len(lam)))
+        block[:] = lam
+        for j in range(1, self.K + 1, rows):
+            n = min(rows, self.K + 1 - j)
+            if j > 1:
+                np.multiply(block[-1], lam, out=block[0])
+                block[1:n] = lam
+            np.cumprod(block[:n], axis=0, out=block[:n])
+            block[:n].sum(axis=1, out=p[j:j + n])
         p.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "d", len(lam))

@@ -364,11 +364,7 @@ class TestPowerSums:
         for s, lam in ((dense, np.linalg.eigvalsh(dense)), (diag, np.diagonal(diag))):
             ps = power_sums(s, 6)
             assert np.array_equal(ps.eigenvalues, lam)
-            p, pw = [7.0], lam.copy()
-            for _ in range(6):
-                p.append(pw.sum())
-                pw *= lam
-            assert np.array_equal(ps.p, p)
+            assert np.array_equal(ps.p, self.running_product(lam, 6))
 
     def test_built_from_a_spectrum(self):
         # PowerSums(lambda, K) has the bits of power_sums on a matrix of that
@@ -383,19 +379,51 @@ class TestPowerSums:
                 assert got.p.tobytes() == want.p.tobytes()
                 assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
+    @staticmethod
+    def running_product(lam, K):
+        """The reference: p[j] = sum of lambda^j, one power at a time."""
+        p = np.empty(K + 1)
+        p[0] = len(lam)
+        pw = lam.copy()
+        for j in range(1, K + 1):
+            p[j] = pw.sum()
+            if j < K:
+                pw *= lam
+        return p
+
+    def test_blocked_product_has_the_running_products_bits(self):
+        # Blocks of 2^16 // d powers: one block up to d = 1638 at these K,
+        # several from d = 3e4 on (K = 39 ends inside a block of two), one
+        # power per block at d = 10^6.  Signed zeros, the smallest subnormal
+        # and powers of -1e300 that overflow to -inf and +inf stay bit for bit.
+        rng = np.random.default_rng(43)
+        special = np.array([-1e300, -0.0, 5e-324, 0.0, 0.9, -1.1])
+        for d in (2, 3, 20, 100, 1000, 3 * 10**4, 10**6):
+            mixed = rng.uniform(-1.5, 1.5, d)
+            mixed[::3] = np.resize(special, len(mixed[::3]))
+            for lam in (np.resize(special, d), mixed):
+                for K in (1, 2, 12, 39, 40, 60):
+                    with np.errstate(over="ignore"):
+                        got = PowerSums(lam, K).p
+                        want = self.running_product(lam, K)
+                    assert got.tobytes() == want.tobytes(), (d, K)
+
     def test_spectrum_at_d_million_needs_no_matrix(self):
-        # The running product holds a copy of lambda and one power at a
-        # time: O(d) memory at any K, where a d x d array would take 8 TB.
-        d = 10**6
-        lam = np.random.default_rng(41).uniform(-1.0, 1.0, d)
-        tracemalloc.start()
-        try:
-            ps = PowerSums(lam, 40)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ps.d == d and ps.K == 40 and np.isfinite(ps.p).all()
-        assert peak < 3 * 8 * d
+        # A copy of lambda and one block of 2^16 // d powers, at least one:
+        # O(d) memory at any K, where a d x d array would take 8 TB.  At
+        # d = 3e4 the 40 powers take 20 blocks of two rows; 8 KiB covers p
+        # and the array headers, far below one more row.
+        rng = np.random.default_rng(41)
+        for d, bound in ((10**6, 3 * 8 * 10**6), (3 * 10**4, 8 * 3 * 10**4 * (1 + 2) + 8192)):
+            lam = rng.uniform(-1.0, 1.0, d)
+            tracemalloc.start()
+            try:
+                ps = PowerSums(lam, 40)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ps.d == d and ps.K == 40 and np.isfinite(ps.p).all()
+            assert peak < bound, (d, peak)
 
     def test_equality_is_identity(self):
         # Each instance keeps its own series memo, so twins are not equal,

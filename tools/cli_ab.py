@@ -1,0 +1,167 @@
+"""Fresh-process A/B timing of a CLI workload on two source trees.
+
+    python3 tools/cli_ab.py PARENT_SRC CHANGE_SRC --workload cli-dense|cli-verify
+        [--seconds S] [--seed N] [--json PATH]
+
+PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
+``binghamx`` package, as for ``tools/lib_ab.py``.  The inputs, the ops
+and the output verdict are those of ``perfbench/run.py`` for the
+workload and ``--seed`` (``cli_dense_ops`` / ``cli_verify_ops``), with the
+input files and outputs in a temporary directory.  The children write
+bytecode as the benchmark's do, by the environment's settings.
+
+Each round runs every op once on each tree as a fresh ``python -m
+binghamx`` process, one at a time, timed as the benchmark times it
+(``run.spawn``).  Op k of round r runs first on the parent when r + k is
+even and on the change when it is odd: ABBA order, so each tree holds
+each position equally often, per op over every two rounds and between
+neighbouring ops within a round.  Rounds repeat in pairs until S seconds
+have passed (at least two rounds).  BLAS runs on one thread, as in the
+benchmark.
+
+Each child reports its own peak resident set, ``VmHWM`` of
+``/proc/self/status`` (Linux), on its last stderr line at exit, through a
+``-c`` wrapper that runs the package as ``-m`` does.  The first stdout of
+each op on each tree goes through the workload's verdict, and every
+later one must have the same SHA-256.
+
+Per op the output gives each tree's median wall time, the ratio, the
+rounds the change was faster in (ties count for neither), each tree's
+largest ``VmHWM`` and whether the two trees' stdout digests agree; then
+the total of the medians.  With ``--json PATH`` the run is written into
+PATH as the workload's entry, in the schema of ``tools/lib_ab.py`` plus
+per-op ``vmhwm_kb`` and ``stdout_sha256``.  Exit status 1 when an output
+fails its verdict or a child fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import lib_ab
+
+TREES = ("parent", "change")
+
+# python -m binghamx, reporting the process's VmHWM on stderr at exit.
+WRAPPER = """\
+import atexit, runpy, sys
+def _hwm():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+atexit.register(_hwm)
+runpy.run_module("binghamx", run_name="__main__", alter_sys=True)
+"""
+
+
+def schedule(r: int, n_ops: int) -> list[tuple[int, int]]:
+    """(op, tree) pairs of round ``r`` in run order: ABBA over ops and rounds."""
+    return [(k, t) for k in range(n_ops)
+            for t in ((0, 1) if (r + k) % 2 == 0 else (1, 0))]
+
+
+def vmhwm_kb(stderr: str) -> int | None:
+    """The ``VmHWM`` that the wrapper wrote last on stderr, in kB."""
+    lines = [line for line in stderr.splitlines() if line.startswith("VmHWM:")]
+    return int(lines[-1].split()[1]) if lines else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--workload", required=True, choices=("cli-dense", "cli-verify"))
+    parser.add_argument("--seconds", type=float, default=60.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", metavar="PATH")
+    args = parser.parse_args(argv)
+
+    srcs = [Path(src).resolve() for src in (args.parent_src, args.change_src)]
+    for src in srcs:
+        if not (src / "binghamx" / "__init__.py").is_file():
+            raise SystemExit(f"cli_ab: no binghamx package under {src}")
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(lib_ab.PERFBENCH))
+    import run
+
+    # The verdict's exact references import binghamx, as in run.py: this checkout's.
+    sys.path.insert(0, str(run.SRC))
+
+    with tempfile.TemporaryDirectory() as where:
+        run.WORK = Path(where)
+        bench = run.Run(args.workload, args.seed, args.seconds, False)
+        ops, verdict = run.WORKLOADS[args.workload](bench)
+        for src in srcs:
+            os.environ["PYTHONPATH"] = str(src)
+            code, _, found = run.spawn([sys.executable, "-c", "import binghamx.cli, sys; "
+                                        "sys.stderr.write(binghamx.__file__)"])
+            if code != 0 or not Path(found).resolve().is_relative_to(src):
+                raise SystemExit(f"cli_ab: binghamx does not import from {src}: {found}")
+
+        walls = [[[] for _ in ops] for _ in srcs]
+        hwm = [[0] * len(ops) for _ in srcs]
+        digests: list[list[str | None]] = [[None] * len(ops) for _ in srcs]
+        out = run.WORK / "stdout.txt"
+        start = time.perf_counter()
+        rounds = 0
+        while rounds < 2 or rounds % 2 or time.perf_counter() - start < args.seconds:
+            for k, t in schedule(rounds, len(ops)):
+                op, tag = ops[k], f"{TREES[t]} {ops[k].name}"
+                # run.spawn hands the child this process's environment.
+                os.environ["PYTHONPATH"] = str(srcs[t])
+                code, wall, err = run.spawn(
+                    [sys.executable, "-c", WRAPPER, *op.argv, "--matrix", str(op.matrix)], out)
+                walls[t][k].append(wall)
+                data = out.read_bytes()
+                digest = hashlib.sha256(data).hexdigest()
+                if digests[t][k] is None:
+                    digests[t][k] = digest
+                    why = verdict(op, data.decode())
+                    if why is not None:
+                        bench.fail(tag, why)
+                elif digest != digests[t][k]:
+                    bench.fail(tag, "stdout differs from the first call's")
+                if code != 0:
+                    bench.fail(tag, f"exit code {code}: {err.strip()[-300:]}")
+                peak = vmhwm_kb(err)
+                if peak is None:
+                    bench.fail(tag, "no VmHWM line on stderr")
+                else:
+                    hwm[t][k] = max(hwm[t][k], peak)
+            rounds += 1
+        elapsed = time.perf_counter() - start
+
+    names = [op.name for op in ops]
+    rows, total = lib_ab.summarize(names, [[tree] for tree in walls])
+    for k, row in enumerate(rows.values()):
+        row["vmhwm_kb"] = dict(zip(TREES, (hwm[0][k], hwm[1][k])))
+        row["stdout_sha256"] = dict(zip(TREES, (digests[0][k], digests[1][k])))
+
+    print(f"cli_ab: {args.workload}, seed {args.seed}, {len(ops)} ops, {rounds} rounds "
+          f"in {elapsed:.1f} s, one BLAS thread")
+    width = max(len(name) for name in names) + 2
+    print(f"{'op':<{width}}{'parent_ms':>12}{'change_ms':>12}{'ratio':>8}{'faster':>8}"
+          f"{'parent_kb':>11}{'change_kb':>11}  stdout")
+    for name, row in rows.items():
+        kb, sha = row["vmhwm_kb"], row["stdout_sha256"]
+        print(f"{lib_ab.table_line(name, row, width)}{kb['parent']:>11}{kb['change']:>11}  "
+              f"{'same' if sha['parent'] == sha['change'] else 'differs'}")
+    print(lib_ab.table_line("total", total, width))
+    print(f"ratio change/parent = {total['ratio']:.4f}")
+    for why in bench.failures:
+        print(f"failed {why}")
+    if args.json:
+        lib_ab.write_entry(args.json, args.workload, {
+            "tool": "tools/cli_ab.py", "env": lib_ab.environment(), "seed": args.seed,
+            "seconds": args.seconds, "rounds": rounds, "elapsed_s": elapsed,
+            "ops": rows, "total": total, "failed": bench.failures})
+    return 1 if bench.failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

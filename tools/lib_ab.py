@@ -1,6 +1,6 @@
 """In-process A/B timing of the ``lib-series`` library ops on two source trees.
 
-    python3 tools/lib_ab.py PARENT_SRC CHANGE_SRC [--seconds S] [--seed N]
+    python3 tools/lib_ab.py PARENT_SRC CHANGE_SRC [--seconds S] [--seed N] [--json PATH]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
 ``binghamx`` package, for example this checkout's ``src`` and the ``src``
@@ -22,18 +22,29 @@ The same tree given twice reads about 1.  Column ``faster`` counts, per
 op and in total, the rounds whose time summed over the matrices was lower
 for the change tree than for the parent; ties count for neither, so a
 gain in nine of ten rounds reads as at least 0.9 times the rounds.
+
+With ``--json PATH`` the run is also written into PATH as the entry of
+its workload, ``lib-series``; other entries in PATH stay as they are.
+An entry holds the machine, the CPU count, the BLAS threads and the
+Python and numpy versions; the seed, seconds and rounds; and per op and
+in total each tree's median, q1 and q3 in ms (each the sum over the
+matrices of that quantile, so the medians are the table's), the ratio of
+the medians and the rounds the change won.  ``tools/cli_ab.py`` writes
+the same schema.
 """
 
 from __future__ import annotations
 
 import os
 
+BLAS_THREADS = 1
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ[_var] = str(BLAS_THREADS)
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
-import statistics  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -76,12 +87,57 @@ def import_trees(sources: list[str], where: Path) -> list:
     return [importlib.import_module(alias) for alias in ALIASES]
 
 
+def environment() -> dict:
+    """The machine, CPU count, BLAS threads and versions that a result holds."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"machine": platform.machine(), "cpus": cpus, "blas_threads": BLAS_THREADS,
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def _row(parent: np.ndarray, change: np.ndarray, faster: int) -> dict:
+    return {"parent_ms": dict(zip(("q1", "median", "q3"), parent.tolist())),
+            "change_ms": dict(zip(("q1", "median", "q3"), change.tolist())),
+            "ratio": float(change[1] / parent[1]), "faster": faster}
+
+
+def summarize(names, times) -> tuple[dict, dict]:
+    """Rows per op and the total row of an A/B run.
+
+    ``times[t][i][k][r]`` is tree t's time in seconds for op k on input i
+    in round r.  A row holds each tree's q1, median and q3 over the rounds
+    in ms, each summed over the inputs, the ratio of the medians and the
+    rounds whose time summed over the inputs was lower for the change
+    (tree 1); the total row adds up the ops.
+    """
+    times = np.asarray(times)
+    q = 1e3 * np.percentile(times, (25, 50, 75), axis=-1).sum(axis=2)  # q[:, t, k]
+    per_round = times.sum(axis=1)  # per_round[t, k, r]
+    rows = {name: _row(q[:, 0, k], q[:, 1, k], int(np.sum(per_round[1, k] < per_round[0, k])))
+            for k, name in enumerate(names)}
+    won = int(np.sum(per_round[1].sum(axis=0) < per_round[0].sum(axis=0)))
+    return rows, _row(q[:, 0].sum(axis=1), q[:, 1].sum(axis=1), won)
+
+
+def table_line(name: str, row: dict, width: int) -> str:
+    return (f"{name:<{width}}{row['parent_ms']['median']:>12.3f}"
+            f"{row['change_ms']['median']:>12.3f}{row['ratio']:>8.3f}{row['faster']:>8}")
+
+
+def write_entry(path: str, workload: str, entry: dict) -> None:
+    """Set ``workload``'s entry of the results file ``path``, keeping the others."""
+    target = Path(path)
+    results = json.loads(target.read_text()) if target.exists() else {}
+    results[workload] = entry
+    target.write_text(json.dumps(results, indent=2) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", metavar="PATH")
     args = parser.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -110,19 +166,17 @@ def main(argv=None) -> int:
 
     print(f"lib_ab: seed {args.seed}, {len(sigmas)} matrices, {rounds} rounds "
           f"in {elapsed:.1f} s, one BLAS thread")
-    # rounds_s[t][k][r]: tree t's time for op k in round r, summed over the matrices.
-    rounds_s = np.sum(times, axis=1)
+    rows, total = summarize(child.LIB_OPS, times)
     print(f"{'op':<12}{'parent_ms':>12}{'change_ms':>12}{'ratio':>8}{'faster':>8}")
-    totals = [0.0, 0.0]
-    for k, op in enumerate(child.LIB_OPS):
-        sums = [1e3 * sum(statistics.median(per_op[k]) for per_op in tree) for tree in times]
-        totals = [a + b for a, b in zip(totals, sums)]
-        faster = int(np.sum(rounds_s[1, k] < rounds_s[0, k]))
-        print(f"{op:<12}{sums[0]:>12.3f}{sums[1]:>12.3f}{sums[1] / sums[0]:>8.3f}{faster:>8}")
-    faster = int(np.sum(rounds_s[1].sum(axis=0) < rounds_s[0].sum(axis=0)))
-    print(f"{'total':<12}{totals[0]:>12.3f}{totals[1]:>12.3f}"
-          f"{totals[1] / totals[0]:>8.3f}{faster:>8}")
-    print(f"ratio change/parent = {totals[1] / totals[0]:.4f}")
+    for op, row in rows.items():
+        print(table_line(op, row, 12))
+    print(table_line("total", total, 12))
+    print(f"ratio change/parent = {total['ratio']:.4f}")
+    if args.json:
+        write_entry(args.json, "lib-series", {
+            "tool": "tools/lib_ab.py", "env": environment(), "seed": args.seed,
+            "seconds": args.seconds, "rounds": rounds, "elapsed_s": elapsed,
+            "ops": rows, "total": total})
     return 0
 
 

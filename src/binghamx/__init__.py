@@ -93,7 +93,6 @@ _EXPORTS = {
     ),
     "partitions": (
         "MAX_ORDER",
-        "PartitionMultiplicity",
         "enumerate_partitions",
         "half_pochhammer",
         "partition_weight",

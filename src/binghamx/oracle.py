@@ -112,6 +112,10 @@ class McEstimate:
 def _check_sampling_args(n: int, seed: int) -> None:
     if n < 1000:
         raise OrderRangeError(f"need at least 1000 samples, got {n}")
+    # The largest block's ceil(n / BLOCKS) float64 exponents must be one array.
+    most = BLOCKS * (np.iinfo(np.intp).max // 8)
+    if n > most:
+        raise OrderRangeError(f"at most {most} samples fit in the sampling blocks, got {n}")
     if seed < 0:
         raise OrderRangeError(f"seed must be a nonnegative integer, got {seed}")
 

@@ -1,8 +1,8 @@
 """Integer partitions in multiplicity form and their series weights.
 
-A partition of k is stored as the multiplicity vector (i_1, ..., i_k)
-with sum(j * i_j) = k: i_j counts the parts of size j.  This is the index
-set of the single-row zonal polynomial sum, and the weight attached to a
+A partition of k is its multiplicity tuple (i_1, ..., i_k) with
+sum(j * i_j) = k: i_j counts the parts of size j.  This is the index set
+of the single-row zonal polynomial sum, and the weight attached to a
 partition there is 1 / prod_j(i_j! * (2j)^i_j), kept as an exact
 Fraction.
 """
@@ -10,7 +10,6 @@ Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,25 +27,15 @@ def check_order(name: str, value: int, low: int) -> None:
         raise OrderRangeError(f"{name} must be in {low}..{MAX_ORDER}, got {value}")
 
 
-@dataclass(frozen=True)
-class PartitionMultiplicity:
-    """A partition of ``k`` as its multiplicity vector ``i``.
-
-    ``i[j - 1]`` is the number of parts equal to j, so
-    sum((j) * i[j-1]) == k.
-    """
-
-    k: int
-    i: tuple[int, ...]
-
-
-def enumerate_partitions(k: int) -> list[PartitionMultiplicity]:
-    """All partitions of k in ascending lexicographic order of i.
+def enumerate_partitions(k: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of k as multiplicity tuples, ascending lexicographically.
 
     Recursive descent over part sizes: position j takes each feasible
     multiplicity in increasing order, and a remainder w > 0 is feasible
     for parts of size > j only when w > j (a single part of size w then
-    completes it).
+    completes it).  A partition is recorded as soon as nothing remains,
+    since every later multiplicity is then 0.  The result is cached and
+    returned itself on every call.
 
     Parameters
     ----------
@@ -54,23 +43,21 @@ def enumerate_partitions(k: int) -> list[PartitionMultiplicity]:
         1 <= k <= ``MAX_ORDER``.
     """
     check_order("k", k, 1)
-    return list(_enumerate_cached(k))
+    return _enumerate_cached(k)
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(k: int) -> tuple[PartitionMultiplicity, ...]:
-    out: list[PartitionMultiplicity] = []
+def _enumerate_cached(k: int) -> tuple[tuple[int, ...], ...]:
+    out: list[tuple[int, ...]] = []
     vec = [0] * k
 
     def extend(j: int, remaining: int) -> None:
-        if j > k:
-            if remaining == 0:
-                out.append(PartitionMultiplicity(k=k, i=tuple(vec)))
-            return
         for ij in range(remaining // j + 1):
             rest = remaining - j * ij
-            if rest == 0 or rest > j:
-                vec[j - 1] = ij
+            vec[j - 1] = ij
+            if rest == 0:
+                out.append(tuple(vec))
+            elif rest > j:
                 extend(j + 1, rest)
         vec[j - 1] = 0
 
@@ -78,10 +65,10 @@ def _enumerate_cached(k: int) -> tuple[PartitionMultiplicity, ...]:
     return tuple(out)
 
 
-def partition_weight(pm: PartitionMultiplicity) -> Fraction:
-    """Exact weight 1 / prod_j(i_j! * (2j)^i_j) of a partition."""
+def partition_weight(i: tuple[int, ...]) -> Fraction:
+    """Exact weight 1 / prod_j(i_j! * (2j)^i_j) of the multiplicity tuple i."""
     den = 1
-    for j, ij in enumerate(pm.i, start=1):
+    for j, ij in enumerate(i, start=1):
         if ij:
             den *= math.factorial(ij) * (2 * j) ** ij
     return Fraction(1, den)

@@ -147,9 +147,9 @@ def _gradient_coeffs(t: np.ndarray, m: int, a: float) -> np.ndarray:
 def _partition_data(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent matrix E (n_partitions, k) and weights w/(1/2)_k as float64."""
     parts = enumerate_partitions(k)
-    E = np.array([pm.i for pm in parts], dtype=np.int64)
+    E = np.array(parts, dtype=np.int64)
     hp = half_pochhammer(k)
-    q = np.array([float(partition_weight(pm) / hp) for pm in parts])
+    q = np.array([float(partition_weight(i) / hp) for i in parts])
     return E, q
 
 
@@ -240,12 +240,12 @@ def zonal_value_exact(k: int, powers: Sequence) -> Fraction:
     if k == 0:
         return Fraction(1)
     total = Fraction(0)
-    for pm in enumerate_partitions(k):
+    for i in enumerate_partitions(k):
         prod = Fraction(1)
-        for j, ij in enumerate(pm.i, start=1):
+        for j, ij in enumerate(i, start=1):
             if ij:
                 prod *= Fraction(powers[j]) ** ij
-        total += partition_weight(pm) * prod
+        total += partition_weight(i) * prod
     return Fraction(math.factorial(k)) / half_pochhammer(k) * total
 
 
@@ -259,8 +259,8 @@ def bound_coefficient_poly(k: int) -> tuple[Fraction, ...]:
     coeffs = [Fraction(0)] * (k + 1)
     if k == 0:
         return (Fraction(1),)
-    for pm in enumerate_partitions(k):
-        coeffs[pm.i[0]] += partition_weight(pm)
+    for i in enumerate_partitions(k):
+        coeffs[i[0]] += partition_weight(i)
     return tuple(coeffs)
 
 

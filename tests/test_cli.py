@@ -1535,6 +1535,11 @@ ESCAPE_TABLE = [
     # per row, needs 1.6e16 bytes, far past any machine's memory.
     pytest.param(["verify", "--matrix", "{d3}", "--samples", str(10**17), "--seed", "0"], 2,
                  "Unable to allocate", id="verify-memory"),
+    # A block of 2e18 samples cannot be an array at all; the count is rejected
+    # before the matrix is read.
+    pytest.param(["verify", "--matrix", "{d3}", "--samples", str(10**20), "--seed", "0"], 2,
+                 "samples fit in the sampling blocks, got 100000000000000000000",
+                 id="verify-too-many-samples"),
     pytest.param(["bounds", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--m", "3"], 2,
                  "must fit in float64, got a 401-digit integer", id="bounds-huge-d"),
     pytest.param(["choose-m", "--gamma0", "1", "--r", "0.5", "--d", HUGE_D, "--eps", "0.1"],

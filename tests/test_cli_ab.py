@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,17 +14,28 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_ab.py"
 
 
+def copy_src(dest):
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
 def run_tool(parent, change, results):
+    # With writing bytecode off, only the tool's own compiling gives the
+    # children bytecode.
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", str(TOOL), str(parent), str(change),
          "--workload", "cli-verify", "--seconds", "0", "--json", str(results)],
         capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stderr == ""
     entry = json.loads(results.read_text())["cli-verify"]
     assert_entry("cli-verify", entry)
     assert entry["rounds"] == 2
+    assert entry["env"]["bytecode"] == "compiled copy of each tree"
+    for tree in {parent, change} - {ROOT / "src"}:
+        assert not list(tree.rglob("__pycache__")), tree
     return proc.stdout.splitlines(), entry
 
 
@@ -49,7 +61,8 @@ def test_schedule_is_abba(monkeypatch):
 
 
 def test_same_tree_twice(tmp_path):
-    lines, entry = run_tool(ROOT / "src", ROOT / "src", tmp_path / "bench.json")
+    src = copy_src(tmp_path / "src")
+    lines, entry = run_tool(src, src, tmp_path / "bench.json")
     assert lines[0].startswith("cli_ab: cli-verify, seed 1, 3 ops, 2 rounds in ")
     assert lines[1].split() == ["op", "parent_ms", "change_ms", "ratio", "faster",
                                 "parent_kb", "change_kb", "stdout"]
@@ -66,11 +79,14 @@ def test_same_tree_twice(tmp_path):
 
 def test_a_slower_tree_reads_slower_in_every_round(tmp_path):
     # The copy's cli.run sleeps 0.05 s first, 0.15 s per round of three
-    # verify calls; its output is unchanged.
-    slow = tmp_path / "slow" / "src"
-    shutil.copytree(ROOT / "src", slow, ignore=shutil.ignore_patterns("__pycache__"))
+    # verify calls; its output is unchanged.  Its cli refuses to run from
+    # anywhere but a compiled copy outside the tree.
+    slow = copy_src(tmp_path / "slow" / "src")
     with open(slow / "binghamx" / "cli.py", "a", encoding="utf-8") as fh:
-        fh.write("\n\n_run = run\n\n\ndef run(argv=None, out=None):\n"
+        fh.write("\n\nimport os\n\n"
+                 f"if not os.path.isfile(__cached__) or __file__.startswith({str(slow)!r}):\n"
+                 "    raise ImportError(f'binghamx.cli is not a compiled copy: {__file__}')\n"
+                 "\n_run = run\n\n\ndef run(argv=None, out=None):\n"
                  "    import time\n    time.sleep(0.05)\n    return _run(argv, out)\n")
     _, entry = run_tool(ROOT / "src", slow, tmp_path / "bench.json")
     assert entry["total"]["faster"] == 0

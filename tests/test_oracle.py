@@ -798,6 +798,23 @@ class TestHelperThread:
                 mc_moments(sigma, 1000, seed=0)
             assert threading.active_count() == start
 
+    def test_no_thread_left_after_too_many_samples(self):
+        start = threading.active_count()
+        for estimator, data in ((mc_eigen_moments, np.zeros(3)), (mc_moments, np.zeros((3, 3)))):
+            with pytest.raises(OrderRangeError, match="samples fit in the sampling blocks"):
+                estimator(data, 10**20, 1)
+            assert threading.active_count() == start
+
+    def test_largest_sample_count_named_is_accepted(self):
+        with pytest.raises(OrderRangeError) as info:
+            oracle._check_sampling_args(10**20, 0)
+        most = int(str(info.value).split()[2])
+        # The largest block of the named count fills the largest array of float64.
+        assert -(-most // BLOCKS) == np.iinfo(np.intp).max // 8
+        oracle._check_sampling_args(most, 0)
+        with pytest.raises(OrderRangeError):
+            oracle._check_sampling_args(most + 1, 0)
+
     def failing_block_leaves_no_thread(self, monkeypatch, estimator, data):
         # Block 3's worker returns a numerator of the wrong shape, so storing
         # it raises in the reduction, on the calling thread.

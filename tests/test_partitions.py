@@ -12,7 +12,6 @@ import pytest
 from binghamx import (
     MAX_ORDER,
     OrderRangeError,
-    PartitionMultiplicity,
     enumerate_partitions,
     half_pochhammer,
     partition_weight,
@@ -48,22 +47,26 @@ def test_counts_match_pentagonal_recurrence():
 
 
 def test_small_orders_explicit():
-    assert [pm.i for pm in enumerate_partitions(1)] == [(1,)]
-    assert [pm.i for pm in enumerate_partitions(2)] == [(0, 1), (2, 0)]
-    assert [pm.i for pm in enumerate_partitions(3)] == [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
+    assert enumerate_partitions(1) == ((1,),)
+    assert enumerate_partitions(2) == ((0, 1), (2, 0))
+    assert enumerate_partitions(3) == ((0, 0, 1), (1, 1, 0), (3, 0, 0))
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
 def test_multiplicity_constraint_order_and_uniqueness(k):
+    # With the pentagonal count above, valid, strictly ascending tuples
+    # pin the whole sequence.
     parts = enumerate_partitions(k)
-    vecs = [pm.i for pm in parts]
-    for pm in parts:
-        assert pm.k == k
-        assert len(pm.i) == k
-        assert sum(j * ij for j, ij in enumerate(pm.i, start=1)) == k
-        assert all(ij >= 0 for ij in pm.i)
-    assert vecs == sorted(vecs), "expected ascending lexicographic order"
-    assert len(set(vecs)) == len(vecs)
+    for i in parts:
+        assert type(i) is tuple and len(i) == k
+        assert all(type(ij) is int and ij >= 0 for ij in i)
+        assert sum(j * ij for j, ij in enumerate(i, start=1)) == k
+    assert all(a < b for a, b in zip(parts, parts[1:])), "expected strictly ascending order"
+
+
+def test_enumeration_is_cached_tuple():
+    assert type(enumerate_partitions(7)) is tuple
+    assert enumerate_partitions(7) is enumerate_partitions(7)
 
 
 def test_order_range_errors():
@@ -74,16 +77,16 @@ def test_order_range_errors():
 
 
 def test_weights_small_cases():
-    assert partition_weight(PartitionMultiplicity(1, (1,))) == Fraction(1, 2)
-    assert partition_weight(PartitionMultiplicity(2, (2, 0))) == Fraction(1, 8)
-    assert partition_weight(PartitionMultiplicity(2, (0, 1))) == Fraction(1, 4)
-    assert partition_weight(PartitionMultiplicity(3, (1, 1, 0))) == Fraction(1, 8)
+    assert partition_weight((1,)) == Fraction(1, 2)
+    assert partition_weight((2, 0)) == Fraction(1, 8)
+    assert partition_weight((0, 1)) == Fraction(1, 4)
+    assert partition_weight((1, 1, 0)) == Fraction(1, 8)
 
 
 @pytest.mark.parametrize("k", range(1, 21))
 def test_weight_sum_identity(k):
     # Sum of weights over partitions of k equals (1/2)_k / k! exactly.
-    total = sum(partition_weight(pm) for pm in enumerate_partitions(k))
+    total = sum(partition_weight(i) for i in enumerate_partitions(k))
     assert total == half_pochhammer(k) / math.factorial(k)
 
 

@@ -64,16 +64,16 @@ def exact_gradient_sum(k, powers):
     out = []
     for l in range(1, k + 1):
         total = Fraction(0)
-        for pm in enumerate_partitions(k):
-            il = pm.i[l - 1]
+        for i in enumerate_partitions(k):
+            il = i[l - 1]
             if not il:
                 continue
             prod = Fraction(il)
-            for j, ij in enumerate(pm.i, start=1):
+            for j, ij in enumerate(i, start=1):
                 e = ij - 1 if j == l else ij
                 if e:
                     prod *= Fraction(powers[j]) ** e
-            total += partition_weight(pm) * prod
+            total += partition_weight(i) * prod
         out.append(l * total)
     return out
 

@@ -7,8 +7,11 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
 ``binghamx`` package, as for ``tools/lib_ab.py``.  The inputs, the ops
 and the output verdict are those of ``perfbench/run.py`` for the
 workload and ``--seed`` (``cli_dense_ops`` / ``cli_verify_ops``), with the
-input files and outputs in a temporary directory.  The children write
-bytecode as the benchmark's do, by the environment's settings.
+input files and outputs in a temporary directory.  Each tree's
+``binghamx`` is copied into that directory and compiled there once
+(``compileall``), and the tree's children import the copy: no child
+compiles the package again, even where writing bytecode is off
+(``PYTHONDONTWRITEBYTECODE``), and neither tree is written.
 
 Each round runs every op once on each tree as a fresh ``python -m
 binghamx`` process, one at a time, timed as the benchmark times it
@@ -30,15 +33,18 @@ rounds the change was faster in (ties count for neither), each tree's
 largest ``VmHWM`` and whether the two trees' stdout digests agree; then
 the total of the medians.  With ``--json PATH`` the run is written into
 PATH as the workload's entry, in the schema of ``tools/lib_ab.py`` plus
-per-op ``vmhwm_kb`` and ``stdout_sha256``.  Exit status 1 when an output
+per-op ``vmhwm_kb`` and ``stdout_sha256``, and with the mode of the
+children's bytecode in its env.  Exit status 1 when an output
 fails its verdict or a child fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -47,6 +53,9 @@ from pathlib import Path
 import lib_ab
 
 TREES = ("parent", "change")
+
+#: How the children get binghamx's bytecode, recorded in the ``--json`` env.
+BYTECODE = "compiled copy of each tree"
 
 # python -m binghamx, reporting the process's VmHWM on stderr at exit.
 WRAPPER = """\
@@ -96,12 +105,17 @@ def main(argv=None) -> int:
         run.WORK = Path(where)
         bench = run.Run(args.workload, args.seed, args.seconds, False)
         ops, verdict = run.WORKLOADS[args.workload](bench)
-        for src in srcs:
-            os.environ["PYTHONPATH"] = str(src)
+        copies = [run.WORK / f"src-{tree}" for tree in TREES]
+        for src, copy in zip(srcs, copies):
+            shutil.copytree(src / "binghamx", copy / "binghamx",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if not compileall.compile_dir(copy, quiet=1):
+                raise SystemExit(f"cli_ab: binghamx from {src} does not compile")
+            os.environ["PYTHONPATH"] = str(copy)
             code, _, found = run.spawn([sys.executable, "-c", "import binghamx.cli, sys; "
                                         "sys.stderr.write(binghamx.__file__)"])
-            if code != 0 or not Path(found).resolve().is_relative_to(src):
-                raise SystemExit(f"cli_ab: binghamx does not import from {src}: {found}")
+            if code != 0 or not Path(found).resolve().is_relative_to(copy.resolve()):
+                raise SystemExit(f"cli_ab: binghamx does not import from {copy}: {found}")
 
         walls = [[[] for _ in ops] for _ in srcs]
         hwm = [[0] * len(ops) for _ in srcs]
@@ -113,7 +127,7 @@ def main(argv=None) -> int:
             for k, t in schedule(rounds, len(ops)):
                 op, tag = ops[k], f"{TREES[t]} {ops[k].name}"
                 # run.spawn hands the child this process's environment.
-                os.environ["PYTHONPATH"] = str(srcs[t])
+                os.environ["PYTHONPATH"] = str(copies[t])
                 code, wall, err = run.spawn(
                     [sys.executable, "-c", WRAPPER, *op.argv, "--matrix", str(op.matrix)], out)
                 walls[t][k].append(wall)
@@ -157,8 +171,8 @@ def main(argv=None) -> int:
         print(f"failed {why}")
     if args.json:
         lib_ab.write_entry(args.json, args.workload, {
-            "tool": "tools/cli_ab.py", "env": lib_ab.environment(), "seed": args.seed,
-            "seconds": args.seconds, "rounds": rounds, "elapsed_s": elapsed,
+            "tool": "tools/cli_ab.py", "env": {**lib_ab.environment(), "bytecode": BYTECODE},
+            "seed": args.seed, "seconds": args.seconds, "rounds": rounds, "elapsed_s": elapsed,
             "ops": rows, "total": total, "failed": bench.failures})
     return 1 if bench.failures else 0
 

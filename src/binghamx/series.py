@@ -103,10 +103,12 @@ def covariance_expansion(
 
 
 def _check_sigma(sigma: np.ndarray, d: int) -> None:
-    if sigma.shape[0] != d:
-        raise DimensionMismatchError(
-            f"matrix has dimension {sigma.shape[0]}, call asked for d = {d}"
-        )
+    """Raise unless Sigma has shape (d, d), naming its dimension or shape."""
+    shape = np.shape(sigma)
+    if shape != (d, d):
+        square = len(shape) == 2 and shape[0] == shape[1]
+        size = f"dimension {shape[0]}" if square else f"shape {shape}"
+        raise DimensionMismatchError(f"matrix has {size}, call asked for d = {d}")
 
 
 def _check_covariance(ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int) -> None:

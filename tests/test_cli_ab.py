@@ -78,16 +78,17 @@ def test_same_tree_twice(tmp_path):
 
 
 def test_a_slower_tree_reads_slower_in_every_round(tmp_path):
-    # The copy's cli.run sleeps 0.05 s first, 0.15 s per round of three
-    # verify calls; its output is unchanged.  Its cli refuses to run from
-    # anywhere but a compiled copy outside the tree.
+    # The copy's cli.run sleeps 0.25 s first, 0.75 s per round of three
+    # verify calls: several times the spread between fresh processes, so
+    # the copy loses every round.  Its output is unchanged.  Its cli
+    # refuses to run from anywhere but a compiled copy outside the tree.
     slow = copy_src(tmp_path / "slow" / "src")
     with open(slow / "binghamx" / "cli.py", "a", encoding="utf-8") as fh:
         fh.write("\n\nimport os\n\n"
                  f"if not os.path.isfile(__cached__) or __file__.startswith({str(slow)!r}):\n"
                  "    raise ImportError(f'binghamx.cli is not a compiled copy: {__file__}')\n"
                  "\n_run = run\n\n\ndef run(argv=None, out=None):\n"
-                 "    import time\n    time.sleep(0.05)\n    return _run(argv, out)\n")
+                 "    import time\n    time.sleep(0.25)\n    return _run(argv, out)\n")
     _, entry = run_tool(ROOT / "src", slow, tmp_path / "bench.json")
     assert entry["total"]["faster"] == 0
     assert entry["total"]["ratio"] > 1

@@ -18,6 +18,7 @@ Oracles:
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -85,6 +86,24 @@ class TestDimensionChecks:
             covariance_second_order(0.1 * np.eye(3), 4)
         with pytest.raises(DimensionMismatchError, match="matrix has dimension 3"):
             covariance_expansion(ps, 0.1 * np.eye(3), 2, 3, 4)
+
+    @pytest.mark.parametrize("shape", [(30, 7), (7, 30), (30,), (30, 30, 1)])
+    def test_matrix_of_another_shape(self, shape, monkeypatch):
+        # A Sigma that is not (d, d) is rejected, naming its shape, before
+        # any series work or matrix product.
+        d = 30
+        ps = power_sums(random_trace_zero(np.random.default_rng(7), d, 0.5), 11)
+        regime = GrowthRegime(scale=1.0, exponent=0.0)
+        monkeypatch.setattr(series, "materialize", raising("materialize"))
+        monkeypatch.setattr(series, "_terms", raising("_terms"))
+        sigma = np.full(shape, 0.01)
+        calls = [lambda: covariance_derived_bound(ps, sigma, 3, 12, d, regime),
+                 lambda: covariance_expansion(ps, sigma, 3, 12, d),
+                 lambda: covariance_second_order(sigma, d)]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError,
+                               match=re.escape(f"matrix has shape {shape}, call asked for d = 30")):
+                call()
 
 
 class TestNormConstTruncated:

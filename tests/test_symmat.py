@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense_horner, random_symmetric
+from conftest import dense_horner, random_symmetric, random_trace_zero
 
 import binghamx.symmat as symmat
 from binghamx import (
@@ -27,9 +27,11 @@ from binghamx import (
     frobenius_norm,
     load_matrix,
     materialize,
+    norm_const_gradient_truncated,
     norm_const_truncated,
     power_sums,
     symmetrize,
+    zonal_gradient,
 )
 
 
@@ -545,6 +547,13 @@ class TestMaterialize:
         with pytest.raises(DimensionMismatchError):
             materialize(g, np.eye(4))
 
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 6), (6,), (6, 6, 1)])
+    def test_matrix_of_another_shape(self, shape):
+        # Rejected before any product, with the shape named.
+        g = GradientPolynomial(d=6, coeffs=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"matrix has shape {shape}")):
+            materialize(g, np.ones(shape))
+
     dense_horner = staticmethod(dense_horner)
 
     @staticmethod
@@ -846,3 +855,134 @@ class TestMaterialize:
         g = GradientPolynomial(d=6, coeffs=rng.standard_normal(5))
         out = materialize(g, s)
         assert np.array_equal(out, out.T)
+
+
+def lib_series_kind(rng, d, kind):
+    """A matrix like those of the benchmark's library batch, ||Sigma||_F = 1."""
+    if kind == "trace-zero":
+        return random_trace_zero(rng, d, 1.0)
+    if kind == "dense":
+        a = rng.standard_normal((d, d)) + 0.3
+        s = (a + a.T) / 2.0
+        return s / np.sqrt(np.sum(s * s))
+    u = rng.standard_normal(d)
+    return np.outer(u, u) / (u @ u)
+
+
+def full_degree(monkeypatch):
+    """Make materialize evaluate every term, as it did before the cut."""
+    monkeypatch.setattr(symmat, "_significant_degree", lambda coeffs, sigma: len(coeffs) - 1)
+
+
+class TestSignificantDegree:
+    """Dense materialize drops the top terms that cannot move a float64 entry."""
+
+    @staticmethod
+    def gradient(sigma, m=40):
+        d = sigma.shape[0]
+        return norm_const_gradient_truncated(power_sums(sigma, m - 1), m, d)
+
+    @staticmethod
+    def cut_allowance(coeffs, s):
+        """2^-55 |c_1| omega, omega the largest off-diagonal |sigma_ij|."""
+        omega = np.abs(s[~np.eye(len(s), dtype=bool)]).max()
+        return 2.0**-55 * abs(coeffs[1]) * omega
+
+    def test_within_rounding_and_cut_of_exact(self):
+        # A rational Sigma, d = 8, m = 40: each entry is within the rounding
+        # allowance of the whole polynomial plus the cut's 2^-55 |c_1| omega
+        # of G formed exactly from the float coefficients.
+        rng = np.random.default_rng(31)
+        s = np.round(random_trace_zero(rng, 8, 1.0) * 2**20) / 2**20
+        coeffs = self.gradient(s).coeffs
+        assert symmat._significant_degree(coeffs, s) < len(coeffs) - 1
+        got = materialize(GradientPolynomial(d=8, coeffs=coeffs), s)
+        exact = TestMaterialize.exact_polynomial(coeffs, s)
+        err = max(abs(Fraction(got[i, j]) - exact[i][j]) for i in range(8) for j in range(8))
+        assert err <= (TestMaterialize.rounding_bound(coeffs, s)
+                       + self.cut_allowance(coeffs, s))
+
+    @pytest.mark.parametrize("kind", ["trace-zero", "dense", "rank-one"])
+    def test_cut_engages_at_m40(self, kind, monkeypatch):
+        # d = 100, m = 40: at most degree 12 of 38 is kept, and materialize
+        # evaluates just that prefix; the full evaluation differs from it by
+        # no more than the cut allows.
+        rng = np.random.default_rng(32)
+        s = lib_series_kind(rng, 100, kind)
+        g = self.gradient(s)
+        kept = symmat._significant_degree(g.coeffs, s)
+        assert kept <= 12
+        got = materialize(g, s)
+        short = GradientPolynomial(d=100, coeffs=g.coeffs[:kept + 1])
+        full_degree(monkeypatch)
+        assert np.array_equal(got, materialize(short, s))
+        full = materialize(g, s)
+        rounding = 1e-15 * np.abs(full).max()
+        assert np.abs(got - full).max() <= self.cut_allowance(g.coeffs, s) + rounding
+
+    @staticmethod
+    def assert_full_degree(g, s, monkeypatch):
+        """The cut keeps every term: no warning, and the full evaluation's bits."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = symmat._significant_degree(g.coeffs, s)
+        assert kept == g.degree
+        with np.errstate(all="ignore"):
+            got = materialize(g, s)
+            full_degree(monkeypatch)
+            want = materialize(g, s)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+
+    def test_homogeneous_zonal_gradients_are_whole(self, monkeypatch):
+        # Every term of grad C_k has degree k - 1 in Sigma: none is negligible.
+        rng = np.random.default_rng(33)
+        for d in (8, 20):
+            s = random_trace_zero(rng, d, 1.0)
+            ps = power_sums(s, 39)
+            for k in (3, 12, 25, 39):
+                self.assert_full_degree(zonal_gradient(k, ps), s, monkeypatch)
+
+    def test_zero_first_coefficient_keeps_every_term(self, monkeypatch):
+        # c_1 = 0 leaves no threshold, even for top terms far below rounding.
+        s = random_trace_zero(np.random.default_rng(34), 20, 1.0)
+        coeffs = self.gradient(s).coeffs.copy()
+        coeffs[1] = 0.0
+        self.assert_full_degree(GradientPolynomial(d=20, coeffs=coeffs), s, monkeypatch)
+
+    def test_powers_past_dbl_max(self, monkeypatch):
+        # ||Sigma||_F = 1e10: nu^32 = 1e320 is past DBL_MAX, yet c_l nu^l is
+        # about 1 (c_32 is subnormal), so every term counts, and G is finite.
+        rng = np.random.default_rng(35)
+        s = random_trace_zero(rng, 20, 1e10)
+        g = GradientPolynomial(d=20, coeffs=rng.standard_normal(33) * 1e-10 ** np.arange(33))
+        assert g.coeffs[-1] != 0.0
+        self.assert_full_degree(g, s, monkeypatch)
+        assert np.isfinite(materialize(g, s)).all()
+
+    @pytest.mark.parametrize("norm, coeffs", [
+        # ||Sigma||_F^2 = 2.25e308 overflows while Sigma^2 stays finite:
+        # c_2 nu^2 = 2e-12 is far below 2^-55 |c_1| omega, yet nu is unknown.
+        (1.5e154, [1.0, 1.0, 1e-320]),
+        # ||Sigma||_F^2 = 1e-398 flushes to zero: c_2 nu^2 = 1e-198 is far
+        # above 2^-55 |c_1| omega = 4e-217, and must stay.
+        (1e-199, [1.0, 1.0, 1e200]),
+    ])
+    def test_squares_outside_the_normal_range(self, norm, coeffs, monkeypatch):
+        s = random_trace_zero(np.random.default_rng(36), 20, norm)
+        g = GradientPolynomial(d=20, coeffs=np.array(coeffs))
+        self.assert_full_degree(g, s, monkeypatch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [2, 20, 38])
+    def test_non_finite_coefficient(self, bad, where, monkeypatch):
+        s = random_trace_zero(np.random.default_rng(37), 20, 1.0)
+        coeffs = self.gradient(s).coeffs.copy()
+        coeffs[where] = bad
+        self.assert_full_degree(GradientPolynomial(d=20, coeffs=coeffs), s, monkeypatch)
+
+    def test_cli_dense_size_is_whole(self, monkeypatch):
+        # d = 1000 at 0.9 of the (1, 0.5) regime cap, m = 12: every term
+        # counts, so grad and cov print the bytes they printed before the cut.
+        s = benchmark_like(1000)
+        self.assert_full_degree(self.gradient(s, 12), s, monkeypatch)

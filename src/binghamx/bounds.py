@@ -33,7 +33,6 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
-    DimensionMismatchError,
     InadmissibleDimensionError,
     OrderRangeError,
     OrderSelectionError,
@@ -179,13 +178,14 @@ def inverse_tail_bound(l: int, d: float, regime: GrowthRegime) -> float:
 
 
 def regime_check(sigma: np.ndarray, regime: GrowthRegime, d: int) -> bool:
-    """Whether ||Sigma||_F <= scale * d^(exponent/2)."""
-    from .symmat import frobenius_norm
+    """Whether ||Sigma||_F <= scale * d^(exponent/2).
 
-    if sigma.shape[0] != d:
-        raise DimensionMismatchError(
-            f"matrix has dimension {sigma.shape[0]}, regime check asked for d = {d}"
-        )
+    A Sigma of any shape other than (d, d) raises
+    :class:`DimensionMismatchError` naming its dimension or shape.
+    """
+    from .symmat import _check_sigma, frobenius_norm
+
+    _check_sigma(sigma, d)
     return frobenius_norm(sigma) <= regime.cap(d)
 
 

@@ -36,13 +36,26 @@ bit for bit, so Psi, 1/Psi, grad Psi, the covariance product and the
 derived bound share one pass per matrix, each slices the orders it needs,
 and every value keeps the bits of a pass at its own order.
 
+The gradient coefficients are one reduction per order as well: a
+PowerSums keeps the truncated gradient of each order m it was asked for,
+read-only, so grad Psi, the covariance product and the derived bound
+share one :func:`~binghamx.zonal._gradient_coeffs` per (matrix, m).  That
+:class:`~binghamx.symmat.GradientPolynomial` records nu = max |lambda_i|
+(1 + 2^-20) >= ||Sigma||_2 and p_2 of its spectrum, and dense
+:func:`~binghamx.symmat.materialize` cuts its top terms at nu.
+
 The gradient G = g(Sigma) is a polynomial in Sigma, so for
 Sigma = V diag(lambda) V' it is V diag(g(lambda)) V' and
 ||G||_F = ||g(lambda)||_2.  A PowerSums is built from lambda, so the
-derived bound reads ||G||_F from it in O(d m) and never forms G.
+derived bound reads ||G||_F from it in O(d m) and never forms G.  It
+evaluates g(lambda) only to the degree whose dropped terms sum, at
+|lambda_i| <= nu, to at most 2^-55 |c_0|, and adds sqrt(d) times that
+tail, so in exact arithmetic it is never below the full-degree value.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,8 +63,11 @@ from .bounds import GrowthRegime, gradient_tail_bound, inverse_tail_bound
 from .errors import DimensionMismatchError, OrderRangeError
 from .partitions import check_order
 from .symmat import (
+    _CUT_BITS,
     GradientPolynomial,
     PowerSums,
+    _check_sigma,
+    _tail_cut,
     frobenius_norm,
     materialize,
     polynomial_values,
@@ -86,10 +102,21 @@ def norm_const_gradient_truncated(ps: PowerSums, m: int, d: int) -> GradientPoly
 
     For m = 2 this is the constant polynomial I/d; for m = 3 it is
     (1/d + tr(Sigma)/(d(d+2))) I + (2/(d(d+2))) Sigma.
+
+    ``ps`` keeps the polynomial of each m, formed on the first call, so
+    every call for (ps, m) returns the one instance: its coefficients are
+    read-only.  It records ``nu``, a bound on ||Sigma||_2 from the
+    spectrum, and ``p2`` = p_2 where the power sums hold it.
     """
     _check_dims(ps, d, m, 2, "m")
-    t = _terms(ps, d / 2.0)
-    return GradientPolynomial(d=ps.d, coeffs=_gradient_coeffs(t, m, d / 2.0))
+    g = ps._gradients.get(m)
+    if g is None:
+        coeffs = _gradient_coeffs(_terms(ps, d / 2.0), m, d / 2.0)
+        coeffs.flags.writeable = False
+        g = GradientPolynomial(d=ps.d, coeffs=coeffs, nu=ps._nu,
+                               p2=float(ps.p[2]) if ps.K >= 2 else None)
+        ps._gradients[m] = g
+    return g
 
 
 def covariance_expansion(
@@ -100,15 +127,6 @@ def covariance_expansion(
     cov = materialize(norm_const_gradient_truncated(ps, m, d), sigma)
     cov *= inverse_norm_const_truncated(ps, l, d)
     return cov
-
-
-def _check_sigma(sigma: np.ndarray, d: int) -> None:
-    """Raise unless Sigma has shape (d, d), naming its dimension or shape."""
-    shape = np.shape(sigma)
-    if shape != (d, d):
-        square = len(shape) == 2 and shape[0] == shape[1]
-        size = f"dimension {shape[0]}" if square else f"shape {shape}"
-        raise DimensionMismatchError(f"matrix has {size}, call asked for d = {d}")
 
 
 def _check_covariance(ps: PowerSums, sigma: np.ndarray, l: int, m: int, d: int) -> None:
@@ -167,7 +185,14 @@ def covariance_derived_bound(
 
     G = V g(Lambda) V' for Sigma = V Lambda V', so ||G||_F = ||g(lambda)||_2:
     O(d m) on the eigenvalues ``ps`` is built from, and G itself is never
-    formed.  The orders, the dimensions and both tail bounds, with the
+    formed.  g(lambda) is evaluated on c_0 .. c_L'' only, L'' the smallest
+    degree whose dropped terms have sum_{l > L''} |c_l| nu^l <= 2^-55 |c_0|,
+    nu >= max |lambda_i| the bound the gradient records, and sqrt(d) times
+    that sum is added, so in exact arithmetic the result is never below
+    the full-degree one; in float the two can differ by the rounding of
+    the two evaluations.
+    Every term is kept when c_0 = 0, nu = 0 or a quantity is not finite.
+    The orders, the dimensions and both tail bounds, with the
     admissibility of d, are checked before any series work.
 
     Derived, not sharp; requires d above the inverse-expansion
@@ -178,5 +203,7 @@ def covariance_derived_bound(
     b_inv = inverse_tail_bound(l, d, regime)
     scalar = inverse_norm_const_truncated(ps, l, d)
     grad = norm_const_gradient_truncated(ps, m, d)
-    grad_norm = frobenius_norm(polynomial_values(grad.coeffs, ps.eigenvalues))
+    degree, tail = _tail_cut(grad.coeffs, grad.nu, 0, 2.0**-_CUT_BITS * abs(float(grad.coeffs[0])))
+    values = polynomial_values(grad.coeffs[:degree + 1], ps.eigenvalues)
+    grad_norm = frobenius_norm(values) + math.sqrt(ps.d) * tail
     return abs(scalar) * b_grad + b_inv * (grad_norm + b_grad)

@@ -30,13 +30,17 @@ additions as it does for the products; only the diagonal additions are
 elementwise.  Diagonal Sigma takes Horner's rule on the diagonal, O(d L).
 
 Before the split, dense Sigma drops the top coefficients whose summed
-bound sum_{l > L'} |c_l| ||Sigma||_F^l is at most 2^-55 |c_1| omega, omega
-the largest off-diagonal |sigma_ij|: as |(Sigma^l)_ij| <= ||Sigma||_F^l,
-no entry moves by more than a quarter of the unit roundoff of the
-first-order off-diagonal scale.  In the regime ||Sigma|| <= gamma0 d^(r/2),
-r < 1, the coefficient of Sigma^l falls like 1/(d/2)_(l+1), so at m = 40
-and ||Sigma||_F = 1 about degree 14 of 38 is kept at d = 20 and 11 at
-d = 100: 6 and 5 products instead of 11.
+bound sum_{l > L'} |c_l| nu^l is at most 2^-55 |c_1| omega, omega the
+largest off-diagonal |sigma_ij| and nu >= ||Sigma||_2: as
+|(Sigma^l)_ij| <= ||Sigma||_2^l, no entry moves by more than a quarter of
+the unit roundoff of the first-order off-diagonal scale.  A gradient of
+the series records the spectrum it came from, and there nu is its
+max |lambda_i| (1 + 2^-20) (``PowerSums._nu``); any other polynomial, or
+a Sigma whose ||Sigma||_F^2 does not match that spectrum's p_2, takes
+nu = ||Sigma||_F.  In the regime ||Sigma|| <= gamma0 d^(r/2), r < 1, the
+coefficient of Sigma^l falls like 1/(d/2)_(l+1), so at m = 40 and
+||Sigma||_F = 1 about degree 8 of 38 is kept on a d = 100 trace-zero
+Sigma (11 with nu = ||Sigma||_F): 4 products instead of 11.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -300,7 +304,10 @@ class PowerSums:
     ``eigenvalues`` is copied unless it already is read-only and owns its
     memory.  The series terms of ``p`` live with the instance, in a private
     memo that holds one pass per Pochhammer parameter a, to order
-    min(K, MAX_ORDER) + 1, read-only (:mod:`binghamx.zonal`); no two share it.
+    min(K, MAX_ORDER) + 1, read-only (:mod:`binghamx.zonal`); beside it a
+    second memo holds the truncated series gradient of each order m
+    (:func:`binghamx.series.norm_const_gradient_truncated`).  No two
+    instances share either.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -308,6 +315,7 @@ class PowerSums:
     d: int = field(init=False)
     p: np.ndarray = field(init=False, repr=False)
     _terms: dict = field(default_factory=dict, init=False, repr=False)
+    _gradients: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -340,6 +348,16 @@ class PowerSums:
         object.__setattr__(self, "d", len(lam))
         object.__setattr__(self, "p", p)
 
+    @cached_property
+    def _nu(self) -> float:
+        """max |lambda_i| (1 + 2^-20), a bound on ||Sigma||_2, formed on first use.
+
+        ``eigvalsh`` is backward stable, |lambda_i - lambda^_i| <= p(d) u
+        ||Sigma||_2, and the margin covers p(d) up to about 4e9; for a
+        diagonal Sigma the bound is exact up to the margin.
+        """
+        return float(np.abs(self.eigenvalues).max()) * (1.0 + 2.0**-20)
+
     def require(self, k: int) -> None:
         """Raise unless powers up to order ``k`` are available."""
         if k > self.K:
@@ -356,6 +374,15 @@ def _read_only(a) -> np.ndarray:
         a = np.array(a, dtype=np.float64)
         a.flags.writeable = False
     return a
+
+
+def _check_sigma(sigma: np.ndarray, d: int) -> None:
+    """Raise unless Sigma has shape (d, d), naming its dimension or shape."""
+    shape = np.shape(sigma)
+    if shape != (d, d):
+        square = len(shape) == 2 and shape[0] == shape[1]
+        size = f"dimension {shape[0]}" if square else f"shape {shape}"
+        raise DimensionMismatchError(f"matrix has {size}, call asked for d = {d}")
 
 
 def _diagonal(sigma: np.ndarray) -> np.ndarray | None:
@@ -419,10 +446,17 @@ class GradientPolynomial:
     This is the closed form every gradient in the package takes: the
     gradient of a symmetric function of power sums is a polynomial in
     Sigma whose coefficients depend only on the power sums.
+
+    A series gradient also records the spectrum it came from: ``nu``, a
+    bound on its ||Sigma||_2, and ``p2`` = sum_i lambda_i^2.  Dense
+    :func:`materialize` cuts at ``nu`` when Sigma's ||Sigma||_F^2 matches
+    ``p2``; both are None on a polynomial built from coefficients alone.
     """
 
     d: int
     coeffs: np.ndarray
+    nu: float | None = field(default=None, kw_only=True, repr=False, compare=False)
+    p2: float | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -458,22 +492,55 @@ def _split(degree: int) -> int:
 
 #: Dense :func:`materialize` drops top terms whose summed bound is at most
 #: 2^-CUT_BITS of the first-order off-diagonal scale: a quarter of the unit
-#: roundoff.
+#: roundoff.  The derived covariance bound cuts g(lambda) at 2^-CUT_BITS |c_0|.
 _CUT_BITS = 55
 
 
-def _significant_degree(coeffs: np.ndarray, sigma: np.ndarray) -> int:
+def _tail_cut(coeffs: np.ndarray, nu: float, low: int, threshold: float) -> tuple[int, float]:
+    """(L', tail): the smallest L' >= low with tail = sum_{l > L'} |c_l| nu^l <= threshold.
+
+    A scalar walk down from the top coefficient that stops at the first
+    l whose term takes the running tail past the threshold.  Each term is
+    formed relative to the threshold through log2, and only once it is at
+    most 1, so no power of nu overflows or underflows.  Every term is kept,
+    (len(coeffs) - 1, 0.0), when nu or the threshold is not positive and
+    finite or the sum of the coefficients is not; none of these warns.
+    """
+    values = coeffs.tolist()
+    degree = len(values) - 1
+    if not (0.0 < nu < math.inf and 0.0 < threshold < math.inf
+            and math.isfinite(sum(values))):
+        return degree, 0.0
+    log_nu, log_threshold = math.log2(nu), math.log2(threshold)
+    tail = 0.0
+    for l in range(degree, low, -1):
+        c = abs(values[l])
+        if c == 0.0:
+            continue
+        x = math.log2(c) + l * log_nu - log_threshold
+        term = 2.0**x if x <= 0.0 else math.inf
+        if tail + term > 1.0:
+            return l, tail * threshold
+        tail += term
+    return low, tail * threshold
+
+
+def _significant_degree(coeffs: np.ndarray, sigma: np.ndarray,
+                        nu: float | None = None, p2: float | None = None) -> int:
     """The degree L' to which dense :func:`materialize` evaluates g(Sigma).
 
     The smallest L' >= 1 with sum_{l > L'} |c_l| nu^l <= 2^-55 |c_1| omega,
-    where nu = ||Sigma||_F >= ||Sigma||_2 bounds every entry of Sigma^l by
-    nu^l and omega = max_{i != j} |sigma_ij|: dropping c_(L'+1) .. c_L moves
-    no entry by more than a quarter of the unit roundoff of the first-order
-    off-diagonal scale |c_1| omega.  nu and omega come from one |Sigma|, and
-    the tail sums from the top down are taken relative to the threshold in
-    the log domain, so no power of nu overflows or underflows.  Every term
-    is kept (L' = L) when c_1 = 0, omega = 0, nu^2 is outside the normal
-    range, or any quantity is not finite; none of these warns.
+    where nu >= ||Sigma||_2 bounds every entry of Sigma^l by nu^l and
+    omega = max_{i != j} |sigma_ij|: dropping c_(L'+1) .. c_L moves no
+    entry by more than a quarter of the unit roundoff of the first-order
+    off-diagonal scale |c_1| omega (:func:`_tail_cut`).  ``nu`` and ``p2``
+    are those the polynomial recorded from its spectrum: nu is used when
+    ||Sigma||_F^2 agrees with p2 to 2^-30 relative, so that Sigma is, up
+    to rounding, the matrix of that spectrum.  Otherwise, and when none was
+    recorded, nu = ||Sigma||_F.  ||Sigma||_F^2 and omega come from one
+    |Sigma|.  Every term is kept (L' = L) when c_1 = 0, omega = 0, the
+    Frobenius path's ||Sigma||_F^2 is outside the normal range, or any
+    quantity is not finite; none of these warns.
     """
     degree = len(coeffs) - 1
     if degree < 2:
@@ -483,33 +550,30 @@ def _significant_degree(coeffs: np.ndarray, sigma: np.ndarray) -> int:
         nu2 = float(np.vdot(flat, flat))
         flat[::sigma.shape[0] + 1] = 0.0
         omega = float(flat.max())
-        c1 = abs(float(coeffs[1]))
-        if not (sys.float_info.min <= nu2 < math.inf and omega > 0.0 and 0.0 < c1 < math.inf):
+    if nu is None or p2 is None or not abs(nu2 - p2) <= 2.0**-30 * p2:
+        if not sys.float_info.min <= nu2 < math.inf:
             return degree
-        # |c_l| nu^l / threshold for l = L .. 2 through log2, then the tails from the top.
-        tail = np.abs(coeffs[:1:-1])
-        np.log2(tail, out=tail)
-        tail += np.arange(degree, 1, -1) * (0.5 * math.log2(nu2)) + (
-            _CUT_BITS - math.log2(c1) - math.log2(omega))
-        np.exp2(tail, out=tail)
-        np.add.accumulate(tail, out=tail)
-    if not math.isfinite(tail[-1]):
-        return degree
-    return degree - int(np.count_nonzero(tail <= 1.0))
+        nu = math.sqrt(nu2)
+    threshold = 2.0**-_CUT_BITS * abs(float(coeffs[1])) * omega
+    return _tail_cut(coeffs, nu, 1, threshold)[0]
 
 
 def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     """Evaluate a :class:`GradientPolynomial` at Sigma.
 
-    Dense Sigma first drops the top terms that cannot move an entry by
-    more than 2^-55 |c_1| omega, omega = max_{i != j} |sigma_ij|: it
-    evaluates c_0 .. c_L' for the smallest L' >= 1 with
-    sum_{l > L'} |c_l| ||Sigma||_F^l <= 2^-55 |c_1| omega
-    (:func:`_significant_degree`).  Every term stays where that rule
-    cannot show a cut safe: c_1 = 0, omega = 0, ||Sigma||_F^2 outside the
-    normal range, or a quantity that is not finite.  The bound holds because
-    |(Sigma^l)_ij| <= ||Sigma||_2^l <= ||Sigma||_F^l.  ``g.coeffs`` is not
-    changed.
+    ``g`` is evaluated at the Sigma it came from: a gradient of the series
+    at the matrix whose spectrum it records.  Dense Sigma first drops the
+    top terms that cannot move an entry by more than 2^-55 |c_1| omega,
+    omega = max_{i != j} |sigma_ij|: it evaluates c_0 .. c_L' for the
+    smallest L' >= 1 with sum_{l > L'} |c_l| nu^l <= 2^-55 |c_1| omega
+    (:func:`_significant_degree`).  The bound holds because
+    |(Sigma^l)_ij| <= ||Sigma||_2^l <= nu^l.  nu is ``g.nu``, the
+    max |lambda_i| (1 + 2^-20) of the spectrum g records, when Sigma's
+    ||Sigma||_F^2 matches that spectrum's ``g.p2`` to 2^-30 relative;
+    otherwise, or when g records no spectrum, it is ||Sigma||_F.  Every
+    term stays where that rule cannot show a cut safe: c_1 = 0, omega = 0,
+    ||Sigma||_F^2 outside the normal range on the Frobenius path, or a
+    quantity that is not finite.  ``g.coeffs`` is not changed.
 
     It then takes the Paterson-Stockmeyer scheme (Paterson &
     Stockmeyer, SIAM J. Comput. 1973; Higham, *Functions of Matrices*,
@@ -517,7 +581,8 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     Sigma^2 .. Sigma^s once and runs Horner's rule in Sigma^s over the
     blocks B_j = c_{js} I + c_{js+1} Sigma + ... + c_{js+s-1} Sigma^(s-1):
     (s - 1) + L // s matrix products, 11 instead of 38 at L = 38.  A
-    gradient at d = 100, m = 40, ||Sigma||_F = 1 keeps L' = 11: 5 products.
+    gradient at d = 100, m = 40 on a trace-zero Sigma with ||Sigma||_F = 1
+    keeps L' = 8: 4 products.
     Sigma .. Sigma^(s-1) and a slot for the carried product share one
     (s, d, d) array, so each step is ``acc @ Sigma^s`` into that slot, one
     ``np.dot`` of (c_{js+1}, .., c_{js+s-1}, 1.0) over the stack into acc,
@@ -552,7 +617,7 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     if diag is not None:
         return np.diag(polynomial_values(c, diag))
     sigma = np.asanyarray(sigma, dtype=np.float64)
-    c = c[:_significant_degree(c, sigma) + 1]
+    c = c[:_significant_degree(c, sigma, g.nu, g.p2) + 1]
     d, degree = g.d, len(c) - 1
     s = _split(degree)
     # stack[:s - 1] holds Sigma .. Sigma^(s-1), stack[s - 1] the carried product.

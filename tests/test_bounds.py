@@ -7,6 +7,7 @@ pass.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestGrowthRegime:
         assert regime_check(np.diag([1e160, 0.0]), GrowthRegime(2e160, 0.0), 2)
         with pytest.raises(DimensionMismatchError):
             regime_check(big, GrowthRegime(1.0, 0.0), 8)
+
+    @pytest.mark.parametrize("shape, size", [
+        ((30, 7), "shape (30, 7)"),
+        ((30,), "shape (30,)"),
+        ((7, 7), "dimension 7"),
+    ], ids=["rectangular", "one-dimensional", "square"])
+    def test_regime_check_of_another_shape(self, shape, size):
+        # Any Sigma but (d, d) is rejected, also when its first axis is d.
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"matrix has {size}, call asked for d = 30")):
+            regime_check(np.full(shape, 0.01), GrowthRegime(1.0, 0.0), 30)
 
 
 class TestThresholds:

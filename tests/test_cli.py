@@ -200,6 +200,24 @@ class TestCov:
         got = trailing_matrix(text, d)
         assert np.array_equal(got, covariance_expansion(ps, sigma, 3, 4, d))
 
+    def test_one_gradient_reduction(self, tmp_path, monkeypatch):
+        # The derived bound and the product share the gradient that the
+        # matrix's PowerSums keeps: one _gradient_coeffs for the command.
+        sigma = random_trace_zero(np.random.default_rng(47), 16, norm=0.8)
+        path = write_matrix(tmp_path, sigma)
+        orders = []
+
+        def recorded(t, m, a, real=series._gradient_coeffs):
+            orders.append(m)
+            return real(t, m, a)
+
+        monkeypatch.setattr(series, "_gradient_coeffs", recorded)
+        code, text = invoke(["cov", "--matrix", path, "--l", "3", "--m", "12",
+                             "--gamma0", "0.9", "--r", "0"])
+        assert code == 0
+        assert "derived_bound" in text
+        assert orders == [12]
+
     def test_csv_layout(self, tmp_path):
         sigma = np.diag([0.2, -0.2, 0.0])
         path = write_matrix(tmp_path, sigma)

@@ -24,7 +24,8 @@ def run_tool(parent, change, results):
     # children bytecode.
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", str(TOOL), str(parent), str(change),
-         "--workload", "cli-verify", "--seconds", "0", "--json", str(results)],
+         "--workload", "cli-verify", "--seconds", "0", "--json", str(results),
+         "--labels", "before", "after"],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
@@ -34,6 +35,7 @@ def run_tool(parent, change, results):
     assert_entry("cli-verify", entry)
     assert entry["rounds"] == 2
     assert entry["env"]["bytecode"] == "compiled copy of each tree"
+    assert entry["env"]["labels"] == {"parent": "before", "change": "after"}
     for tree in {parent, change} - {ROOT / "src"}:
         assert not list(tree.rglob("__pycache__")), tree
     return proc.stdout.splitlines(), entry

@@ -23,7 +23,13 @@ def assert_entry(workload: str, entry: dict) -> None:
                              else "tools/lib_ab.py")
     env = {"machine", "cpus", "blas_threads", "python", "numpy"}
     # A CLI entry names how its children got binghamx's bytecode; older ones do not.
-    assert set(entry["env"]) in ((env, env | {"bytecode"}) if workload.startswith("cli-") else (env,))
+    # An entry may name the trees it compared (--labels).
+    labels = env | {"labels"}
+    assert set(entry["env"]) in ((env, env | {"bytecode"}, labels | {"bytecode"})
+                                 if workload.startswith("cli-") else (env, labels))
+    if "labels" in entry["env"]:
+        assert list(entry["env"]["labels"]) == list(TREES)
+        assert all(isinstance(name, str) and name for name in entry["env"]["labels"].values())
     assert entry["env"]["blas_threads"] == 1 and entry["env"]["cpus"] >= 1
     assert isinstance(entry["seed"], int) and entry["seconds"] >= 0 and entry["rounds"] >= 1
     assert entry["ops"]
@@ -72,6 +78,7 @@ def test_same_tree_twice(tmp_path):
     assert written["cli-dense"] == {"kept": True}
     entry = written["lib-series"]
     assert_entry("lib-series", entry)
+    assert "labels" not in entry["env"]
     assert (entry["seed"], entry["seconds"], entry["rounds"]) == (1, 1.0, rounds)
     assert list(entry["ops"]) == list(OPS)
     for name, (parent, change, ratio, faster) in rows.items():
@@ -79,6 +86,20 @@ def test_same_tree_twice(tmp_path):
         assert f"{row['parent_ms']['median']:.3f}" == parent, name
         assert f"{row['change_ms']['median']:.3f}" == change, name
         assert f"{row['ratio']:.3f}" == ratio and row["faster"] == int(faster), name
+
+
+def test_labels_name_the_trees(tmp_path):
+    src = str(ROOT / "src")
+    results = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", str(TOOL), src, src, "--seconds", "0",
+         "--json", str(results), "--labels", "38fe322", "work tree"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(results.read_text())["lib-series"]
+    assert_entry("lib-series", entry)
+    assert entry["env"]["labels"] == {"parent": "38fe322", "change": "work tree"}
 
 
 def test_committed_results_files():

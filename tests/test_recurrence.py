@@ -405,9 +405,12 @@ class TestCachedTables:
             assert_same_bits(g, want_g)
             t[:] = np.nan
             g[:] = np.nan
+            # The series gradient is the one ps keeps, shared by every caller:
+            # its coefficients are read-only.
             coeffs = norm_const_gradient_truncated(ps, 40, 20).coeffs
             assert_same_bits(coeffs, want_grad)
-            coeffs[:] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                coeffs[:] = np.nan
             coeffs = zonal_gradient(40, ps).coeffs
             assert_same_bits(coeffs, want_zonal)
             coeffs[:] = np.nan

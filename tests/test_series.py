@@ -20,6 +20,7 @@ Oracles:
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -451,6 +452,31 @@ class TestOnePassPerPowerSums:
         zonal_value(0, ps)
         assert passes == [(40, 0.5), (40, d / 2.0)]
 
+    def test_one_gradient_reduction_per_order(self, monkeypatch):
+        # grad, cov and the derived bound share one _gradient_coeffs per
+        # (ps, m): ps keeps the polynomial, whose coefficients are read-only.
+        d = 20
+        sigma = random_trace_zero(np.random.default_rng(61), d, norm=0.8)
+        ps = power_sums(sigma, 39)
+        orders = []
+
+        def recorded(t, m, a, real=zonal._gradient_coeffs):
+            orders.append(m)
+            return real(t, m, a)
+
+        monkeypatch.setattr(series, "_gradient_coeffs", recorded)
+        for m in (40, 12, 40, 3):
+            series_calls(ps, sigma, 3, m, d, self.REGIME)
+        assert orders == [40, 12, 3]
+        g = norm_const_gradient_truncated(ps, 40, d)
+        assert g is norm_const_gradient_truncated(ps, 40, d)
+        assert not g.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.coeffs[0] = 0.0
+        # Another PowerSums of the same matrix keeps its own.
+        norm_const_gradient_truncated(power_sums(sigma, 39), 40, d)
+        assert orders == [40, 12, 3, 40]
+
     def test_pass_order_stops_at_max_order_plus_one(self, monkeypatch):
         # Power sums past MAX_ORDER enter no order a caller may ask for:
         # K = 1000 runs one pass at MAX_ORDER + 1, and no table of the
@@ -660,6 +686,33 @@ def spectral_test_matrix(kind, d, rng, norm=0.8):
     return norm * np.outer(e, e) / (e @ e)
 
 
+def lib_series_batch(seed):
+    """The 32 matrices of the benchmark's lib-series batch for ``seed``.
+
+    Dense trace-zero, dense and rank-one in turn, d = 20 and 100 in turn,
+    ||Sigma||_F = 1, drawn as ``perfbench/run.py`` draws them.
+    """
+    rng = np.random.default_rng([seed, 2])  # lib-series is the third workload by name
+    sigmas = []
+    for i in range(32):
+        d, kind = (20, 100)[i % 2], i % 3
+        if kind == 0:
+            a = rng.standard_normal((d, d))
+            s = (a + a.T) / 2.0
+            s -= np.trace(s) / d * np.eye(d)
+            s *= 1.0 / np.sqrt(np.sum(s * s))
+        elif kind == 1:
+            a = rng.standard_normal((d, d)) + 0.3
+            s = (a + a.T) / 2.0
+            s /= np.sqrt(np.sum(s * s))
+        else:
+            u = rng.standard_normal(d)
+            u /= np.sqrt(u @ u)
+            s = rng.choice([-1.0, 1.0]) * np.outer(u, u)
+        sigmas.append(s)
+    return sigmas
+
+
 class TestSpectralDerivedBound:
     """||G||_F = ||g(lambda)||_2 in the derived covariance bound."""
 
@@ -679,6 +732,57 @@ class TestSpectralDerivedBound:
         for (l, m), ref in want.items():
             got = covariance_derived_bound(ps, sigma, l, m, d, self.REGIME)
             assert abs(got - ref) <= 1e-15 * ref, (kind, d, l, m)
+
+    def test_cut_is_never_below_the_full_degree_bound(self, monkeypatch):
+        # On the benchmark's library batch (seed 1, m = 40), g(lambda) is
+        # evaluated to degree 13 or less of 38; the bound with the sqrt(d)
+        # tail is at or above its full-degree value, and within 2^-48 of it.
+        regime = GrowthRegime(scale=1.0, exponent=0.0)
+        cuts, got = [], []
+        real = series._tail_cut
+
+        def recorded(coeffs, nu, low, threshold):
+            cuts.append(real(coeffs, nu, low, threshold)[0])
+            return real(coeffs, nu, low, threshold)
+
+        monkeypatch.setattr(series, "_tail_cut", recorded)
+        batch = lib_series_batch(1)
+        for sigma in batch:
+            got.append(covariance_derived_bound(power_sums(sigma, 39), sigma, 3, 40,
+                                                len(sigma), regime))
+        assert len(cuts) == len(batch) == 32 and max(cuts) <= 13
+        monkeypatch.setattr(series, "_tail_cut",
+                            lambda coeffs, nu, low, threshold: (len(coeffs) - 1, 0.0))
+        for sigma, bound in zip(batch, got):
+            full = covariance_derived_bound(power_sums(sigma, 39), sigma, 3, 40,
+                                            len(sigma), regime)
+            assert full <= bound <= full * (1 + 2.0**-48)
+
+    def test_the_dropped_tail_enters_the_bound(self, monkeypatch):
+        # The cut adds sqrt(d) times the tail it dropped to ||g(lambda)||_2:
+        # a tail of 1e-6 raises the bound by B_i sqrt(d) 1e-6.
+        regime = GrowthRegime(scale=1.0, exponent=0.0)
+        sigma = lib_series_batch(1)[3]
+        d = len(sigma)
+        bound = covariance_derived_bound(power_sums(sigma, 39), sigma, 3, 40, d, regime)
+        real = series._tail_cut
+        monkeypatch.setattr(series, "_tail_cut", lambda coeffs, nu, low, threshold: (
+            real(coeffs, nu, low, threshold)[0], real(coeffs, nu, low, threshold)[1] + 1e-6))
+        raised = covariance_derived_bound(power_sums(sigma, 39), sigma, 3, 40, d, regime)
+        want = inverse_tail_bound(3, d, regime) * math.sqrt(d) * 1e-6
+        assert raised - bound == pytest.approx(want, rel=1e-6)
+
+    def test_cut_keeps_every_term_without_a_threshold(self, monkeypatch):
+        # c_0 = 0, nu = 0 or a non-finite quantity leaves the full degree, and nothing warns.
+        coeffs = np.array([1.0, 0.5, 0.25, 0.125])
+        for args in ((coeffs, 0.0, 0.0), (coeffs, 0.5, 0.0), (coeffs, math.inf, 1.0),
+                     (coeffs, math.nan, 1.0), (np.array([1.0, math.nan, 0.0, 1e-300]), 0.5, 1e-9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert symmat._tail_cut(args[0], args[1], 0, args[2]) == (3, 0.0)
+        # A finite case cuts, and returns the dropped tail it summed.
+        degree, tail = symmat._tail_cut(coeffs, 0.5, 0, 2.0**-6)
+        assert (degree, tail) == (2, 0.125 * 0.5**3)
 
     def test_one_series_pass(self, monkeypatch):
         rng = np.random.default_rng(31)

@@ -23,8 +23,10 @@ from binghamx import (
     MatrixValidationError,
     PowerSums,
     covariance_derived_bound,
+    covariance_expansion,
     format_matrix,
     frobenius_norm,
+    inverse_norm_const_truncated,
     load_matrix,
     materialize,
     norm_const_gradient_truncated,
@@ -871,7 +873,26 @@ def lib_series_kind(rng, d, kind):
 
 def full_degree(monkeypatch):
     """Make materialize evaluate every term, as it did before the cut."""
-    monkeypatch.setattr(symmat, "_significant_degree", lambda coeffs, sigma: len(coeffs) - 1)
+    monkeypatch.setattr(symmat, "_significant_degree",
+                        lambda coeffs, sigma, *spectrum: len(coeffs) - 1)
+
+
+def householder_sigma(v, eigenvalues):
+    """Sigma = H D H, H = I - 2 v v'/(v'v) with v'v a power of two, D = diag(eigenvalues).
+
+    H is symmetric and orthogonal with dyadic entries, so for small
+    integers v and D every entry of Sigma is exact in float64 and the
+    spectrum of Sigma is exactly D: ||Sigma||_2 = max |D|.
+    """
+    d, vv = len(v), sum(x * x for x in v)
+    assert vv & (vv - 1) == 0
+    h = [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], vv) for j in range(d)]
+         for i in range(d)]
+    hd = [[h[i][k] * eigenvalues[k] for k in range(d)] for i in range(d)]
+    exact = [[sum(hd[i][k] * h[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    s = np.array([[float(x) for x in row] for row in exact])
+    assert all(Fraction(s[i, j]) == exact[i][j] for i in range(d) for j in range(d))
+    return s
 
 
 class TestSignificantDegree:
@@ -904,14 +925,18 @@ class TestSignificantDegree:
 
     @pytest.mark.parametrize("kind", ["trace-zero", "dense", "rank-one"])
     def test_cut_engages_at_m40(self, kind, monkeypatch):
-        # d = 100, m = 40: at most degree 12 of 38 is kept, and materialize
-        # evaluates just that prefix; the full evaluation differs from it by
-        # no more than the cut allows.
+        # d = 100, m = 40: the cut at nu = max |lambda| keeps at most degree
+        # 9 of 38 on a trace-zero Sigma (||Sigma||_2 about 0.2 of
+        # ||Sigma||_F = 1), 10 on a dense one and 12 on a rank-one one
+        # (||Sigma||_2 = ||Sigma||_F), and materialize evaluates just that
+        # prefix; the full evaluation differs from it by no more than the
+        # cut allows.
         rng = np.random.default_rng(32)
         s = lib_series_kind(rng, 100, kind)
         g = self.gradient(s)
-        kept = symmat._significant_degree(g.coeffs, s)
-        assert kept <= 12
+        kept = symmat._significant_degree(g.coeffs, s, g.nu, g.p2)
+        assert kept <= {"trace-zero": 9, "dense": 10, "rank-one": 12}[kind]
+        assert kept <= symmat._significant_degree(g.coeffs, s)
         got = materialize(g, s)
         short = GradientPolynomial(d=100, coeffs=g.coeffs[:kept + 1])
         full_degree(monkeypatch)
@@ -925,7 +950,7 @@ class TestSignificantDegree:
         """The cut keeps every term: no warning, and the full evaluation's bits."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kept = symmat._significant_degree(g.coeffs, s)
+            kept = symmat._significant_degree(g.coeffs, s, g.nu, g.p2)
         assert kept == g.degree
         with np.errstate(all="ignore"):
             got = materialize(g, s)
@@ -981,8 +1006,60 @@ class TestSignificantDegree:
         coeffs[where] = bad
         self.assert_full_degree(GradientPolynomial(d=20, coeffs=coeffs), s, monkeypatch)
 
-    def test_cli_dense_size_is_whole(self, monkeypatch):
-        # d = 1000 at 0.9 of the (1, 0.5) regime cap, m = 12: every term
-        # counts, so grad and cov print the bytes they printed before the cut.
+    def test_cli_dense_size_cuts_at_the_spectral_norm(self, monkeypatch):
+        # d = 1000 at 0.9 of the (1, 0.5) regime cap, m = 12: ||Sigma||_F =
+        # 5.06 keeps every term, but ||Sigma||_2 = 0.32 keeps degree 7 or
+        # less of 10; the full evaluation differs by no more than the cut
+        # allows.
         s = benchmark_like(1000)
-        self.assert_full_degree(self.gradient(s, 12), s, monkeypatch)
+        g = self.gradient(s, 12)
+        assert symmat._significant_degree(g.coeffs, s) == g.degree
+        kept = symmat._significant_degree(g.coeffs, s, g.nu, g.p2)
+        assert kept <= 7
+        got = materialize(g, s)
+        full_degree(monkeypatch)
+        full = materialize(g, s)
+        rounding = 1e-15 * np.abs(full).max()
+        assert np.abs(got - full).max() <= self.cut_allowance(g.coeffs, s) + rounding
+
+    @pytest.mark.parametrize("eigenvalues", [
+        [3, -3, 1, -1, 0, 0, 0, 0],
+        [4, -4, 2, -2, 1, -1, 0, 0],
+        [6, -6, 0, 0, 0, 0, 0, 0],
+    ], ids=["3", "4", "6"])
+    def test_within_rounding_and_cut_of_exact_spectral_reference(self, eigenvalues):
+        # Sigma = H D H is exact in float and ||Sigma||_2 = max |D| is known:
+        # each entry of the covariance product at m = 40 lies within
+        # |T| (rounding allowance + 2^-55 |c_1| omega) of T G, G formed
+        # exactly at full degree, plus the rounding of the product by T.
+        s = householder_sigma([1, 1, 1, 1, 0, 0, 0, 0], eigenvalues)
+        d = len(s)
+        ps = power_sums(s, 39)
+        g = norm_const_gradient_truncated(ps, 40, d)
+        assert max(eigenvalues) <= g.nu <= max(eigenvalues) * (1 + 2.0**-19)
+        kept = symmat._significant_degree(g.coeffs, s, g.nu, g.p2)
+        assert kept < symmat._significant_degree(g.coeffs, s)
+        scalar = inverse_norm_const_truncated(ps, 3, d)
+        got = covariance_expansion(ps, s, 3, 40, d)
+        exact = TestMaterialize.exact_polynomial(g.coeffs, s)
+        allowance = abs(scalar) * (TestMaterialize.rounding_bound(g.coeffs, s)
+                                   + self.cut_allowance(g.coeffs, s))
+        u = np.finfo(float).eps / 2
+        for i in range(d):
+            for j in range(d):
+                want = Fraction(scalar) * exact[i][j]
+                err = abs(Fraction(got[i, j]) - want)
+                assert err <= allowance + u * (abs(float(want)) + allowance), (i, j)
+
+    def test_a_spectrum_of_another_matrix_falls_back_to_frobenius(self):
+        # A gradient of 0.5 Sigma evaluated at Sigma: ||Sigma||_F^2 is four
+        # times its p_2, so its nu, half of ||Sigma||_2, is not used, and
+        # materialize has the bits of the same coefficients with no
+        # spectrum, whose cut is at ||Sigma||_F.
+        s = random_trace_zero(np.random.default_rng(38), 100, 1.0)
+        g = self.gradient(0.5 * s)
+        bare = GradientPolynomial(d=100, coeffs=g.coeffs)
+        assert (symmat._significant_degree(g.coeffs, s, g.nu, g.p2)
+                == symmat._significant_degree(g.coeffs, s)
+                > symmat._significant_degree(g.coeffs, 0.5 * s, g.nu, g.p2))
+        assert materialize(g, s).tobytes() == materialize(bare, s).tobytes()

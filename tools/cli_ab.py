@@ -1,7 +1,7 @@
 """Fresh-process A/B timing of a CLI workload on two source trees.
 
     python3 tools/cli_ab.py PARENT_SRC CHANGE_SRC --workload cli-dense|cli-verify
-        [--seconds S] [--seed N] [--json PATH]
+        [--seconds S] [--seed N] [--json PATH] [--labels PARENT CHANGE]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
 ``binghamx`` package, as for ``tools/lib_ab.py``.  The inputs, the ops
@@ -34,8 +34,8 @@ largest ``VmHWM`` and whether the two trees' stdout digests agree; then
 the total of the medians.  With ``--json PATH`` the run is written into
 PATH as the workload's entry, in the schema of ``tools/lib_ab.py`` plus
 per-op ``vmhwm_kb`` and ``stdout_sha256``, and with the mode of the
-children's bytecode in its env.  Exit status 1 when an output
-fails its verdict or a child fails.
+children's bytecode and the ``--labels`` of the trees in its env.  Exit
+status 1 when an output fails its verdict or a child fails.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", metavar="PATH")
+    parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="names of the two trees, recorded in the --json env")
     args = parser.parse_args(argv)
 
     srcs = [Path(src).resolve() for src in (args.parent_src, args.change_src)]
@@ -171,7 +173,7 @@ def main(argv=None) -> int:
         print(f"failed {why}")
     if args.json:
         lib_ab.write_entry(args.json, args.workload, {
-            "tool": "tools/cli_ab.py", "env": {**lib_ab.environment(), "bytecode": BYTECODE},
+            "tool": "tools/cli_ab.py", "env": {**lib_ab.environment(args.labels), "bytecode": BYTECODE},
             "seed": args.seed, "seconds": args.seconds, "rounds": rounds, "elapsed_s": elapsed,
             "ops": rows, "total": total, "failed": bench.failures})
     return 1 if bench.failures else 0

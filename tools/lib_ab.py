@@ -1,6 +1,7 @@
 """In-process A/B timing of the ``lib-series`` library ops on two source trees.
 
     python3 tools/lib_ab.py PARENT_SRC CHANGE_SRC [--seconds S] [--seed N] [--json PATH]
+        [--labels PARENT CHANGE]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold a
 ``binghamx`` package, for example this checkout's ``src`` and the ``src``
@@ -26,7 +27,8 @@ gain in nine of ten rounds reads as at least 0.9 times the rounds.
 With ``--json PATH`` the run is also written into PATH as the entry of
 its workload, ``lib-series``; other entries in PATH stay as they are.
 An entry holds the machine, the CPU count, the BLAS threads and the
-Python and numpy versions; the seed, seconds and rounds; and per op and
+Python and numpy versions, and with ``--labels`` the names of the two
+trees (a commit each, say); the seed, seconds and rounds; and per op and
 in total each tree's median, q1 and q3 in ms (each the sum over the
 matrices of that quantile, so the medians are the table's), the ratio of
 the medians and the rounds the change won.  ``tools/cli_ab.py`` writes
@@ -87,11 +89,15 @@ def import_trees(sources: list[str], where: Path) -> list:
     return [importlib.import_module(alias) for alias in ALIASES]
 
 
-def environment() -> dict:
-    """The machine, CPU count, BLAS threads and versions that a result holds."""
+def environment(labels=None) -> dict:
+    """The machine, CPU count, BLAS threads and versions that a result holds,
+    and the trees' ``labels`` (parent, change) when given."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return {"machine": platform.machine(), "cpus": cpus, "blas_threads": BLAS_THREADS,
-            "python": platform.python_version(), "numpy": np.__version__}
+    env = {"machine": platform.machine(), "cpus": cpus, "blas_threads": BLAS_THREADS,
+           "python": platform.python_version(), "numpy": np.__version__}
+    if labels:
+        env["labels"] = dict(zip(("parent", "change"), labels))
+    return env
 
 
 def _row(parent: np.ndarray, change: np.ndarray, faster: int) -> dict:
@@ -138,6 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", metavar="PATH")
+    parser.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="names of the two trees, recorded in the --json env")
     args = parser.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -174,7 +182,7 @@ def main(argv=None) -> int:
     print(f"ratio change/parent = {total['ratio']:.4f}")
     if args.json:
         write_entry(args.json, "lib-series", {
-            "tool": "tools/lib_ab.py", "env": environment(), "seed": args.seed,
+            "tool": "tools/lib_ab.py", "env": environment(args.labels), "seed": args.seed,
             "seconds": args.seconds, "rounds": rounds, "elapsed_s": elapsed,
             "ops": rows, "total": total})
     return 0

@@ -96,8 +96,10 @@ def admissible_dimension_inverse(regime: GrowthRegime) -> float:
 
 
 def _require_admissible(d: float, threshold: float, what: str, strict: bool) -> None:
-    ok = d > threshold if strict else d >= threshold
-    if not ok:
+    """Raise unless d is finite and at (or, if ``strict``, above) the threshold."""
+    if not (d < math.inf and (d > threshold if strict else d >= threshold)):
+        if not math.isfinite(d):
+            raise OrderRangeError(f"d must be finite and positive, got {d}")
         rel = ">" if strict else ">="
         raise InadmissibleDimensionError(
             f"d = {d:.17g} is below the admissible dimension for {what}: "

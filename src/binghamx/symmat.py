@@ -20,6 +20,20 @@ text, csv and md matrices, renders the upper triangle and reuses a string
 for its mirror when the two values are bit-equal.  Results are the same as
 converting every entry.
 
+At d >= ``D_MIN`` both directions share the work with one forked child
+process, each distinct entry still converted once, when the gate
+:func:`_can_fork` is open: POSIX ``fork`` exists, the process may run on
+at least two CPUs, and no other Python thread runs.  :func:`load_matrix`
+takes the header and the top 40% of the rows itself and the child the
+rest, each splitting the text from its own end; :func:`format_matrix`
+renders the top-left triangle of the rows above r = d / sqrt(2) itself
+and the child the rectangle to its right and the bottom triangle, about
+d*d/4 entries each.  The bytes, bits and error messages are those of the
+serial path, which runs, with no flag or environment variable, when the
+gate is closed, the text is not plain ASCII, the entry count is wrong, a
+token does not parse or the child fails.  The child leaves by
+``os._exit`` and is reaped before either function returns or raises.
+
 Gradients are matrix polynomials g(Sigma), of degree L = m - 2 for m terms.
 :func:`materialize` evaluates dense ones by the Paterson-Stockmeyer
 scheme: with block size s ~ sqrt(L) it takes (s - 1) + L // s products
@@ -46,7 +60,11 @@ Sigma (11 with nu = ||Sigma||_F): 4 products instead of 11.
 from __future__ import annotations
 
 import math
+import os
+import signal
 import sys
+import threading
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -70,6 +88,101 @@ ASYMMETRY_TOL = 1e-9
 DENSE_EIGEN_LIMIT = 20000
 
 
+#: Smallest d at which load_matrix and format_matrix share their
+#: conversion with a forked child process (see :func:`_can_fork`): above
+#: the crossover, near d = 200 on two CPUs, where the fork and the
+#: transfer cost what the second CPU saves.
+D_MIN = 250
+
+#: The share of rows, from the top, that load_matrix parses itself.
+_LOAD_SHARE = 0.4
+
+
+def _can_fork(d: int) -> bool:
+    """Whether a d x d text conversion is shared with a forked child process.
+
+    All of: d >= ``D_MIN``, POSIX ``fork``, at least two CPUs that this
+    process may run on, and no Python thread but this one.
+    """
+    return (d >= D_MIN and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _forked(child, parent):
+    """``(parent(), payload)``, with ``child()`` run in a forked child process.
+
+    ``child()`` returns a list of bytes-like buffers; their concatenation
+    comes back through a pipe as the payload, a bytearray, or None when
+    the child raises or exits nonzero or fork fails.  The child leaves by
+    ``os._exit`` on every path, so it runs no exit handler and flushes no
+    buffer of this process.  This process reaps the child before it
+    returns or raises: when ``parent()`` or the read raises,
+    KeyboardInterrupt included, it kills the child first.  SIGINT is
+    blocked across the fork, so the child's pid is known before an
+    interrupt can land here, and it stays blocked in the child.
+    """
+    pid = None
+    try:
+        read, write = os.pipe()
+    except OSError:  # no descriptor left: convert in this process
+        return parent(), None
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns on fork while any thread runs, BLAS's
+                # own among them; no other Python thread runs (_can_fork),
+                # and the child takes no lock of theirs.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            pass
+        finally:
+            if pid != 0:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                buffers = [memoryview(b).cast("B") for b in child()]
+                buffers.insert(0, memoryview(sum(map(len, buffers)).to_bytes(8, "little")))
+                for data in buffers:
+                    while data:
+                        data = data[os.write(write, data):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        write = None
+        mine = parent()
+        if pid is None:
+            return mine, None
+        size = _read_exactly(read, 8)
+        payload = size and _read_exactly(read, int.from_bytes(size, "little"))
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+        return mine, (payload if status == 0 else None)
+    finally:
+        if pid == 0:
+            os._exit(1)
+        os.close(read)
+        if write is not None:
+            os.close(write)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _read_exactly(fd: int, n: int) -> bytearray | None:
+    """n bytes from ``fd`` read into one buffer, or None if it ends first."""
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n and (k := os.readv(fd, [view[got:]])):
+            got += k
+    return buf if got == n else None
+
+
 def load_matrix(text: str) -> np.ndarray:
     """Parse matrix text into a validated symmetric float64 array.
 
@@ -77,6 +190,8 @@ def load_matrix(text: str) -> np.ndarray:
     and an entry below the diagonal is parsed only when its token differs
     from its mirror's; otherwise it takes the mirror's value.  Results and
     error messages are those of parsing every token in row-major order.
+    At d >= ``D_MIN`` the rows are shared with a forked child process
+    (:func:`_parse_two_ended`), with the same results and messages.
 
     Parameters
     ----------
@@ -100,10 +215,19 @@ def load_matrix(text: str) -> np.ndarray:
         d < 2, non-finite entries, or relative asymmetry above
         ``ASYMMETRY_TOL``.
     """
-    tokens = text.split()
     # Only such text can hold a token that int or float reads but the
     # format does not have (see _is_number); isascii is O(1).
     foreign = "_" in text or not text.isascii()
+    if not foreign:
+        head = text[:24].split(None, 1)
+        d = int(head[0]) if len(head) == 2 and head[0].isdigit() else 0
+        # Each entry takes at least two characters: d * d >= len(text) is
+        # a wrong count, which the serial path names.
+        if d * d < len(text) and _can_fork(d):
+            a = _parse_two_ended(text, d)
+            if a is not None:
+                return _validated(a)
+    tokens = text.split()
     del text  # freed here unless the caller holds it
     if not tokens:
         raise MatrixFormatError("empty input: expected dimension header")
@@ -129,7 +253,8 @@ def load_matrix(text: str) -> np.ndarray:
     try:
         if foreign and not all(map(_is_number, islice(tokens, 1, None))):
             raise ValueError
-        a = _parse_mirrored(tokens, d)
+        a = np.empty((d, d), dtype=np.float64)
+        _parse_mirrored(tokens, d, a)
     except ValueError:
         # Name the first bad token in row-major order.
         for idx, tok in enumerate(islice(tokens, 1, None)):
@@ -140,6 +265,11 @@ def load_matrix(text: str) -> np.ndarray:
                 ) from None
         raise
     del tokens
+    return _validated(a)
+
+
+def _validated(a: np.ndarray) -> np.ndarray:
+    """``symmetrize(a)`` once ``a`` is finite and symmetric to ``ASYMMETRY_TOL``."""
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise MatrixValidationError(
@@ -170,24 +300,88 @@ def _is_number(tok: str, kind=float) -> bool:
     return tok.isascii() and "_" not in tok
 
 
-def _parse_mirrored(tokens: list[str], d: int) -> np.ndarray:
-    """The d x d entries after the header token, each distinct token parsed once.
+def _parse_mirrored(tokens: list[str], d: int, a: np.ndarray, top: int = 0) -> None:
+    """Fill the entries (top + r, top + c) of a d x d matrix into ``a[r, c]``.
 
-    Row i's upper part is parsed; column i below the diagonal copies it,
-    except where a token differs from its mirror's and is parsed itself.
-    Raises ValueError on the first token ``float`` rejects, in no set order.
+    ``tokens[1:]`` holds rows top .. top + n - 1 in row-major order, n =
+    len(a), and ``a`` has a column for each column from ``top`` on.  Each
+    distinct token is parsed once: row i's upper part is parsed, and
+    column i below the diagonal copies it, except where a token differs
+    from its mirror's and is parsed itself.  Raises ValueError on the
+    first token ``float`` rejects, in no set order.
     """
-    a = np.empty((d, d), dtype=np.float64)
-    for i in range(d):
-        start = 1 + i * d
+    for r in range(len(a)):
+        i, start = top + r, 1 + r * d
         upper = tokens[start + i:start + d]
-        a[i, i:] = np.fromiter(map(float, upper), np.float64, d - i)
-        a[i + 1:, i] = a[i, i + 1:]
+        a[r, r:] = np.fromiter(map(float, upper), np.float64, d - i)
+        a[r + 1:, r] = a[r, r + 1:len(a)]
         lower = tokens[start + d + i::d]
-        if lower != upper[1:]:
-            for j, (u, tok) in enumerate(zip(upper[1:], lower), i + 1):
+        if lower != upper[1:len(lower) + 1]:
+            for j, (u, tok) in enumerate(zip(upper[1:], lower), r + 1):
                 if u != tok:
-                    a[j, i] = float(tok)
+                    a[j, r] = float(tok)
+
+
+def _parse_two_ended(text: str, d: int) -> np.ndarray | None:
+    """The matrix of ASCII ``text`` with header d, parsed in two processes, or None.
+
+    Both processes split ``text`` itself, from its two ends, so neither
+    touches the other's token objects.  This process takes the header and
+    rows < q with ``split``, a forked child the rows >= q with ``rsplit``
+    (:func:`_forked`); each parses its rows as :func:`_parse_mirrored`
+    does.  The child sends back its square block of columns >= q, where
+    its prefix of ``text`` ends, and columns < q of its rows, each joined
+    into one string.  Where such a column is the joined tail of its
+    mirror row, the entries take their mirrors' values; otherwise the
+    tokens are compared one by one.  The count is exact if and only if
+    the child's prefix ends before this process's remainder starts, with
+    only whitespace between them.  None when the count is not d * d, a
+    token does not parse or the child fails: the serial path then gives
+    the error.  The entries are those :func:`_parse_mirrored` gives on
+    the whole text.
+    """
+    q = round(_LOAD_SHARE * d)
+    n = (d - q) * d
+
+    def child() -> list:
+        tokens = text.rsplit(None, n)
+        if len(tokens) != n + 1:
+            raise ValueError("too few tokens")
+        block = np.empty((d - q, d - q), dtype=np.float64)
+        _parse_mirrored(tokens, d, block, q)
+        columns = "\n".join(" ".join(tokens[1 + j::d]) for j in range(q))
+        return [len(tokens[0]).to_bytes(8, "little"), block, columns.encode("ascii")]
+
+    def parent() -> tuple[np.ndarray, list[str], str, int]:
+        tokens = text.split(None, 1 + q * d)
+        if len(tokens) != 2 + q * d:
+            raise ValueError("too few tokens")
+        start = len(text) - len(tokens.pop())
+        a = np.empty((d, d), dtype=np.float64)
+        _parse_mirrored(tokens, d, a[:q])
+        a[q:, :q] = a[:q, q:].T
+        tails = "\n".join(" ".join(tokens[1 + j * d + q:1 + (j + 1) * d]) for j in range(q))
+        return a, tokens, tails, start
+
+    try:
+        (a, tokens, tails, start), data = _forked(child, parent)
+        if data is None:
+            return None
+        end = int.from_bytes(data[:8], "little")
+        if not (end < start and text[end:start].isspace()):
+            return None
+        size = 8 + 8 * (d - q) ** 2
+        a[q:, q:] = np.frombuffer(data, np.float64, (d - q) ** 2, 8).reshape(d - q, d - q)
+        columns = str(memoryview(data)[size:], "ascii")
+        del data
+        if columns != tails:
+            for j, column in enumerate(columns.split("\n")):
+                row = tokens[1 + j * d + q:1 + (j + 1) * d]
+                for t, (u, tok) in enumerate(zip(row, column.split(" ")), q):
+                    if u != tok:
+                        a[t, j] = float(tok)
+    except ValueError:
+        return None
     return a
 
 
@@ -243,15 +437,69 @@ def format_matrix(a: np.ndarray, fmt: str = "text") -> str:
     column.  Entries have 17 significant digits, so a round trip is
     value-preserving, except in md, which rounds to 5 decimals half-up.
     Each distinct entry is converted once: a mirror entry bit-equal to
-    its partner above the diagonal reuses its string.  The output is
-    that of formatting every entry.
+    its partner above the diagonal reuses its string.  A square matrix
+    with d >= ``D_MIN`` is rendered in two processes
+    (:func:`_format_two_process`).  The output is that of formatting
+    every entry.
     """
     if fmt not in _LAYOUTS:
         raise ValueError(f"fmt must be one of {', '.join(_LAYOUTS)}, got {fmt!r}")
     cells, first, start, sep, end = _LAYOUTS[fmt]
-    lines = [first(*np.shape(a))]
+    shape = np.shape(a)
+    if len(shape) == 2 and shape[0] == shape[1] and _can_fork(shape[0]):
+        pieces = _format_two_process(np.asarray(a, dtype=np.float64), cells, start, sep, end)
+        if pieces is not None:
+            return "".join([first(*shape), *pieces])
+    lines = [first(*shape)]
     lines += [start + sep.join(row) + end for row in _matrix_rows(a, cells)]
     return "".join(lines)
+
+
+def _format_two_process(a: np.ndarray, cells, start: str, sep: str, end: str) -> list[str] | None:
+    """The rows of square ``a`` as strings to join, or None; arguments as in ``_LAYOUTS``.
+
+    With r = round(d / sqrt(2)), this process renders the top-left
+    triangle of rows < r, and a forked child (:func:`_forked`) the
+    rectangle of rows < r and columns >= r and the bottom triangle of
+    rows >= r: about d*d/4 entries each, none twice.  The child sends
+    back each rectangle row as one joined string and its own rows as
+    finished text.  Mirrors are reused as :func:`_matrix_rows` reuses
+    them, so the text is that of the serial path; None when the child
+    fails.
+    """
+    d = len(a)
+    r = round(d / math.sqrt(2))
+    w = d - r
+
+    def child() -> list:
+        rect = cells(a[:r, r:].ravel().tolist())
+        pieces = [sep.join(rect[i * w:(i + 1) * w]) for i in range(r)]
+        bits = a.view(np.int64)
+        lines = []
+        for k, row in enumerate(_matrix_rows(a[r:, r:], cells)):
+            left = rect[k::w]
+            for j in np.flatnonzero(bits[r + k, :r] != bits[:r, r + k]).tolist():
+                left[j] = cells([float(a[r + k, j])])[0]
+            left += row
+            lines.append(start + sep.join(left) + end)
+        pieces.append("".join(lines))
+        # The text is ASCII, so each length in characters is one in bytes.
+        return [np.array([len(x) for x in pieces], np.int64), "".join(pieces).encode("ascii")]
+
+    def parent() -> list[str]:
+        return [sep.join(row) for row in _matrix_rows(a[:r, :r], cells)]
+
+    left, data = _forked(child, parent)
+    if data is None:
+        return None
+    ends = (np.cumsum(np.frombuffer(data, np.int64, r + 1)) + 8 * (r + 1)).tolist()
+    with memoryview(data) as view:
+        right = [str(view[i:j], "ascii") for i, j in zip([8 * (r + 1), *ends], ends)]
+    pieces = []
+    for x, y in zip(left, right):
+        pieces += (start, x, sep, y, end)
+    pieces.append(right[-1])
+    return pieces
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -540,14 +788,18 @@ def _significant_degree(coeffs: np.ndarray, sigma: np.ndarray,
     recorded, nu = ||Sigma||_F.  ||Sigma||_F^2 and omega come from one
     |Sigma|.  Every term is kept (L' = L) when c_1 = 0, omega = 0, the
     Frobenius path's ||Sigma||_F^2 is outside the normal range, or any
-    quantity is not finite; none of these warns.
+    quantity is not finite; none of these warns.  A Sigma with a nan or
+    inf entry raises :class:`MatrixValidationError`: its ||Sigma||_F^2 is
+    not finite, and only then are the entries scanned.
     """
     degree = len(coeffs) - 1
-    if degree < 2:
-        return degree
     flat = np.abs(sigma).reshape(-1)
     with np.errstate(all="ignore"):
         nu2 = float(np.vdot(flat, flat))
+        if not nu2 < math.inf and not np.isfinite(flat).all():
+            raise MatrixValidationError("matrix has non-finite entries")
+        if degree < 2:
+            return degree
         flat[::sigma.shape[0] + 1] = 0.0
         omega = float(flat.max())
     if nu is None or p2 is None or not abs(nu2 - p2) <= 2.0**-30 * p2:
@@ -603,21 +855,28 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     and are returned without the mirror sum.
 
     A Sigma of any shape other than (d, d) raises
-    :class:`DimensionMismatchError` naming its shape, before any product.
+    :class:`DimensionMismatchError` naming its shape, before any product,
+    and one with a nan or inf entry :class:`MatrixValidationError`, as
+    :func:`power_sums` does.  Dense Sigma is scanned for them only when
+    the ||Sigma||_F^2 of the cut is not finite; diagonal Sigma checks its
+    d entries.
     """
     if np.shape(sigma) != (g.d, g.d):
         raise DimensionMismatchError(
             f"polynomial is for d = {g.d}, matrix has shape {np.shape(sigma)}"
         )
     c = g.coeffs
+    diag = _diagonal(sigma)
+    if diag is None:
+        sigma = np.asanyarray(sigma, dtype=np.float64)
+        c = c[:_significant_degree(c, sigma, g.nu, g.p2) + 1]
+    elif not np.isfinite(diag).all():
+        raise MatrixValidationError("matrix has non-finite entries")
     # Degree 0 takes no product, and c_0 I keeps the sign of its zeros.
     if len(c) == 1:
         return c[0] * np.eye(g.d)
-    diag = _diagonal(sigma)
     if diag is not None:
         return np.diag(polynomial_values(c, diag))
-    sigma = np.asanyarray(sigma, dtype=np.float64)
-    c = c[:_significant_degree(c, sigma, g.nu, g.p2) + 1]
     d, degree = g.d, len(c) - 1
     s = _split(degree)
     # stack[:s - 1] holds Sigma .. Sigma^(s-1), stack[s - 1] the carried product.

@@ -271,6 +271,20 @@ class TestInverseBound:
         assert vals == sorted(vals, reverse=True)
 
 
+class TestNonFiniteDimension:
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bound", [norm_const_tail_bound, gradient_tail_bound,
+                                       inverse_tail_bound])
+    def test_rejected_as_the_regime_scale_is(self, bound, d):
+        # nan read as below the admissible dimension and +inf gave a bound of
+        # 0.0; a non-finite d fails as a non-finite regime scale does.
+        with pytest.raises(OrderRangeError) as exc:
+            bound(3, d, R_ZERO)
+        assert str(exc.value) == f"d must be finite and positive, got {d}"
+        with pytest.raises(OrderRangeError, match="must be finite and positive, got inf"):
+            GrowthRegime(scale=math.inf)
+
+
 class TestCompareBounds:
     def test_crossover_at_m6_r_half(self):
         # 4 d^0.5 vs 42: crossover between d = 110 and d = 111.

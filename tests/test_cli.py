@@ -4,6 +4,7 @@ import codecs
 import csv
 import io
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1629,6 +1630,56 @@ class TestMarkdownLargeValues:
         code, text = invoke(["grad", "--matrix", path, "--m", "40", "--format", "md"])
         assert code == 0
         assert float(text.splitlines()[-2].split(" | ")[0][2:]) > 1e23
+
+
+class TestTwoProcessCliBytes:
+    """At d >= D_MIN the CLI reads and writes its matrices in two processes
+    (symmat._forked): every subcommand and format prints what the serial
+    path prints, and no child process is left behind."""
+
+    D = symmat.D_MIN
+    ARGV = {"psi": ["psi", "--m", "12", "--gamma0", "1", "--r", "0.5"],
+            "grad": ["grad", "--m", "12", "--gamma0", "1", "--r", "0.5"],
+            "cov": ["cov", "--l", "3", "--m", "12", "--gamma0", "1", "--r", "0.5"],
+            "grad-diag": ["grad", "--m", "12"]}
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        rng = np.random.default_rng(61)
+        where = tmp_path_factory.mktemp("two-process")
+        dense = random_trace_zero(rng, self.D, 0.9 * self.D**0.25)
+        diag = np.diag(rng.uniform(-0.1, 0.1, self.D))
+        return {"dense": write_matrix(where, dense, "dense.txt"),
+                "diag": write_matrix(where, diag, "diag.txt")}
+
+    @staticmethod
+    def serial(monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(symmat, "_can_fork", lambda d: False)
+            return invoke(argv)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "md"])
+    @pytest.mark.parametrize("op", list(ARGV))
+    def test_same_stdout_as_serial(self, paths, monkeypatch, capsys, op, fmt):
+        argv = [*self.ARGV[op], "--matrix", paths["diag" if op == "grad-diag" else "dense"],
+                "--format", fmt]
+        real, calls = symmat._forked, []
+        monkeypatch.setattr(symmat, "_forked", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(symmat, "_can_fork", lambda d: d >= symmat.D_MIN)
+        code, out = invoke(argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(calls) == (1 if op == "psi" else 2)
+        assert (code, out) == self.serial(monkeypatch, argv)
+        assert code == 0 and capsys.readouterr().err == ""
+
+    def test_module_invocation(self, paths, monkeypatch):
+        # A fresh process on the gate as it stands: two processes on two
+        # CPUs, serial on one.
+        argv = [*self.ARGV["grad"], "--matrix", paths["dense"]]
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "binghamx", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, self.serial(monkeypatch, argv)[1], "")
 
 
 class TestEntryPoint:

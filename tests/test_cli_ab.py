@@ -36,6 +36,7 @@ def run_tool(parent, change, results):
     assert entry["rounds"] == 2
     assert entry["env"]["bytecode"] == "compiled copy of each tree"
     assert entry["env"]["labels"] == {"parent": "before", "change": "after"}
+    assert all("child_maxrss_kb" in row for row in entry["ops"].values())
     for tree in {parent, change} - {ROOT / "src"}:
         assert not list(tree.rglob("__pycache__")), tree
     return proc.stdout.splitlines(), entry
@@ -67,16 +68,17 @@ def test_same_tree_twice(tmp_path):
     lines, entry = run_tool(src, src, tmp_path / "bench.json")
     assert lines[0].startswith("cli_ab: cli-verify, seed 1, 3 ops, 2 rounds in ")
     assert lines[1].split() == ["op", "parent_ms", "change_ms", "ratio", "faster",
-                                "parent_kb", "change_kb", "stdout"]
+                                "parent_kb", "change_kb", "p_child_kb", "c_child_kb", "stdout"]
     assert len(entry["ops"]) == 3
     for name, row in entry["ops"].items():
         assert row["stdout_sha256"]["parent"] == row["stdout_sha256"]["change"], name
         assert row["vmhwm_kb"]["parent"] > 0 and row["vmhwm_kb"]["change"] > 0, name
     table = {line.split()[0]: line.split()[1:] for line in lines[2:5]}
     assert list(table) == list(entry["ops"])
-    for name, (*_, parent_kb, change_kb, stdout) in table.items():
-        kb = entry["ops"][name]["vmhwm_kb"]
+    for name, (*_, parent_kb, change_kb, parent_child, change_child, stdout) in table.items():
+        kb, child = entry["ops"][name]["vmhwm_kb"], entry["ops"][name]["child_maxrss_kb"]
         assert (int(parent_kb), int(change_kb), stdout) == (kb["parent"], kb["change"], "same")
+        assert (int(parent_child), int(change_child)) == (child["parent"], child["change"])
 
 
 def test_a_slower_tree_reads_slower_in_every_round(tmp_path):
@@ -84,15 +86,24 @@ def test_a_slower_tree_reads_slower_in_every_round(tmp_path):
     # verify calls: several times the spread between fresh processes, so
     # the copy loses every round.  Its output is unchanged.  Its cli
     # refuses to run from anywhere but a compiled copy outside the tree.
+    # It also forks a child that fills 128 MiB and exits: that peak shows in
+    # its child_maxrss_kb, not in its own VmHWM.
     slow = copy_src(tmp_path / "slow" / "src")
     with open(slow / "binghamx" / "cli.py", "a", encoding="utf-8") as fh:
         fh.write("\n\nimport os\n\n"
                  f"if not os.path.isfile(__cached__) or __file__.startswith({str(slow)!r}):\n"
                  "    raise ImportError(f'binghamx.cli is not a compiled copy: {__file__}')\n"
                  "\n_run = run\n\n\ndef run(argv=None, out=None):\n"
-                 "    import time\n    time.sleep(0.25)\n    return _run(argv, out)\n")
+                 "    import time\n    time.sleep(0.25)\n"
+                 "    pid = os.fork()\n"
+                 "    if pid == 0:\n        b'x' * (128 << 20)\n        os._exit(0)\n"
+                 "    os.waitpid(pid, 0)\n"
+                 "    return _run(argv, out)\n")
     _, entry = run_tool(ROOT / "src", slow, tmp_path / "bench.json")
     assert entry["total"]["faster"] == 0
     assert entry["total"]["ratio"] > 1
     for row in entry["ops"].values():
         assert row["stdout_sha256"]["parent"] == row["stdout_sha256"]["change"]
+        assert row["child_maxrss_kb"]["parent"] == 0
+        assert row["child_maxrss_kb"]["change"] > 128 << 10
+        assert row["vmhwm_kb"]["change"] < row["child_maxrss_kb"]["change"]

@@ -35,6 +35,7 @@ def assert_entry(workload: str, entry: dict) -> None:
     assert entry["ops"]
     if workload.startswith("cli-"):
         assert entry["failed"] == []
+    first_row = next(iter(entry["ops"].values()))
     for name, row in [*entry["ops"].items(), ("total", entry["total"])]:
         for tree in ("parent_ms", "change_ms"):
             q = row[tree]
@@ -44,6 +45,13 @@ def assert_entry(workload: str, entry: dict) -> None:
         assert 0 <= row["faster"] <= entry["rounds"], name
         if workload.startswith("cli-") and name != "total":
             assert set(row["vmhwm_kb"]) == set(TREES) and min(row["vmhwm_kb"].values()) > 0
+            # The largest peak of a CLI process's forked children, 0 when it
+            # forked none; results from before the tool recorded it lack it.
+            assert ("child_maxrss_kb" in row) == ("child_maxrss_kb" in first_row), name
+            if "child_maxrss_kb" in row:
+                assert set(row["child_maxrss_kb"]) == set(TREES), name
+                assert all(isinstance(kb, int) and kb >= 0
+                           for kb in row["child_maxrss_kb"].values()), name
             assert set(row["stdout_sha256"]) == set(TREES)
             assert all(len(sha) == 64 for sha in row["stdout_sha256"].values())
     assert sum(row["parent_ms"]["median"] for row in entry["ops"].values()) == \

@@ -35,6 +35,7 @@ from conftest import (
 
 from binghamx import (
     DimensionMismatchError,
+    MatrixValidationError,
     GradientPolynomial,
     GrowthRegime,
     InadmissibleDimensionError,
@@ -105,6 +106,23 @@ class TestDimensionChecks:
             with pytest.raises(DimensionMismatchError,
                                match=re.escape(f"matrix has shape {shape}, call asked for d = 30")):
                 call()
+
+
+class TestNonFiniteSigma:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 5)], ids=["diagonal", "off-diagonal"])
+    def test_covariance_calls_reject(self, bad, where):
+        # As power_sums does, instead of returning nan.
+        d = 12
+        sigma = random_trace_zero(np.random.default_rng(9), d, 0.5)
+        ps = power_sums(sigma, 11)
+        for s in (sigma.copy(), np.diag(np.diag(sigma))):
+            s[where] = bad
+            for call in (lambda: covariance_expansion(ps, s, 3, 4, d),
+                         lambda: covariance_expansion(ps, s, 3, 12, d),
+                         lambda: covariance_second_order(s, d)):
+                with pytest.raises(MatrixValidationError, match="^matrix has non-finite entries$"):
+                    call()
 
 
 class TestNormConstTruncated:
@@ -757,6 +775,26 @@ class TestSpectralDerivedBound:
             full = covariance_derived_bound(power_sums(sigma, 39), sigma, 3, 40,
                                             len(sigma), regime)
             assert full <= bound <= full * (1 + 2.0**-48)
+
+    def test_cut_is_never_below_the_full_degree_bound_at_random(self, monkeypatch):
+        # 600 random trace-zero inputs, d = 10 and 20, ||Sigma||_F = 0.5 and 8,
+        # m = 40.  The cut and the full Horner loops end one rounding apart
+        # in some g(lambda_i); without the one-ulp round-up of ||g(lambda)||_2
+        # 5 of these bounds fall below their full-degree value.
+        rng = np.random.default_rng(81)
+        sigmas = [random_trace_zero(rng, d, norm) for d in (10, 20) for norm in (0.5, 8.0)
+                  for _ in range(150)]
+
+        def bounds():
+            return [covariance_derived_bound(power_sums(s, 39), s, 3, 40, len(s), self.REGIME)
+                    for s in sigmas]
+
+        cut = bounds()
+        monkeypatch.setattr(series, "_tail_cut",
+                            lambda coeffs, nu, low, threshold: (len(coeffs) - 1, 0.0))
+        full = bounds()
+        assert [i for i, (c, f) in enumerate(zip(cut, full)) if c < f] == []
+        assert max(c / f for c, f in zip(cut, full)) <= 1 + 2.0**-48
 
     def test_the_dropped_tail_enters_the_bound(self, monkeypatch):
         # The cut adds sqrt(d) times the tail it dropped to ||g(lambda)||_2:

@@ -4,10 +4,16 @@ The power-sum oracle is repeated matrix multiplication, independent of
 the eigenvalue path used by the implementation.
 """
 
+import math
+import os
 import re
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from binghamx import (
     norm_const_gradient_truncated,
     norm_const_truncated,
     power_sums,
+    round_half_up,
     symmetrize,
     zonal_gradient,
 )
@@ -294,6 +301,277 @@ class TestMirrorSharedParse:
 
     def test_benchmark_size(self):
         assert_parses_like_reference(repr_text(benchmark_like(1000)))
+
+
+def no_child_left():
+    """Raise unless this process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def grid_text(grid):
+    """The text format of a d x d grid of tokens."""
+    return f"{len(grid)}\n" + "".join(" ".join(row) + "\n" for row in grid)
+
+
+def per_entry(a, fmt):
+    """``a`` as ``format_matrix`` writes it, one f-string or round per entry."""
+    cell = round_half_up if fmt == "md" else (lambda x: f"{x:.17g}")
+    rows, cols = a.shape
+    first, start, sep, end = {"text": (f"{rows}\n", "", " ", "\n"), "csv": ("", "", ",", "\n"),
+                              "md": ("|" + "---|" * cols + "\n", "| ", " | ", " |\n")}[fmt]
+    return first + "".join(start + sep.join(cell(x) for x in row) + end for row in a.tolist())
+
+
+@lru_cache(maxsize=1)
+def _benchmark_grid(d):
+    a = benchmark_like(d)
+    return a, [[repr(x) for x in row] for row in a.tolist()]
+
+
+class TestTwoProcessConversion:
+    """At d >= D_MIN load_matrix and format_matrix share the work with a
+    forked child: the serial path's bits, bytes and errors, with no child
+    process or descriptor left behind.
+
+    Each check runs three ways (``each_mode``): through the two processes
+    (the gate forced on, so also on one CPU), serially (the gate forced
+    off), and with a child that exits nonzero, which falls back to the
+    serial path.
+    """
+
+    D = symmat.D_MIN
+    Q = round(symmat._LOAD_SHARE * D)  # load_matrix: the child's first row
+    R = round(D / math.sqrt(2))  # format_matrix: the child's first row
+    # (row, column) of the upper entry of a pair, by the process that reads
+    # it: this one, the child, and a pair across the boundary.
+    LOAD_PLACES = {"parent": (2, Q - 1), "child": (Q, D - 1), "across": (Q - 1, Q)}
+
+    @staticmethod
+    def each_mode(monkeypatch):
+        """Each mode in turn, as the list of calls into _forked it makes."""
+        real = symmat._forked
+        for mode in ("two-process", "serial", "child-fails"):
+            calls = []
+
+            def counted(child, parent, mode=mode, calls=calls):
+                calls.append(child)
+                return real((lambda: os._exit(3)) if mode == "child-fails" else child, parent)
+
+            monkeypatch.setattr(symmat, "_forked", counted)
+            monkeypatch.setattr(symmat, "_can_fork",
+                                lambda d, mode=mode: mode != "serial" and d >= symmat.D_MIN)
+            fds = open_fds()
+            yield calls
+            no_child_left()
+            assert open_fds() == fds
+
+    @classmethod
+    def grid(cls):
+        """benchmark_like(D) and a fresh grid of its tokens."""
+        a, grid = _benchmark_grid(cls.D)
+        return a, [row[:] for row in grid]
+
+    @staticmethod
+    def forked(calls):
+        """``calls`` calls into _forked in this mode, none when serial."""
+        return calls if symmat._can_fork(TestTwoProcessConversion.D) else 0
+
+    def assert_parses_once(self, monkeypatch, text, forked=True):
+        """load_matrix gives the reference's bits or error in each mode."""
+        try:
+            ref = reference_load_matrix(text)
+        except (MatrixFormatError, MatrixValidationError) as exc:
+            ref = exc
+        for forks in self.each_mode(monkeypatch):
+            if isinstance(ref, Exception):
+                with pytest.raises(type(ref)) as got:
+                    load_matrix(text)
+                assert str(got.value) == str(ref)
+            else:
+                assert load_matrix(text).tobytes() == ref.tobytes()
+            assert len(forks) == self.forked(forked)
+
+    @pytest.mark.parametrize("place", LOAD_PLACES)
+    @pytest.mark.parametrize("kind", ["bad-token", "nan", "asymmetry", "respelled"])
+    @pytest.mark.parametrize("below", [False, True], ids=["upper", "lower"])
+    def test_load_matches_the_reference(self, monkeypatch, place, kind, below):
+        a, grid = self.grid()
+        i, j = self.LOAD_PLACES[place][::-1] if below else self.LOAD_PLACES[place]
+        x = a[i, j]
+        grid[i][j] = {"bad-token": "0.1.2", "nan": "nan", "asymmetry": repr(x * (1 + 1e-8) + 1e-8),
+                      "respelled": f"{x:.20e}"}[kind]
+        if kind == "respelled":
+            assert float(grid[i][j]) == x and grid[i][j] != grid[j][i]
+        self.assert_parses_once(monkeypatch, grid_text(grid))
+
+    def test_lower_triangle_spelled_differently(self, monkeypatch):
+        a, _ = self.grid()
+        self.assert_parses_once(monkeypatch, repr_text(a, lower=lambda x: f"{x:.17g}"))
+        self.assert_parses_once(monkeypatch, repr_text(a, lower=lambda x: f"{x:.15e}"))
+
+    @pytest.mark.parametrize("row", [0, Q - 1, Q, D - 1])
+    def test_count_off_by_one(self, monkeypatch, row):
+        _, grid = self.grid()
+        short = [r[:-1] if i == row else r for i, r in enumerate(grid)]
+        self.assert_parses_once(monkeypatch, grid_text(short))
+        long = [r + ["0.5"] if i == row else r for i, r in enumerate(grid)]
+        self.assert_parses_once(monkeypatch, grid_text(long))
+
+    def test_whitespace_at_the_boundary(self, monkeypatch):
+        # Any run of whitespace str.split knows may separate the tokens,
+        # ASCII separators included; the boundary lands inside such runs.
+        _, grid = self.grid()
+        text = f"  {self.D}\t\r\n" + "".join(
+            " \x1c\x0b ".join(row) + ("\n\n\x0c" if i % 2 else "\x1f\n") for i, row in enumerate(grid))
+        self.assert_parses_once(monkeypatch, text)
+
+    def test_foreign_text_stays_serial(self, monkeypatch):
+        _, grid = self.grid()
+        grid[self.Q + 1][2] = "1_0"
+        self.assert_parses_once(monkeypatch, grid_text(grid), forked=False)
+        grid[self.Q + 1][2] = "0"
+        self.assert_parses_once(monkeypatch, grid_text(grid).replace(" ", "\u2003", 5),
+                                forked=False)
+
+    def test_header_stays_serial_unless_plain(self, monkeypatch):
+        _, grid = self.grid()
+        body = grid_text(grid).split("\n", 1)[1]
+        for header in (f"+{self.D}", f"{self.D}.0", " " * 30 + str(self.D)):
+            self.assert_parses_once(monkeypatch, f"{header}\n{body}", forked=False)
+        self.assert_parses_once(monkeypatch, f"{self.D + 1}\n{body}")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "md"])
+    def test_format_matches_per_entry(self, monkeypatch, fmt):
+        # Mirrors bit-unequal by one ulp, by zero sign and by nan payload in
+        # this process's triangle, among the child's rows left of r (the
+        # rectangle's mirrors) and in the child's triangle.
+        a = benchmark_like(self.D)
+        for i, j in ((5, 2), (self.R - 1, 0), (self.R + 3, 4), (self.D - 1, self.R - 1),
+                     (self.R + 7, self.R + 2), (self.D - 1, self.D - 2)):
+            a[i, j] = np.nextafter(a[j, i], np.inf)
+        a[9, 1], a[1, 9] = -0.0, 0.0
+        a[self.R + 9, 3], a[3, self.R + 9] = 0.0, -0.0
+        a[self.D - 3, self.R + 1] = a[self.R + 1, self.D - 3] = np.nan
+        a.view(np.int64)[self.D - 3, self.R + 1] += 1
+        a[self.R + 11, 8] = a[8, self.R + 11] = -np.inf
+        # Not square and below D_MIN: the serial path; a transposed view: two processes.
+        cases = [a, a[:-1], a[:-1, :-1], a.T]
+        want = [per_entry(x, fmt) for x in cases]
+        for forks in self.each_mode(monkeypatch):
+            assert [format_matrix(x, fmt) for x in cases] == want
+            assert len(forks) == self.forked(2)
+
+    def test_round_trip(self, monkeypatch):
+        a = benchmark_like(self.D + 7)
+        for forks in self.each_mode(monkeypatch):
+            again = load_matrix(format_matrix(a))
+            assert np.array_equal(again.view(np.int64), a.view(np.int64))
+            assert len(forks) == self.forked(2)
+
+
+class TestForkedChild:
+    """The gate and the fork helper: who runs, who is reaped, what escapes."""
+
+    def test_gate(self, monkeypatch):
+        two = len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+        assert symmat._can_fork(symmat.D_MIN) == two
+        assert not symmat._can_fork(symmat.D_MIN - 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert symmat._can_fork(symmat.D_MIN) == (threading.active_count() == 1)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not symmat._can_fork(symmat.D_MIN)
+        finally:
+            stop.set()
+            thread.join()
+        assert symmat._can_fork(symmat.D_MIN) == (threading.active_count() == 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not symmat._can_fork(symmat.D_MIN)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        assert not symmat._can_fork(symmat.D_MIN)
+
+    def test_payload_and_exit_status(self):
+        mine, data = symmat._forked(lambda: [b"ab", np.arange(3.0), memoryview(b"c")],
+                                    lambda: "mine")
+        assert mine == "mine" and bytes(data) == b"ab" + np.arange(3.0).tobytes() + b"c"
+        no_child_left()
+        for child in (lambda: 1 / 0, lambda: os._exit(0), lambda: os._exit(5)):
+            mine, data = symmat._forked(child, lambda: "mine")
+            assert mine == "mine" and data is None
+            no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_child(self):
+        # The child sleeps far longer than the test may take: only a kill ends it.
+        def interrupted():
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        fds = open_fds()
+        with pytest.raises(KeyboardInterrupt):
+            symmat._forked(lambda: time.sleep(60), interrupted)
+        assert time.monotonic() - start < 30
+        no_child_left()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("convert", ["load", "format"])
+    def test_sigint_mid_conversion(self, monkeypatch, convert):
+        # A real SIGINT lands in this process while its share runs; the
+        # child has it blocked, and is killed and reaped.
+        real = symmat._forked
+
+        def interrupting(child, parent):
+            def share():
+                os.kill(os.getpid(), signal.SIGINT)
+                return parent()
+            return real(child, share)
+
+        monkeypatch.setattr(symmat, "_forked", interrupting)
+        monkeypatch.setattr(symmat, "_can_fork", lambda d: d >= symmat.D_MIN)
+        a = benchmark_like(symmat.D_MIN)
+        text = repr_text(a)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                load_matrix(text) if convert == "load" else format_matrix(a)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        no_child_left()
+
+    def test_fork_failure_falls_back(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process slot")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(symmat, "_can_fork", lambda d: d >= symmat.D_MIN)
+        a = benchmark_like(symmat.D_MIN)
+        assert np.array_equal(load_matrix(repr_text(a)).view(np.int64), a.view(np.int64))
+        assert format_matrix(a) == per_entry(a, "text")
+        no_child_left()
+
+    def test_fork_warning_does_not_escape(self, monkeypatch):
+        # Python 3.12 warns on fork while another thread, BLAS's say, runs.
+        real = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return real()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(symmat, "_can_fork", lambda d: d >= symmat.D_MIN)
+        a = benchmark_like(symmat.D_MIN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert format_matrix(a, "csv") == per_entry(a, "csv")
+        no_child_left()
 
 
 class TestPowerSums:
@@ -893,6 +1171,28 @@ def householder_sigma(v, eigenvalues):
     s = np.array([[float(x) for x in row] for row in exact])
     assert all(Fraction(s[i, j]) == exact[i][j] for i in range(d) for j in range(d))
     return s
+
+
+class TestNonFiniteMaterialize:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 5)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 10])
+    def test_rejected_at_every_degree(self, bad, where, degree):
+        # Dense and diagonal Sigma alike, as power_sums does, instead of nan.
+        rng = np.random.default_rng(38)
+        g = GradientPolynomial(d=12, coeffs=rng.uniform(0.5, 1.0, degree + 1))
+        for s in (random_trace_zero(rng, 12, 1.0), np.diag(rng.uniform(-1.0, 1.0, 12))):
+            s[where] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MatrixValidationError, match="^matrix has non-finite entries$"):
+                    materialize(g, s)
+
+    def test_squares_past_overflow_are_finite_input(self):
+        # ||Sigma||_F^2 = inf from finite entries: the scan finds none to reject.
+        s = 1e160 * random_trace_zero(np.random.default_rng(39), 6, 1.0)
+        g = GradientPolynomial(d=6, coeffs=np.array([1.0, 2.0]))
+        assert np.array_equal(materialize(g, s), symmetrize(np.eye(6) + 2.0 * s))
 
 
 class TestSignificantDegree:

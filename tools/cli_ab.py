@@ -23,17 +23,21 @@ have passed (at least two rounds).  BLAS runs on one thread, as in the
 benchmark.
 
 Each child reports its own peak resident set, ``VmHWM`` of
-``/proc/self/status`` (Linux), on its last stderr line at exit, through a
-``-c`` wrapper that runs the package as ``-m`` does.  The first stdout of
-each op on each tree goes through the workload's verdict, and every
-later one must have the same SHA-256.
+``/proc/self/status`` (Linux), and the largest peak of the processes it
+forked and reaped, ``ru_maxrss`` of ``RUSAGE_CHILDREN`` (0 when it forked
+none), on its last stderr lines at exit, through a ``-c`` wrapper that
+runs the package as ``-m`` does.  A forked child's pages are not in its
+parent's ``VmHWM``, so the two are reported side by side.  The first
+stdout of each op on each tree goes through the workload's verdict, and
+every later one must have the same SHA-256.
 
 Per op the output gives each tree's median wall time, the ratio, the
 rounds the change was faster in (ties count for neither), each tree's
-largest ``VmHWM`` and whether the two trees' stdout digests agree; then
-the total of the medians.  With ``--json PATH`` the run is written into
-PATH as the workload's entry, in the schema of ``tools/lib_ab.py`` plus
-per-op ``vmhwm_kb`` and ``stdout_sha256``, and with the mode of the
+largest ``VmHWM`` and largest forked-child peak, and whether the two
+trees' stdout digests agree; then the total of the medians.  With
+``--json PATH`` the run is written into PATH as the workload's entry, in
+the schema of ``tools/lib_ab.py`` plus per-op ``vmhwm_kb``,
+``child_maxrss_kb`` and ``stdout_sha256``, and with the mode of the
 children's bytecode and the ``--labels`` of the trees in its env.  Exit
 status 1 when an output fails its verdict or a child fails.
 """
@@ -57,12 +61,15 @@ TREES = ("parent", "change")
 #: How the children get binghamx's bytecode, recorded in the ``--json`` env.
 BYTECODE = "compiled copy of each tree"
 
-# python -m binghamx, reporting the process's VmHWM on stderr at exit.
+# python -m binghamx, reporting on stderr at exit the process's VmHWM and
+# the largest peak of its reaped children (ru_maxrss is in kB on Linux).
 WRAPPER = """\
-import atexit, runpy, sys
+import atexit, resource, runpy, sys
 def _hwm():
     with open("/proc/self/status", encoding="ascii") as fh:
         sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    sys.stderr.write(f"ChildHWM: {children} kB\\n")
 atexit.register(_hwm)
 runpy.run_module("binghamx", run_name="__main__", alter_sys=True)
 """
@@ -74,9 +81,9 @@ def schedule(r: int, n_ops: int) -> list[tuple[int, int]]:
             for t in ((0, 1) if (r + k) % 2 == 0 else (1, 0))]
 
 
-def vmhwm_kb(stderr: str) -> int | None:
-    """The ``VmHWM`` that the wrapper wrote last on stderr, in kB."""
-    lines = [line for line in stderr.splitlines() if line.startswith("VmHWM:")]
+def peak_kb(stderr: str, key: str = "VmHWM") -> int | None:
+    """The ``key:`` line (VmHWM or ChildHWM) that the wrapper wrote last on stderr, in kB."""
+    lines = [line for line in stderr.splitlines() if line.startswith(f"{key}:")]
     return int(lines[-1].split()[1]) if lines else None
 
 
@@ -121,6 +128,7 @@ def main(argv=None) -> int:
 
         walls = [[[] for _ in ops] for _ in srcs]
         hwm = [[0] * len(ops) for _ in srcs]
+        child_hwm = [[0] * len(ops) for _ in srcs]
         digests: list[list[str | None]] = [[None] * len(ops) for _ in srcs]
         out = run.WORK / "stdout.txt"
         start = time.perf_counter()
@@ -144,11 +152,12 @@ def main(argv=None) -> int:
                     bench.fail(tag, "stdout differs from the first call's")
                 if code != 0:
                     bench.fail(tag, f"exit code {code}: {err.strip()[-300:]}")
-                peak = vmhwm_kb(err)
-                if peak is None:
-                    bench.fail(tag, "no VmHWM line on stderr")
-                else:
-                    hwm[t][k] = max(hwm[t][k], peak)
+                for key, peaks in (("VmHWM", hwm), ("ChildHWM", child_hwm)):
+                    peak = peak_kb(err, key)
+                    if peak is None:
+                        bench.fail(tag, f"no {key} line on stderr")
+                    else:
+                        peaks[t][k] = max(peaks[t][k], peak)
             rounds += 1
         elapsed = time.perf_counter() - start
 
@@ -156,16 +165,18 @@ def main(argv=None) -> int:
     rows, total = lib_ab.summarize(names, [[tree] for tree in walls])
     for k, row in enumerate(rows.values()):
         row["vmhwm_kb"] = dict(zip(TREES, (hwm[0][k], hwm[1][k])))
+        row["child_maxrss_kb"] = dict(zip(TREES, (child_hwm[0][k], child_hwm[1][k])))
         row["stdout_sha256"] = dict(zip(TREES, (digests[0][k], digests[1][k])))
 
     print(f"cli_ab: {args.workload}, seed {args.seed}, {len(ops)} ops, {rounds} rounds "
           f"in {elapsed:.1f} s, one BLAS thread")
     width = max(len(name) for name in names) + 2
     print(f"{'op':<{width}}{'parent_ms':>12}{'change_ms':>12}{'ratio':>8}{'faster':>8}"
-          f"{'parent_kb':>11}{'change_kb':>11}  stdout")
+          f"{'parent_kb':>11}{'change_kb':>11}{'p_child_kb':>12}{'c_child_kb':>12}  stdout")
     for name, row in rows.items():
-        kb, sha = row["vmhwm_kb"], row["stdout_sha256"]
-        print(f"{lib_ab.table_line(name, row, width)}{kb['parent']:>11}{kb['change']:>11}  "
+        kb, child, sha = row["vmhwm_kb"], row["child_maxrss_kb"], row["stdout_sha256"]
+        print(f"{lib_ab.table_line(name, row, width)}{kb['parent']:>11}{kb['change']:>11}"
+              f"{child['parent']:>12}{child['change']:>12}  "
               f"{'same' if sha['parent'] == sha['change'] else 'differs'}")
     print(lib_ab.table_line("total", total, width))
     print(f"ratio change/parent = {total['ratio']:.4f}")

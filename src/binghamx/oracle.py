@@ -451,9 +451,15 @@ def family_threshold(checks: int) -> float:
 
 
 def kummer_partial_sum(b: float, theta: float, terms: int) -> float:
-    """Sum of the first ``terms`` terms (orders 0..terms-1) of the series."""
-    if not b > 0:
-        raise OrderRangeError(f"b must be positive, got {b}")
+    """Sum of the first ``terms`` terms (orders 0..terms-1) of 1F1(1/2; b; theta).
+
+    b must be finite and positive and theta finite; otherwise, or for
+    terms < 1, it raises :class:`OrderRangeError`.
+    """
+    if not 0 < b < math.inf:
+        raise OrderRangeError(f"b must be finite and positive, got {b}")
+    if not math.isfinite(theta):
+        raise OrderRangeError(f"theta must be finite, got {theta}")
     if terms < 1:
         raise OrderRangeError(f"terms must be >= 1, got {terms}")
     total = 1.0

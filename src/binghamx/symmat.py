@@ -814,10 +814,17 @@ def materialize(g: GradientPolynomial, sigma: np.ndarray) -> np.ndarray:
     """Evaluate a :class:`GradientPolynomial` at Sigma.
 
     ``g`` is evaluated at the Sigma it came from: a gradient of the series
-    at the matrix whose spectrum it records.  Dense Sigma first drops the
-    top terms that cannot move an entry by more than 2^-55 |c_1| omega,
-    omega = max_{i != j} |sigma_ij|: it evaluates c_0 .. c_L' for the
-    smallest L' >= 1 with sum_{l > L'} |c_l| nu^l <= 2^-55 |c_1| omega
+    at the matrix whose spectrum it records.  That is a precondition, not
+    a check.  The p2 match below catches a Sigma whose ||Sigma||_F differs
+    from the spectrum's, but not every other matrix: a d = 20, m = 40
+    gradient evaluated at a Sigma' with the same ||.||_F but
+    ||Sigma'||_2 = 1 against nu = 0.44 has an entry off by
+    4.7e-14 |c_1| omega, against an allowance of 2.8e-17.
+
+    Dense Sigma first drops the top terms that cannot move an entry by
+    more than 2^-55 |c_1| omega, omega = max_{i != j} |sigma_ij|: it
+    evaluates c_0 .. c_L' for the smallest L' >= 1 with
+    sum_{l > L'} |c_l| nu^l <= 2^-55 |c_1| omega
     (:func:`_significant_degree`).  The bound holds because
     |(Sigma^l)_ij| <= ||Sigma||_2^l <= nu^l.  nu is ``g.nu``, the
     max |lambda_i| (1 + 2^-20) of the spectrum g records, when Sigma's

@@ -50,6 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import OrderRangeError
 from .partitions import (
     MAX_ORDER,
     check_order,
@@ -282,6 +283,8 @@ def bound_coefficient_closed_poly(k: int) -> tuple[Fraction, ...]:
 
 
 def _eval_sqrt_poly(coeffs: Sequence[Fraction], d: float) -> float:
+    if not 0 < d < math.inf:
+        raise OrderRangeError(f"d must be finite and positive, got {d}")
     s = math.sqrt(d)
     out = 0.0
     for c in reversed(coeffs):
@@ -290,10 +293,17 @@ def _eval_sqrt_poly(coeffs: Sequence[Fraction], d: float) -> float:
 
 
 def bound_coefficient(k: int, d: float) -> float:
-    """Multisum form of the tail coefficient at dimension d."""
+    """Multisum form of the tail coefficient at dimension d.
+
+    d must be finite and positive: a nan, an infinity or d <= 0 raises
+    :class:`OrderRangeError`.
+    """
     return _eval_sqrt_poly(bound_coefficient_poly(k), d)
 
 
 def bound_coefficient_closed(k: int, d: float) -> float:
-    """Closed single-sum form of the tail coefficient at dimension d."""
+    """Closed single-sum form of the tail coefficient at dimension d.
+
+    Takes the d of :func:`bound_coefficient` and rejects the same ones.
+    """
     return _eval_sqrt_poly(bound_coefficient_closed_poly(k), d)

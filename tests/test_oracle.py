@@ -109,6 +109,18 @@ class TestKummerPartialSum:
         with pytest.raises(OrderRangeError):
             kummer_partial_sum(-1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("b, theta, message", [
+        (float("inf"), 1.0, "b must be finite and positive, got inf"),
+        (float("nan"), 1.0, "b must be finite and positive, got nan"),
+        (2.0, float("nan"), "theta must be finite, got nan"),
+        (2.0, float("inf"), "theta must be finite, got inf"),
+        (2.0, float("-inf"), "theta must be finite, got -inf"),
+    ])
+    def test_rejects_non_finite_arguments(self, b, theta, message):
+        with pytest.raises(OrderRangeError) as exc:
+            kummer_partial_sum(b, theta, 5)
+        assert str(exc.value) == message
+
 
 class TestBlockSizes:
     def test_partition_property(self):

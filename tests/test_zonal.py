@@ -19,6 +19,7 @@ from conftest import count_series_passes, haar_orthogonal, random_symmetric
 
 from binghamx import (
     InsufficientPowersError,
+    OrderRangeError,
     bound_coefficient,
     bound_coefficient_closed,
     materialize,
@@ -278,3 +279,10 @@ class TestBoundCoefficients:
                     rising *= s / 2.0 + i
                 bound = rising / math.factorial(k)
                 assert bound_coefficient(k, d) <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("form", [bound_coefficient, bound_coefficient_closed])
+    @pytest.mark.parametrize("d", [float("nan"), float("inf"), float("-inf"), 0.0, -4.0])
+    def test_rejects_d_not_finite_and_positive(self, form, d):
+        with pytest.raises(OrderRangeError) as exc:
+            form(3, d)
+        assert str(exc.value) == f"d must be finite and positive, got {d}"
